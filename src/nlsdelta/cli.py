@@ -26,7 +26,7 @@ from . import __version__, delta_op, linops, stability
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
-    InconclusiveError,
+    AdmissibilityError,
     NlsDeltaError,
     exit_code_for,
 )
@@ -196,7 +196,12 @@ def _sweep_point(task: tuple[float, float, float]) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    zs = [float(s) for s in args.z_values.split(",")]
+    zs = []
+    for token in args.z_values.split(","):
+        try:
+            zs.append(float(token))
+        except ValueError as exc:
+            raise AdmissibilityError(f"--z-values: {token!r} is not a number") from exc
     tasks = [(float(w), z, args.half_period) for w in omegas for z in zs]
     out = _out_dir(args) / f"{args.prefix}_sweep.csv"
     header = [

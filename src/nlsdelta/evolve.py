@@ -162,6 +162,8 @@ class SplitStepEvolver:
     ) -> None:
         if scheme not in ("exact", "fd"):
             raise AdmissibilityError(f"unknown linear scheme {scheme!r}")
+        if n % 2 != 0:
+            raise AdmissibilityError(f"evolver needs an even grid size, got n={n}")
         self.z = float(z)
         self.halfperiod = float(halfperiod)
         self.n = int(n)
@@ -313,6 +315,8 @@ def run_experiment(
     """
     if not T > 0.0:
         raise AdmissibilityError(f"horizon T must be positive, got {T!r}")
+    if not dt > 0.0:
+        raise AdmissibilityError(f"dt must be positive, got {dt!r}")
     kind, amp = parse_perturbation(perturbation)
     profile = build_profile(params, n=max(2048, n))
     evolver = SplitStepEvolver(params.z, params.halfperiod, n=n, scheme=scheme)

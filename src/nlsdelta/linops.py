@@ -7,13 +7,13 @@ cell with the defect jump condition (strength gamma = -Z):
     L1 = -d^2/dx^2 + omega - 3 phi^2   (acts on the real part)
     L2 = -d^2/dx^2 + omega -   phi^2   (acts on the imaginary part)
 
-This module assembles their symmetric finite-difference matrices on top
-of delta_op.discretize, diagonalizes them, counts negative eigenvalues
-with an explicit ambiguity band (never guessing through near-zero
-modes), provides a grid-refinement diagnostic for kernel triviality, and
-cross-checks the machinery against the one Hill equation whose relevant
-eigenvalue is known in closed form (the n=2 Lame equation, second
-periodic eigenvalue 4 + k^2 with eigenfunction sn*cn).
+This module assembles their finite-difference discretizations, counts
+negative eigenvalues with an explicit ambiguity band (never guessing
+through near-zero modes), provides a grid-refinement diagnostic for
+kernel triviality, and cross-checks against the n=2 Lame equation
+(second periodic eigenvalue 4 + k^2, eigenfunction sn*cn).  Both
+operators commute with the grid reflection j -> n - j, so the eigensolve
+splits them into exact even and odd symmetric tridiagonal blocks.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
 from . import elliptic
-from .delta_op import DeltaOperator, discretize, periodic_grid
+from .delta_op import periodic_grid
 from .errors import AdmissibilityError, InconclusiveError, NumericsError
 from .wave import WaveParams, WaveProfile, build_profile
 
@@ -37,7 +38,6 @@ __all__ = [
     "Parity",
     "LinearizedOperator",
     "Spectrum",
-    "PARITY_TOL",
     "negative_band",
     "assemble",
     "spectrum",
@@ -47,11 +47,6 @@ __all__ = [
     "beta_closed_form",
     "lame_check",
 ]
-
-# Reflection residual above which an eigenvector is labelled neither
-# even nor odd.  Simple eigenvalues always classify well below this;
-# the mixed label flags discretization-degenerate pairs.
-PARITY_TOL = 1e-6
 
 
 class Which(str, Enum):
@@ -68,7 +63,6 @@ class Which(str, Enum):
 class Parity(str, Enum):
     EVEN = "even"
     ODD = "odd"
-    MIXED = "mixed"
 
 
 def negative_band(halfperiod: float, omega: float, n: int) -> float:
@@ -84,30 +78,38 @@ def negative_band(halfperiod: float, omega: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Assembled symmetric discretization of L1 or L2 about a profile."""
+    """L1 or L2 about a profile: -1/h^2 periodic couplings, diagonal mirrored from 0..n/2."""
 
     which: Which
     profile: WaveProfile
-    matrix: NDArray[np.float64]
+    half_diagonal: NDArray[np.float64]
     x: NDArray[np.float64]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.x.shape[0]
 
     @property
     def h(self) -> float:
         return 2.0 * self.profile.params.halfperiod / self.n
+
+    @cached_property
+    def matrix(self) -> NDArray[np.float64]:
+        """Dense n x n matrix, built on first access; the eigensolve never reads it."""
+        idx = np.arange(self.n)
+        m = np.diag(np.concatenate([self.half_diagonal, self.half_diagonal[-2:0:-1]]))
+        m[idx, (idx + 1) % self.n] = m[idx, (idx - 1) % self.n] = -1.0 / self.h**2
+        return m
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Lowest eigenpairs of a linearized operator, parity-labelled.
 
-    ``vectors[:, i]`` is the grid eigenfunction of ``eigenvalues[i]``,
-    orthonormal in the Euclidean inner product.  ``n_negative`` counts
-    eigenvalues below -tau and ``kernel_candidates`` collects those
-    with |lambda| < tau, tau = ``band``.
+    ``vectors[:, i]`` is the orthonormal grid eigenfunction of
+    ``eigenvalues[i]`` and ``parities[i]`` its exact parity: the
+    tridiagonal block it came from.  ``n_negative`` counts eigenvalues
+    below -tau and ``kernel_candidates`` those with |lambda| < tau = ``band``.
     """
 
     eigenvalues: NDArray[np.float64]
@@ -126,50 +128,60 @@ class Spectrum:
 
 
 def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
-    """Symmetric matrix of the linearized operator on the periodic grid.
+    """Symmetric discretization of the linearized operator on the periodic grid.
 
-    The defect Laplacian block comes from delta_op.discretize with
+    The defect Laplacian is the stencil of delta_op.discretize with
     gamma = -Z (the linearization inherits the profile's jump
     condition); the potential omega - c*phi^2 is sampled exactly from
-    the closed-form profile at the operator's own grid nodes.
+    the closed-form profile at nodes 0..n/2 and mirrored onto the rest.
     """
-    if n < 256:
-        raise AdmissibilityError(f"linearized assembly needs n >= 256, got n={n}")
+    if n < 256 or n % 2 != 0:
+        raise AdmissibilityError(f"linearized assembly needs an even n >= 256, got n={n}")
     params = profile.params
-    op = DeltaOperator(gamma=-params.z, halfperiod=params.halfperiod)
     x = periodic_grid(params.halfperiod, n)
-    phi = profile.evaluate(x)
-    m = discretize(op, n)
-    diag = params.omega - which.coefficient * phi**2
-    m[np.arange(n), np.arange(n)] += diag
-    return LinearizedOperator(which=which, profile=profile, matrix=m, x=x)
+    h = 2.0 * params.halfperiod / n
+    k = n // 2
+    half = np.full(k + 1, 2.0 / h**2)
+    half[k] += -params.z / h
+    half += params.omega - which.coefficient * profile.evaluate(x[: k + 1]) ** 2
+    return LinearizedOperator(which=which, profile=profile, half_diagonal=half, x=x)
 
 
-def _parity_of(v: NDArray[np.float64], tol: float = PARITY_TOL) -> Parity:
-    n = v.shape[0]
-    refl = v[(n - np.arange(n)) % n]
-    norm = float(np.linalg.norm(v))
-    even_res = float(np.linalg.norm(v - refl)) / norm
-    odd_res = float(np.linalg.norm(v + refl)) / norm
-    if even_res < tol and even_res <= odd_res:
-        return Parity.EVEN
-    if odd_res < tol:
-        return Parity.ODD
-    return Parity.MIXED
+def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) -> Spectrum:
+    """Lowest m eigenpairs of the periodic -1/h^2 stencil whose diagonal mirrors ``half``.
+
+    Even block on e_0, (e_j + e_{n-j})/sqrt2, e_{n/2} (self-mirror nodes
+    couple with a factor sqrt2), odd block on (e_j - e_{n-j})/sqrt2.
+    """
+    k = half.shape[0] - 1
+    off = np.full(k, -1.0 / h**2)
+    off[[0, -1]] *= math.sqrt(2.0)  # couplings of the self-mirror nodes 0 and n/2
+    blocks = {Parity.EVEN: (slice(0, k + 1), off), Parity.ODD: (slice(1, k), off[1:-1])}
+    lams, vecs, parities = [], [], []
+    for parity, (rows, e) in blocks.items():
+        count = min(m, e.shape[0] + 1)
+        try:
+            lam, y = eigh_tridiagonal(half[rows], e, select="i", select_range=(0, count - 1))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NumericsError(f"eigensolve failed: {exc}") from exc
+        v = np.zeros((2 * k, count))
+        v[rows] = y
+        v[1:k] /= math.sqrt(2.0)
+        v[2 * k - 1 : k : -1] = v[1:k] if parity is Parity.EVEN else -v[1:k]
+        lams.append(lam)
+        vecs.append(v)
+        parities += [parity] * count
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")[:m]
+    return Spectrum(lam[order], np.hstack(vecs)[:, order], tuple(parities[i] for i in order), band)
 
 
 def spectrum(op: LinearizedOperator, m: int) -> Spectrum:
-    """Lowest m eigenpairs by dense symmetric eigensolve, parity-labelled."""
+    """Lowest m eigenpairs from the even and odd tridiagonal blocks, parity-labelled."""
     if not 0 < m <= op.n:
         raise AdmissibilityError(f"requested {m} eigenpairs of an n={op.n} operator")
-    try:
-        lam, vec = eigh(op.matrix, subset_by_index=(0, m - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericsError(f"eigensolve failed: {exc}") from exc
-    params = op.profile.params
-    band = negative_band(params.halfperiod, params.omega, op.n)
-    parities = tuple(_parity_of(vec[:, i]) for i in range(m))
-    return Spectrum(eigenvalues=lam, vectors=vec, parities=parities, band=band)
+    band = negative_band(op.profile.params.halfperiod, op.profile.params.omega, op.n)
+    return _split_spectrum(op.half_diagonal, op.h, m, band)
 
 
 def _expected_kernel_modes(op: LinearizedOperator) -> int:
@@ -221,9 +233,7 @@ def kernel_diagnostic(
         neg = spec.n_negative
         gaps.append(float(np.min(np.abs(spec.eigenvalues[neg:]))))
         counts.append(neg)
-    positive_limit = gaps[-1] > 2.0 * negative_band(
-        profile_params.halfperiod, profile_params.omega, n_ladder[-1]
-    )
+    positive_limit = gaps[-1] > 2.0 * spec.band  # band of the finest grid
     return {
         "n_ladder": list(n_ladder),
         "gaps": gaps,
@@ -271,29 +281,23 @@ def second_eigen_slope(
 
     def second_eigenvalue(z: float) -> float:
         profile = build_profile(WaveParams(omega, z, halfperiod), n=max(4096, n))
-        op = assemble(profile, Which.L1, n)
-        lam, _ = eigh(op.matrix, subset_by_index=(0, 1))
-        return float(lam[1])
+        return float(spectrum(assemble(profile, Which.L1, n), 2).eigenvalues[1])
 
-    estimates = [
-        (second_eigenvalue(z) - second_eigenvalue(-z)) / (2.0 * z) for z in z_ladder
-    ]
+    pi = [(second_eigenvalue(z), second_eigenvalue(-z)) for z in z_ladder]
+    estimates = [(plus - minus) / (2.0 * z) for (plus, minus), z in zip(pi, z_ladder)]
     # One Richardson level over the last pair, assuming ratio-2 steps
     # (central differencing is O(Z^2) in the step).
     r = z_ladder[-2] / z_ladder[-1]
     beta_extrap = (r**2 * estimates[-1] - estimates[-2]) / (r**2 - 1.0)
     diffs = [abs(b - beta_extrap) for b in estimates]
     converging = all(d2 <= d1 or d2 < 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
-    pi_sign_ok = all(
-        second_eigenvalue(z) > 0.0 > second_eigenvalue(-z) for z in (z_ladder[-1],)
-    )
     return {
         "z_ladder": list(z_ladder),
         "estimates": estimates,
         "beta": beta_extrap,
         "beta_closed_form": beta_closed_form(omega, halfperiod),
         "converging": converging,
-        "pi_sign_pattern_ok": pi_sign_ok,
+        "pi_sign_pattern_ok": pi[-1][0] > 0.0 > pi[-1][1],
     }
 
 
@@ -308,22 +312,17 @@ def lame_check(k: float, n: int) -> dict:
     """
     if not 0.0 < k < 1.0:
         raise AdmissibilityError(f"lame_check needs modulus in (0, 1), got k={k!r}")
-    if n < 64:
-        raise AdmissibilityError(f"lame_check grid too coarse: n={n}")
+    if n < 64 or n % 2 != 0:
+        raise AdmissibilityError(f"lame_check needs an even grid n >= 64, got n={n}")
     period = 2.0 * elliptic.complete_K(k)
     h = period / n
-    x = h * np.arange(n)
-    idx = np.arange(n)
-    m = np.zeros((n, n))
-    m[idx, idx] = 2.0 / h**2
-    m[idx, (idx + 1) % n] = -1.0 / h**2
-    m[idx, (idx - 1) % n] = -1.0 / h**2
-    sn, cn, _ = elliptic.jacobi_sn_cn_dn(x, k)
-    m[idx, idx] += 6.0 * k**2 * sn**2
-    lam, vec = eigh(m, subset_by_index=(0, 2))
+    sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), k)
+    # sn^2 is even and 2K-periodic, so the stencil is reflection-symmetric.
+    spec = _split_spectrum(2.0 / h**2 + 6.0 * k**2 * sn[: n // 2 + 1] ** 2, h, 3, 0.0)
+    lam = spec.eigenvalues
     target = 4.0 + k**2
     ref = sn * cn
-    v1 = vec[:, 1]
+    v1 = spec.vectors[:, 1]
     overlap = abs(float(v1 @ ref)) / (np.linalg.norm(v1) * np.linalg.norm(ref))
     return {
         "eigenvalues": [float(v) for v in lam],

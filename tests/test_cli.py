@@ -141,6 +141,33 @@ class TestSweep:
         assert side["points"] == 4
 
 
+class TestTypedFailures:
+    def test_zero_time_step(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE,
+                   "--T", "0.01", "--dt", "0", "--n", "256"])
+        assert rc == 2
+        assert "dt must be positive" in capsys.readouterr().err
+
+    def test_odd_evolver_grid(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE,
+                   "--T", "0.01", "--n", "255"])
+        assert rc == 2
+        assert "n=255" in capsys.readouterr().err
+
+    def test_odd_spectrum_grid(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "spectrum", *WAVE, "--n", "511"])
+        assert rc == 2
+        assert "n=511" in capsys.readouterr().err
+
+    def test_bad_z_value_named(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
+                   "--omega-max", "24", "--omega-steps", "2", "--z-values", "1,x",
+                   "--half-period", "0.5", "--workers", "1"])
+        assert rc == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not (tmp_path / "lattice_sweep.csv").exists()
+
+
 class TestOutputDirPrecedence:
     def test_env_var_used_without_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLSDELTA_OUTDIR", str(tmp_path))
