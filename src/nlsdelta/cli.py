@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, delta_op, linops, stability
+from . import __version__, delta_op, linops
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -195,6 +195,8 @@ def _sweep_point(task: tuple[float, float, float]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise AdmissibilityError(f"--workers must be >= 1, got {args.workers}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     zs = []
     for token in args.z_values.split(","):

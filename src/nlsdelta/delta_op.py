@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AdmissibilityError, NumericsError
+from .errors import AdmissibilityError
 from .rootfind import bisect
 
 __all__ = [
@@ -40,6 +39,8 @@ __all__ = [
     "deficiency_element",
     "strength_from_theta",
     "resolvent_kernel",
+    "bound_state_root",
+    "interior_root",
     "negative_eigenvalue",
     "positive_eigenvalues",
     "integer_sine_eigenpairs",
@@ -201,6 +202,31 @@ def resolvent_kernel(
     return complex(out) if np.isscalar(x) else np.asarray(out)
 
 
+def bound_state_root(gamma: float, halfperiod: float) -> float:
+    """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0."""
+    L = halfperiod
+
+    def f(mu: float) -> float:
+        return 2.0 * mu * math.tanh(mu * L) + gamma
+
+    hi = max(1.0 / L, -gamma)
+    while f(hi) < 0.0:
+        hi *= 2.0
+    return bisect(f, 0.0, hi, xtol=1e-15 * max(1.0, hi))
+
+
+def interior_root(j: int, gamma: float, halfperiod: float) -> float:
+    """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0."""
+    L = halfperiod
+    lo, hi = _root_bracket(j, gamma, L)
+
+    def f(kappa: float) -> float:
+        return 1.0 / math.tan(kappa * L) - 2.0 * kappa / gamma
+
+    # cot is monotone on the bracket, so the root is unique.
+    return bisect(f, lo, hi, xtol=1e-15 * max(1.0, hi))
+
+
 def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> DeltaEigenpair:
     """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
 
@@ -212,14 +238,7 @@ def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> Delta
             f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
         )
     L = halfperiod
-
-    def f(mu: float) -> float:
-        return 2.0 * mu * math.tanh(mu * L) + gamma
-
-    hi = max(1.0 / L, -gamma)
-    while f(hi) < 0.0:
-        hi *= 2.0
-    mu = bisect(f, 0.0, hi, xtol=1e-15 * max(1.0, hi))
+    mu = bound_state_root(gamma, L)
     x = sample_grid(L, n)
     psi = np.cosh(mu * (np.abs(x) - L))
     psi /= math.sqrt(np.trapezoid(psi * psi, x))
@@ -255,17 +274,7 @@ def positive_eigenvalues(
     x = sample_grid(L, n)
     pairs: list[DeltaEigenpair] = []
     for j in range(1, count + 1):
-        lo, hi = _root_bracket(j, gamma, L)
-
-        def f(kappa: float) -> float:
-            return 1.0 / math.tan(kappa * L) - 2.0 * kappa / gamma
-
-        try:
-            kappa = bisect(f, lo, hi, xtol=1e-15 * max(1.0, hi))
-        except NumericsError as exc:  # pragma: no cover - cot is monotone on the bracket
-            raise NumericsError(
-                f"failed to bracket interior root j={j} for gamma={gamma}: {exc}"
-            ) from exc
+        kappa = interior_root(j, gamma, L)
         v = np.cos(kappa * (np.abs(x) - L))
         v /= math.sqrt(np.trapezoid(v * v, x))
         pairs.append(DeltaEigenpair(kappa * kappa, EigenKind.INTERIOR_ROOT, x, v))

@@ -3,8 +3,9 @@
 Thin, validated wrappers around scipy.special with the conventions used
 throughout this package: the *modulus* k (not the parameter m = k^2) is
 always the argument, the degenerate circular (k = 0) and hyperbolic
-(k = 1) limits are handled explicitly, and dn admits a bisection-based
-inverse on the fundamental quarter period [0, K(k)].
+(k = 1) limits are handled explicitly, and dn has a closed-form inverse
+on the fundamental quarter period [0, K(k)] through the incomplete
+integral F (DLMF 22.15).
 
 Conventions
 -----------
@@ -26,7 +27,6 @@ from scipy import special
 
 __all__ = [
     "K_ONE_CUTOFF",
-    "INVERSE_DN_TOL",
     "complement",
     "complete_K",
     "complete_E",
@@ -41,11 +41,6 @@ ArrayLike = Union[float, NDArray[np.float64]]
 
 # Moduli closer to 1 than this are routed to the hyperbolic branch.
 K_ONE_CUTOFF = 1e-12
-
-# Absolute bisection tolerance (in u) for inverse_dn.  Tight enough
-# that quantities assembled from the inverse (e.g. minimal periods)
-# carry residuals at the 1e-13 level or below.
-INVERSE_DN_TOL = 1e-15
 
 
 def _check_modulus(k: float, allow_one: bool = True) -> float:
@@ -133,12 +128,17 @@ def jacobi_dn(u: ArrayLike, k: float) -> ArrayLike:
 
 
 def inverse_dn(y: float, k: float) -> float:
-    """Inverse of dn(.; k) on the quarter period [0, K(k)].
+    """Inverse of dn(.; k) on the quarter period [0, K(k)], in closed form.
 
-    Solves dn(u; k) = y by bisection to absolute tolerance
-    ``INVERSE_DN_TOL`` in u; dn is strictly decreasing from dn(0) = 1 to
-    dn(K) = k' so the root is unique.  On the hyperbolic branch the
-    closed form arccosh(1/y) is used instead.
+    dn is strictly decreasing from dn(0) = 1 to dn(K) = k' there, so the
+    root is unique.  With the amplitude phi = am(u), sin phi = sn u =
+    sqrt(1 - y^2)/k and cos phi = cn u = sqrt(y^2 - k'^2)/k, hence
+
+        u = F(phi; k),   phi = atan2(sqrt((1-y)(1+y)), sqrt((y-k')(y+k'))),
+
+    where the common factor 1/k cancels and the factored differences
+    keep full relative accuracy as y -> 1 and y -> k'.  On the
+    hyperbolic branch this is arccosh(1/y).
 
     Parameters
     ----------
@@ -154,12 +154,8 @@ def inverse_dn(y: float, k: float) -> float:
     kp = complement(k)
     if not kp <= y <= 1.0:
         raise ValueError(f"inverse_dn target y={y!r} outside [k', 1] = [{kp!r}, 1]")
-    lo, hi = 0.0, complete_K(k)
-    # dn decreasing: dn(lo) = 1 >= y, dn(hi) = k' <= y.
-    while hi - lo > INVERSE_DN_TOL:
-        mid = 0.5 * (lo + hi)
-        if jacobi_dn(mid, k) >= y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    phi = math.atan2(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)))
+    if phi == 0.5 * math.pi:
+        # ellipkinc(pi/2, m) exceeds ellipk(m) by up to ~1e-12 as k -> 1.
+        return complete_K(k)
+    return float(special.ellipkinc(phi, k * k))

@@ -28,15 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .delta_op import DeltaOperator, discretize, periodic_grid
+from .delta_op import (
+    DeltaOperator,
+    bound_state_root,
+    discretize,
+    interior_root,
+    periodic_grid,
+)
 from .errors import AdmissibilityError, NumericsError
-from .rootfind import bisect
-from .wave import WaveParams, WaveProfile, build_profile
+from .wave import WaveParams, build_profile
 
 __all__ = [
     "State",
@@ -114,28 +119,12 @@ def _exact_eigenbasis(
     else:
         n_roots = m_even
         if gamma < 0.0:
-
-            def f_neg(mu: float) -> float:
-                return 2.0 * mu * math.tanh(mu * L) + gamma
-
-            hi = max(1.0 / L, -gamma)
-            while f_neg(hi) < 0.0:
-                hi *= 2.0
-            mu = bisect(f_neg, 0.0, hi, xtol=1e-15 * max(1.0, hi))
+            mu = bound_state_root(gamma, L)
             cols.append(np.cosh(mu * (np.abs(x) - L)))
             lams.append(-mu * mu)
             n_roots -= 1
         for j in range(1, n_roots + 1):
-            if gamma < 0.0:
-                lo, hi = (j - 0.5) * math.pi / L, j * math.pi / L
-            else:
-                lo, hi = (j - 1.0) * math.pi / L, (j - 0.5) * math.pi / L
-            pad = 1e-12 * max(1.0, hi)
-
-            def f_root(kappa: float) -> float:
-                return 1.0 / math.tan(kappa * L) - 2.0 * kappa / gamma
-
-            kappa = bisect(f_root, lo + pad, hi - pad, xtol=1e-15 * max(1.0, hi))
+            kappa = interior_root(j, gamma, L)
             cols.append(np.cos(kappa * (np.abs(x) - L)))
             lams.append(kappa * kappa)
     for j in range(1, n // 2):
@@ -162,6 +151,8 @@ class SplitStepEvolver:
     ) -> None:
         if scheme not in ("exact", "fd"):
             raise AdmissibilityError(f"unknown linear scheme {scheme!r}")
+        if n < 64:
+            raise AdmissibilityError(f"evolver grid too coarse: n={n} < 64")
         if n % 2 != 0:
             raise AdmissibilityError(f"evolver needs an even grid size, got n={n}")
         self.z = float(z)

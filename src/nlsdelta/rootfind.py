@@ -1,11 +1,13 @@
 """Bracketed bisection root finding.
 
-All transcendental equations in this package are solved by plain
-bisection on intervals where monotonicity (and hence a unique root) is
-known analytically.  Bisection is deliberately preferred over
-faster-converging schemes: every solve then comes with a guaranteed
-bracket, and failures surface as loud bracket errors instead of silent
-convergence to the wrong root.
+The transcendental equations of this package -- the period equation
+T(eta2) = 2L and the bound-state and interior-root equations of the
+defect operator -- are solved by plain bisection on intervals where
+monotonicity (and hence a unique root) is known analytically; the
+inverse of dn needs no solve, it is closed form (elliptic.inverse_dn).
+Bisection is deliberately preferred over faster-converging schemes:
+every solve then comes with a guaranteed bracket, and failures surface
+as loud bracket errors instead of silent convergence to the wrong root.
 """
 
 from __future__ import annotations

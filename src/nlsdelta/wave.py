@@ -34,7 +34,7 @@ construction: profiles at moderate Z exist well below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -89,6 +89,10 @@ class WaveParams:
     halfperiod: float
 
     def __post_init__(self) -> None:
+        for name in ("omega", "z", "halfperiod"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise AdmissibilityError(f"{name} must be finite, got {value!r}")
         if not self.halfperiod > 0.0:
             raise AdmissibilityError(f"halfperiod must be positive, got {self.halfperiod!r}")
         if not self.omega > self.z**2 / 4.0:
@@ -170,16 +174,21 @@ def _shift(eta2: float, omega: float, z: float) -> float:
     return elliptic.inverse_dn(phi_at_zero(eta2, omega, z) / eta1, k)
 
 
+def _signed_period(eta2: float, omega: float, z: float, sign: float) -> float:
+    # T = 2 sqrt2/eta1 * [K(k) + sign * a], sign = -1 for T_-, +1 for T_+.
+    _check_eta2(eta2, omega, z)
+    eta1 = math.sqrt(_eta1_sq(eta2, omega))
+    k = _modulus(eta2, omega)
+    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + sign * _shift(eta2, omega, z))
+
+
 def period_minus(eta2: float, omega: float, z: float) -> float:
     """Minimal period T_- = 2 sqrt2/eta1 * [K(k) - a] of the Z > 0 peak profile.
 
     Strictly decreasing in eta2, diverging as eta2 -> 0 and tending to
     the threshold T0(omega, Z) as eta2 -> theta(omega, Z).
     """
-    _check_eta2(eta2, omega, z)
-    eta1 = math.sqrt(_eta1_sq(eta2, omega))
-    k = _modulus(eta2, omega)
-    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) - _shift(eta2, omega, z))
+    return _signed_period(eta2, omega, z, -1.0)
 
 
 def period_plus(eta2: float, omega: float, z: float) -> float:
@@ -191,10 +200,7 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
     integration of the profile equation).  Only the initial decreasing
     branch is used by solve_eta2.
     """
-    _check_eta2(eta2, omega, z)
-    eta1 = math.sqrt(_eta1_sq(eta2, omega))
-    k = _modulus(eta2, omega)
-    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + _shift(eta2, omega, z))
+    return _signed_period(eta2, omega, z, 1.0)
 
 
 def classic_period(eta2: float, omega: float) -> float:
@@ -202,12 +208,16 @@ def classic_period(eta2: float, omega: float) -> float:
     return period_minus(eta2, omega, 0.0)
 
 
-def _k0_a0(omega: float, z: float) -> tuple[float, float]:
+def _signed_threshold(omega: float, z: float, sign: float) -> float:
+    # lim_{eta2->theta} of _signed_period: 2 sqrt2/lambda * [K(k0) + sign * a0].
+    if not omega > z**2 / 4.0:
+        raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
+    if z == 0.0:
+        return _SQRT2 * math.pi / math.sqrt(omega)
     lam = lambda_scale(omega, z)
-    k0_sq = _SQRT2 * abs(z) * math.sqrt(omega - z**2 / 8.0) / lam**2
-    k0 = math.sqrt(k0_sq)
+    k0 = math.sqrt(_SQRT2 * abs(z) * math.sqrt(omega - z**2 / 8.0) / lam**2)
     a0 = elliptic.inverse_dn(math.sqrt(omega - z**2 / 4.0) / lam, k0)
-    return k0, a0
+    return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) + sign * a0)
 
 
 def threshold_T0(omega: float, z: float) -> float:
@@ -223,12 +233,7 @@ def threshold_T0(omega: float, z: float) -> float:
     as Z -> 0, which is *half* the classical dnoidal threshold
     sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
     """
-    if not omega > z**2 / 4.0:
-        raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
-    if z == 0.0:
-        return _SQRT2 * math.pi / math.sqrt(omega)
-    k0, a0 = _k0_a0(omega, z)
-    return (2.0 * _SQRT2 / lambda_scale(omega, z)) * (elliptic.complete_K(k0) - a0)
+    return _signed_threshold(omega, z, -1.0)
 
 
 def threshold_T1(omega: float, z: float) -> float:
@@ -238,12 +243,7 @@ def threshold_T1(omega: float, z: float) -> float:
     T1 -> (3/2) sqrt2 pi/sqrt(omega), above the classical threshold
     returned at Z = 0 exactly.
     """
-    if not omega > z**2 / 4.0:
-        raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
-    if z == 0.0:
-        return _SQRT2 * math.pi / math.sqrt(omega)
-    k0, a0 = _k0_a0(omega, z)
-    return (2.0 * _SQRT2 / lambda_scale(omega, z)) * (elliptic.complete_K(k0) + a0)
+    return _signed_threshold(omega, z, 1.0)
 
 
 def period_threshold(omega: float, z: float) -> float:
@@ -304,6 +304,12 @@ def solve_eta2(params: WaveParams) -> float:
     return eta2
 
 
+def _dnoidal(xs, eta1: float, k: float, shift: float) -> NDArray[np.float64]:
+    """The closed form eta1 * dn(eta1 |x|/sqrt2 + shift; k), shift = +a, -a or 0."""
+    u = eta1 * np.abs(np.asarray(xs, dtype=float)) / _SQRT2 + shift
+    return eta1 * np.asarray(elliptic.jacobi_dn(u, k))
+
+
 @dataclass(frozen=True)
 class WaveProfile:
     """A constructed standing-wave profile with its solved parameters.
@@ -331,8 +337,7 @@ class WaveProfile:
         ]
 
     def evaluate(self, xs) -> NDArray[np.float64]:
-        u = self.eta1 * np.abs(np.asarray(xs, dtype=float)) / _SQRT2 + self.shift_sign * self.a
-        return self.eta1 * np.asarray(elliptic.jacobi_dn(u, self.k))
+        return _dnoidal(xs, self.eta1, self.k, self.shift_sign * self.a)
 
     def derivative(self, xs) -> NDArray[np.float64]:
         """Closed-form phi'(x); uses dn' = -k^2 sn cn and the |x| chain rule."""
@@ -413,16 +418,11 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     k = _modulus(eta2, omega)
     a = _shift(eta2, omega, z)
     phi0 = phi_at_zero(eta2, omega, z) if z != 0.0 else eta1
-    x = sample_grid_for(params, n)
-    profile = WaveProfile(params, eta1, eta2, k, a, phi0, branch, x, np.empty(0))
-    samples = profile.evaluate(x)
+    x = np.linspace(-params.halfperiod, params.halfperiod, n + 1)
+    samples = _dnoidal(x, eta1, k, math.copysign(a, z))
     profile = WaveProfile(params, eta1, eta2, k, a, phi0, branch, x, samples)
     _validate(profile)
     return profile
-
-
-def sample_grid_for(params: WaveParams, n: int) -> NDArray[np.float64]:
-    return np.linspace(-params.halfperiod, params.halfperiod, n + 1)
 
 
 def _validate(p: WaveProfile) -> None:
@@ -474,11 +474,9 @@ def solitary_limit_check(
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        eta1 = math.sqrt(_eta1_sq(eta2, omega))
-        k = _modulus(eta2, omega)
         a = _shift(eta2, omega, z)
-        u = eta1 * np.abs(xs) / _SQRT2 + math.copysign(1.0, z) * a if z != 0.0 else eta1 * np.abs(xs) / _SQRT2
-        phi = eta1 * np.asarray(elliptic.jacobi_dn(u, k))
+        eta1, k = math.sqrt(_eta1_sq(eta2, omega)), _modulus(eta2, omega)
+        phi = _dnoidal(xs, eta1, k, math.copysign(a, z))
         shifts.append(a)
         sups.append(float(np.max(np.abs(phi - target))))
     return {

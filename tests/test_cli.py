@@ -180,3 +180,28 @@ class TestOutputDirPrecedence:
         main(["--output-dir", str(d), "build-wave", *WAVE, "--n", "512"])
         assert (d / "wave_profile.csv").exists()
         assert not (tmp_path / "env" / "wave_profile.csv").exists()
+
+
+class TestDegenerateArguments:
+    @pytest.mark.parametrize("n", ["0", "-4", "2"])
+    def test_coarse_evolver_grid(self, tmp_path, capsys, n):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE,
+                   "--T", "0.01", "--n", n])
+        assert rc == 2
+        assert f"n={n}" in capsys.readouterr().err
+        assert not (tmp_path / "run_trace.csv").exists()
+
+    def test_zero_workers(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
+                   "--omega-max", "24", "--omega-steps", "2",
+                   "--half-period", "0.5", "--workers", "0"])
+        assert rc == 2
+        assert "got 0" in capsys.readouterr().err
+        assert not (tmp_path / "lattice_sweep.csv").exists()
+
+    def test_infinite_half_period(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "build-wave",
+                   "--omega", "20", "--z", "1", "--half-period", "inf"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "halfperiod" in err and "inf" in err

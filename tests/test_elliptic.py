@@ -187,3 +187,23 @@ class TestInverseDn:
             elliptic.inverse_dn(0.1, 0.5)
         with pytest.raises(ValueError):
             elliptic.inverse_dn(1.1, 0.5)
+
+
+class TestInverseDnClosedForm:
+    def test_deep_root_near_k_one(self):
+        # root u ~ 11.4 close to K, where float spacing exceeds 1e-15;
+        # an absolute-tolerance bisection on u never terminates here
+        k = 1.0 - 1e-9
+        y = elliptic.complement(k) * (1.0 + 1e-7)
+        u = elliptic.inverse_dn(y, k)
+        assert 8.0 <= u <= elliptic.complete_K(k)
+        assert elliptic.jacobi_dn(u, k) == pytest.approx(y, abs=1e-11)
+
+    @pytest.mark.parametrize("k", [1e-4, 1e-9, 0.0])
+    def test_preimage_of_one_is_exactly_zero(self, k):
+        # for k < ~1e-8 k' rounds to 1, so y = 1 is both endpoints
+        assert elliptic.inverse_dn(1.0, k) == 0.0
+
+    @pytest.mark.parametrize("k", [0.7, 0.99, 1.0 - 1e-7, 1.0 - 1e-9])
+    def test_lower_endpoint_is_exactly_K(self, k):
+        assert elliptic.inverse_dn(elliptic.complement(k), k) == elliptic.complete_K(k)

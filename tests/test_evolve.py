@@ -213,3 +213,19 @@ class TestRunExperiment:
     def test_horizon_guard(self):
         with pytest.raises(AdmissibilityError):
             run_experiment(POINT, "even:0.01", T=-1.0)
+
+
+class TestExactEigenbasis:
+    @pytest.mark.parametrize("gamma", [2.0, -2.0])
+    def test_eigenvalues_match_closed_form_spectrum(self, gamma):
+        from nlsdelta.delta_op import DeltaOperator, full_spectrum
+
+        L = 0.5
+        _, lam = evolve._exact_eigenbasis(-gamma, L, 256)
+        exact = [p.eigenvalue for p in full_spectrum(DeltaOperator(gamma, L), 8)]
+        assert np.sort(lam)[:8] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -4, 2, 62])
+    def test_coarse_grid_rejected(self, n):
+        with pytest.raises(AdmissibilityError, match=f"n={n}"):
+            SplitStepEvolver(1.0, 0.5, n=n)

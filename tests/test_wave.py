@@ -224,3 +224,12 @@ class TestSolitaryLimit:
         s = math.atanh(z / (2.0 * math.sqrt(omega)))
         ref = math.sqrt(2.0 * omega) / np.cosh(math.sqrt(omega) * np.abs(xs) + s)
         assert vals == pytest.approx(ref, rel=1e-12)
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("field", ["omega", "z", "halfperiod"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejected_with_field_named(self, field, bad):
+        values = {"omega": 20.0, "z": 1.0, "halfperiod": 0.5, field: bad}
+        with pytest.raises(AdmissibilityError, match=field):
+            WaveParams(**values)
