@@ -197,6 +197,8 @@ def _sweep_point(task: tuple[float, float, float]) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise AdmissibilityError(f"--workers must be >= 1, got {args.workers}")
+    if args.omega_steps < 1:
+        raise AdmissibilityError(f"--omega-steps must be >= 1, got {args.omega_steps}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     zs = []
     for token in args.z_values.split(","):

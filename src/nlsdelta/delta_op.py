@@ -47,6 +47,7 @@ __all__ = [
     "full_spectrum",
     "periodic_grid",
     "sample_grid",
+    "even_block",
     "discretize",
     "spectrum_rows",
 ]
@@ -101,22 +102,42 @@ class DeltaEigenpair:
 
 
 def periodic_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
-    """Uniform periodic grid x_j = -L + j*h, j = 0..n-1, h = 2L/n.
+    """Uniform periodic grid x_j = (j - n/2)*h, j = 0..n-1, h = 2L/n.
 
     n must be even so that a node lands exactly on the defect at x = 0
-    (index n//2).
+    (index n//2).  Multiplying integers by h makes the grid exactly
+    antisymmetric under the reflection j -> n - j: x[n-j] == -x[j] bit
+    for bit, so even functions sample to exactly even vectors.
     """
     if n % 2 != 0:
-        raise ValueError(f"periodic grid size must be even, got n={n}")
+        raise AdmissibilityError(f"periodic grid size must be even, got n={n}")
     h = 2.0 * halfperiod / n
-    return -halfperiod + h * np.arange(n)
+    return h * (np.arange(n) - n // 2)
 
 
 def sample_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
     """Endpoint-inclusive uniform grid with n intervals on [-L, L], n even."""
     if n % 2 != 0:
-        raise ValueError(f"sample grid size must be even, got n={n}")
+        raise AdmissibilityError(f"sample grid size must be even, got n={n}")
     return np.linspace(-halfperiod, halfperiod, n + 1)
+
+
+def even_block(k: int, h: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Couplings and node weights of the even reflection block, n = 2k nodes.
+
+    The periodic -1/h^2 stencil with a reflection-symmetric diagonal
+    commutes with j -> n - j.  In the orthonormal even coordinates e_0,
+    (e_j + e_{n-j})/sqrt2, e_k it is tridiagonal on nodes 0..k with
+    couplings -1/h^2, times sqrt2 at the self-mirror nodes 0 and k; the
+    odd block (nodes 1..k-1, on (e_j - e_{n-j})/sqrt2) keeps the inner
+    couplings.  A block vector y is the grid vector equal to y / weight
+    on its nodes and mirrored onto the rest, weight = (1, sqrt2, ..., sqrt2, 1).
+    """
+    off = np.full(k, -1.0 / h**2)
+    off[[0, -1]] *= math.sqrt(2.0)
+    weight = np.full(k + 1, math.sqrt(2.0))
+    weight[[0, -1]] = 1.0
+    return off, weight
 
 
 def theta_norm_constant(halfperiod: float) -> float:

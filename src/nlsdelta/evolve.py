@@ -2,20 +2,27 @@
 
 The flow i u_t + u_xx + Z delta(x) u + |u|^2 u = 0 is integrated by
 Strang splitting: a half nonlinear step (exact pointwise phase
-rotation), a full linear step, a half nonlinear step.  Two linear
-propagators are available:
+rotation), a full linear step, a half nonlinear step.  The linear
+operator -d^2/dx^2 - Z delta commutes with the reflection x -> -x, and
+so does its discretization on the exactly symmetric grid.  The linear
+step therefore advances the odd part of the state (nodes 1..n/2-1) by a
+DST-I, diagonal phases and an inverse DST-I (the odd eigenfunctions are
+the grid sines, blind to the defect), and the even part (nodes 0..n/2)
+by one (n/2+1)^2 complex propagator, then mirrors both onto the grid,
+so exactly even data stays exactly even.  Two schemes are available:
 
 ``exact``
-    Projects onto the closed-form eigenfunctions of -d^2/dx^2 - Z delta
-    sampled on the grid (bound state + interior-root cosines + integer
-    sines) and advances each with its exact eigenvalue.  The projector
-    is oblique (Gram-corrected), so the step is exact for the grid
+    Projects onto the closed-form even eigenfunctions (bound state +
+    interior-root cosines) sampled on nodes 0..n/2, through the inverse
+    of that square block, and advances each with its exact eigenvalue;
+    the sines get (j pi/L)^2.  The step is exact for the grid
     interpolant in the sampled eigenbasis; this is what makes the
     standing-wave reproduction test pass at defaults, where the O(h)
     collocated matrix cannot.
 ``fd``
-    Unitary step in the orthonormal eigenbasis of the symmetric
-    finite-difference matrix (delta_op.discretize with gamma = -Z).
+    Unitary step in the eigenbasis of the symmetric finite-difference
+    stencil of delta_op.discretize with gamma = -Z: its even
+    tridiagonal block, and (4/h^2) sin^2(pi j/n) for the sines.
     First-order accurate in h at the defect; kept as the
     cross-validation scheme.
 
@@ -32,14 +39,10 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.fft import dst, idst
+from scipy.linalg import eigh_tridiagonal
 
-from .delta_op import (
-    DeltaOperator,
-    bound_state_root,
-    discretize,
-    interior_root,
-    periodic_grid,
-)
+from .delta_op import bound_state_root, even_block, interior_root, periodic_grid
 from .errors import AdmissibilityError, NumericsError
 from .wave import WaveParams, build_profile
 
@@ -101,23 +104,24 @@ class EvolutionTrace:
 def _exact_eigenbasis(
     z: float, halfperiod: float, n: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Closed-form eigenfunctions of -d^2/dx^2 - Z delta sampled on the grid.
+    """Closed-form even eigenfunctions of -d^2/dx^2 - Z delta on nodes 0..n/2.
 
-    Returns (B, lam): B has n unit columns spanning the grid exactly
-    (n/2+1 even functions, n/2-1 odd sines), lam the exact eigenvalues.
+    Returns (B, lam): B has n/2+1 unit columns spanning the even block
+    exactly, lam the exact eigenvalues of those columns followed by the
+    n/2-1 of the odd sines sin(j pi x/L), j = 1..n/2-1.
     """
     gamma = -z
     L = halfperiod
-    x = periodic_grid(L, n)
+    k = n // 2
+    x = periodic_grid(L, n)[: k + 1]
     cols: list[NDArray[np.float64]] = []
     lams: list[float] = []
-    m_even = n // 2 + 1
     if gamma == 0.0:
-        for j in range(m_even):
+        for j in range(k + 1):
             cols.append(np.cos(j * math.pi * x / L))
             lams.append((j * math.pi / L) ** 2)
     else:
-        n_roots = m_even
+        n_roots = k + 1
         if gamma < 0.0:
             mu = bound_state_root(gamma, L)
             cols.append(np.cosh(mu * (np.abs(x) - L)))
@@ -127,19 +131,16 @@ def _exact_eigenbasis(
             kappa = interior_root(j, gamma, L)
             cols.append(np.cos(kappa * (np.abs(x) - L)))
             lams.append(kappa * kappa)
-    for j in range(1, n // 2):
-        cols.append(np.sin(j * math.pi * x / L))
-        lams.append((j * math.pi / L) ** 2)
     b = np.array(cols).T
     b /= np.linalg.norm(b, axis=0)
-    return b, np.array(lams)
+    return b, np.concatenate([lams, (np.arange(1, k) * math.pi / L) ** 2])
 
 
 class SplitStepEvolver:
     """Strang splitting with a precomputed linear propagator.
 
-    The propagator matrix is built once per (dt, scheme) and reused;
-    changing dt mid-run triggers a rebuild.
+    The even propagator and the odd phases are built once per dt and
+    reused; changing dt mid-run triggers a rebuild.
     """
 
     def __init__(
@@ -161,36 +162,46 @@ class SplitStepEvolver:
         self.scheme = scheme
         self.x = periodic_grid(self.halfperiod, self.n)
         self.h = 2.0 * self.halfperiod / self.n
+        self._mirror = (self.n - np.arange(self.n)) % self.n  # reflection j -> n - j
+        k = self.n // 2
         if scheme == "exact":
             b, lam = _exact_eigenbasis(self.z, self.halfperiod, self.n)
-            self._basis = b
-            # Oblique analysis operator: exact reconstruction on span(B).
-            self._analysis = np.linalg.solve(b.T @ b, b.T)
+            self._basis, self._analysis = b, np.linalg.inv(b)
+            self._odd_eigenvalues = lam[k + 1 :]
         else:
-            m = discretize(
-                DeltaOperator(gamma=-self.z, halfperiod=self.halfperiod), self.n
-            )
-            lam, vec = np.linalg.eigh(m)
-            self._basis = vec
-            self._analysis = vec.T
-        self._eigenvalues = lam
+            off, weight = even_block(k, self.h)
+            diag = np.full(k + 1, 2.0 / self.h**2)
+            diag[k] -= self.z / self.h
+            lam, y = eigh_tridiagonal(diag, off)
+            self._basis, self._analysis = y / weight[:, None], y.T * weight
+            sines = np.sin(np.arange(1, k) * math.pi / self.n)
+            self._odd_eigenvalues = (2.0 / self.h * sines) ** 2
+        self._eigenvalues = lam[: k + 1]
         self._dt: Optional[float] = None
         self._propagator: Optional[NDArray[np.complex128]] = None
+        self._odd_phases: Optional[NDArray[np.complex128]] = None
 
-    def _linear_propagator(self, dt: float) -> NDArray[np.complex128]:
+    def _linear_step(self, u: NDArray[np.complex128], dt: float) -> NDArray[np.complex128]:
         if self._propagator is None or dt != self._dt:
             phases = np.exp(-1j * self._eigenvalues * dt)
             self._propagator = (self._basis * phases) @ self._analysis
+            self._odd_phases = np.exp(-1j * self._odd_eigenvalues * dt)
             self._dt = dt
-        return self._propagator
+        k = self.n // 2
+        refl = u[self._mirror]
+        even = self._propagator @ (0.5 * (u[: k + 1] + refl[: k + 1]))
+        odd = idst(self._odd_phases * dst(0.5 * (u[1:k] - refl[1:k]), type=1), type=1)
+        out = np.concatenate([even, even[k - 1 : 0 : -1]])
+        out[1:k] += odd
+        out[k + 1 :] -= odd[::-1]
+        return out
 
     def step(self, state: State, dt: float, blowup_ref: Optional[float] = None) -> State:
         """One Strang step; raises NumericsError on blow-up with the last good time."""
         if not dt > 0.0:
             raise AdmissibilityError(f"dt must be positive, got {dt!r}")
-        p = self._linear_propagator(dt)
         u = state.u * np.exp(0.5j * np.abs(state.u) ** 2 * dt)
-        u = p @ u
+        u = self._linear_step(u, dt)
         u *= np.exp(0.5j * np.abs(u) ** 2 * dt)
         if not np.all(np.isfinite(u.view(np.float64))) or (
             blowup_ref is not None and np.abs(u).max() > BLOWUP_FACTOR * blowup_ref
@@ -216,8 +227,7 @@ class SplitStepEvolver:
     def odd_residual(self, state: State) -> float:
         """Max-norm odd component of the state (0 for exactly even data)."""
         u = state.u
-        refl = u[(self.n - np.arange(self.n)) % self.n]
-        return 0.5 * float(np.abs(u - refl).max())
+        return 0.5 * float(np.abs(u - u[self._mirror]).max())
 
 
 def orbit_distance(
@@ -286,7 +296,6 @@ def run_experiment(
     scheme: str = "exact",
     seed: int = DEFAULT_SEED,
     record_every: int = 50,
-    enforce_even: str | bool = "auto",
 ) -> EvolutionTrace:
     """Integrate a perturbed standing wave and record the observables.
 
@@ -295,19 +304,16 @@ def run_experiment(
     are sampled every ``record_every`` steps.  Blow-up terminates the
     run and is reported on the (partial) trace rather than raised.
 
-    The exact flow preserves evenness of even initial data, but an odd
-    linearized instability (the Z < 0 trough waves have one) amplifies
-    the roundoff-level odd component of the numerical solution
-    exponentially until it dominates.  With ``enforce_even`` (default:
-    on exactly when the initial data is even, i.e. kinds 'even' and
-    'phase') the odd component -- pure numerical noise -- is projected
-    out after each step; the recorded odd residual is the pre-projection
-    value, so genuine symmetry breaking would still be visible.
+    The evolver keeps exactly even data exactly even (its grid and both
+    linear blocks respect the reflection), so for the 'even' and
+    'phase' kinds the recorded odd residual is 0.0 throughout, even
+    where an odd linearized instability exists (the Z < 0 trough
+    waves).  For other data it measures genuine symmetry breaking.
     """
-    if not T > 0.0:
-        raise AdmissibilityError(f"horizon T must be positive, got {T!r}")
-    if not dt > 0.0:
-        raise AdmissibilityError(f"dt must be positive, got {dt!r}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise AdmissibilityError(f"horizon T must be positive and finite, got {T!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise AdmissibilityError(f"dt must be positive and finite, got {dt!r}")
     kind, amp = parse_perturbation(perturbation)
     profile = build_profile(params, n=max(2048, n))
     evolver = SplitStepEvolver(params.z, params.halfperiod, n=n, scheme=scheme)
@@ -315,17 +321,13 @@ def run_experiment(
     u0 = _initial_data(phi, evolver.x, params.halfperiod, kind, amp, seed)
     state = State(t=0.0, u=np.asarray(u0, dtype=complex))
     blowup_ref = float(np.abs(phi).max())
-    if enforce_even == "auto":
-        enforce_even = kind in ("even", "phase")
-    refl = (n - np.arange(n)) % n
     trace = EvolutionTrace()
-    last_odd = evolver.odd_residual(state)
 
-    def record(s: State, odd: float) -> None:
+    def record(s: State) -> None:
         q, e = evolver.conserved(s)
-        trace.append(s.t, q, e, orbit_distance(s.u, phi, evolver.h), odd)
+        trace.append(s.t, q, e, orbit_distance(s.u, phi, evolver.h), evolver.odd_residual(s))
 
-    record(state, last_odd)
+    record(state)
     n_steps = int(round(T / dt))
     for i in range(n_steps):
         try:
@@ -334,11 +336,6 @@ def run_experiment(
             trace.blown_up = True
             trace.blowup_time = state.t
             return trace
-        if enforce_even:
-            last_odd = evolver.odd_residual(state)
-            state = State(t=state.t, u=0.5 * (state.u + state.u[refl]))
         if (i + 1) % record_every == 0 or i == n_steps - 1:
-            if not enforce_even:
-                last_odd = evolver.odd_residual(state)
-            record(state, last_odd)
+            record(state)
     return trace

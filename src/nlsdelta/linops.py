@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
 from . import elliptic
-from .delta_op import periodic_grid
+from .delta_op import even_block, periodic_grid
 from .errors import AdmissibilityError, InconclusiveError, NumericsError
 from .wave import WaveParams, WaveProfile, build_profile
 
@@ -150,12 +150,10 @@ def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
 def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) -> Spectrum:
     """Lowest m eigenpairs of the periodic -1/h^2 stencil whose diagonal mirrors ``half``.
 
-    Even block on e_0, (e_j + e_{n-j})/sqrt2, e_{n/2} (self-mirror nodes
-    couple with a factor sqrt2), odd block on (e_j - e_{n-j})/sqrt2.
+    Blocks as laid out by delta_op.even_block.
     """
     k = half.shape[0] - 1
-    off = np.full(k, -1.0 / h**2)
-    off[[0, -1]] *= math.sqrt(2.0)  # couplings of the self-mirror nodes 0 and n/2
+    off, weight = even_block(k, h)
     blocks = {Parity.EVEN: (slice(0, k + 1), off), Parity.ODD: (slice(1, k), off[1:-1])}
     lams, vecs, parities = [], [], []
     for parity, (rows, e) in blocks.items():
@@ -165,8 +163,7 @@ def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) ->
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericsError(f"eigensolve failed: {exc}") from exc
         v = np.zeros((2 * k, count))
-        v[rows] = y
-        v[1:k] /= math.sqrt(2.0)
+        v[rows] = y / weight[rows, None]
         v[2 * k - 1 : k : -1] = v[1:k] if parity is Parity.EVEN else -v[1:k]
         lams.append(lam)
         vecs.append(v)

@@ -158,6 +158,10 @@ def phi_at_zero(eta2: float, omega: float, z: float) -> float:
     _check_eta2(eta2, omega, z)
     b = 2.0 * omega - z**2 / 2.0
     disc = b * b - 4.0 * eta2**2 * _eta1_sq(eta2, omega)
+    if not math.isfinite(disc):
+        raise NumericsError(
+            f"phi(0) discriminant overflowed in double precision at omega={omega!r}, Z={z!r}"
+        )
     if disc < 0.0:
         raise AdmissibilityError(
             f"negative discriminant at eta2={eta2!r}, omega={omega!r}, Z={z!r}"

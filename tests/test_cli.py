@@ -205,3 +205,28 @@ class TestDegenerateArguments:
         assert rc == 2
         err = capsys.readouterr().err
         assert "halfperiod" in err and "inf" in err
+
+
+class TestOverflowAndNonFinite:
+    def test_overflowing_discriminant_is_numerics_error(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "build-wave",
+                   "--omega", "1e300", "--z", "1", "--half-period", "0.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "overflow" in err and "1e+300" in err
+        assert "exist" not in err  # no claim about the mathematics
+        assert not (tmp_path / "wave_profile.csv").exists()
+
+    def test_infinite_horizon(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE, "--T", "inf"])
+        assert rc == 2
+        assert "got inf" in capsys.readouterr().err
+        assert not (tmp_path / "run_trace.csv").exists()
+
+    def test_negative_omega_steps(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
+                   "--omega-max", "24", "--omega-steps", "-1",
+                   "--half-period", "0.5", "--workers", "1"])
+        assert rc == 2
+        assert "got -1" in capsys.readouterr().err
+        assert not (tmp_path / "lattice_sweep.csv").exists()

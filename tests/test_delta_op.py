@@ -224,3 +224,18 @@ class TestDiscretize:
             delta_op.discretize(DeltaOperator(1.0, 1.0), 127)
         with pytest.raises(AdmissibilityError):
             delta_op.discretize(DeltaOperator(0.0, 1.0, dirichlet=True), 128)
+
+
+class TestGrids:
+    @pytest.mark.parametrize("L", [0.7, 3.14159])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_periodic_grid_exactly_antisymmetric(self, L, n):
+        x = delta_op.periodic_grid(L, n)
+        assert np.array_equal(x[:0:-1], -x[1:])  # x[n-j] == -x[j], bit for bit
+        assert x[n // 2] == 0.0
+        assert x[1] - x[0] == pytest.approx(2.0 * L / n, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [delta_op.periodic_grid, delta_op.sample_grid])
+    def test_odd_size_is_typed(self, grid):
+        with pytest.raises(AdmissibilityError, match="n=255"):
+            grid(1.0, 255)

@@ -229,3 +229,41 @@ class TestExactEigenbasis:
     def test_coarse_grid_rejected(self, n):
         with pytest.raises(AdmissibilityError, match=f"n={n}"):
             SplitStepEvolver(1.0, 0.5, n=n)
+
+
+class TestReflectionParity:
+    @pytest.mark.parametrize("scheme", ["exact", "fd"])
+    def test_even_data_stays_exactly_even(self, scheme):
+        # The repulsive trough wave has an odd instability; even data
+        # must not seed it, not even at roundoff, over 2000 steps.
+        trace = run_experiment(
+            WaveParams(30.0, -1.0, 0.7), "even:1e-3", T=0.4, dt=2e-4, n=256,
+            scheme=scheme, record_every=1,
+        )
+        assert len(trace.odd_residual) == 2001
+        assert max(trace.odd_residual) == 0.0
+
+    def test_fd_step_matches_dense_reference(self):
+        from nlsdelta.delta_op import DeltaOperator, discretize
+
+        z, L, n, dt = -1.0, 0.7, 256, 1e-3
+        lam, v = np.linalg.eigh(discretize(DeltaOperator(gamma=-z, halfperiod=L), n))
+        p = (v * np.exp(-1j * lam * dt)) @ v.T
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = u * np.exp(0.5j * np.abs(u) ** 2 * dt)
+        ref = p @ ref
+        ref *= np.exp(0.5j * np.abs(ref) ** 2 * dt)
+        got = SplitStepEvolver(z, L, n=n, scheme="fd").step(State(0.0, u), dt).u
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_exact_basis_is_the_even_block(self):
+        b, lam = evolve._exact_eigenbasis(-1.0, 0.7, 256)
+        assert b.shape == (129, 129)
+        assert lam.shape == (256,)
+        assert lam[129:] == pytest.approx((np.arange(1, 128) * math.pi / 0.7) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_step_rejected(self, bad):
+        with pytest.raises(AdmissibilityError, match="dt must be positive and finite"):
+            run_experiment(POINT, "even:0.01", T=0.01, dt=bad)
