@@ -122,22 +122,28 @@ def sample_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
     return np.linspace(-halfperiod, halfperiod, n + 1)
 
 
-def even_block(k: int, h: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Couplings and node weights of the even reflection block, n = 2k nodes.
+def even_block(
+    k: int, h: float, gamma: float = 0.0
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Diagonal, couplings and node weights of the even reflection block, n = 2k nodes.
 
-    The periodic -1/h^2 stencil with a reflection-symmetric diagonal
-    commutes with j -> n - j.  In the orthonormal even coordinates e_0,
-    (e_j + e_{n-j})/sqrt2, e_k it is tridiagonal on nodes 0..k with
-    couplings -1/h^2, times sqrt2 at the self-mirror nodes 0 and k; the
-    odd block (nodes 1..k-1, on (e_j - e_{n-j})/sqrt2) keeps the inner
-    couplings.  A block vector y is the grid vector equal to y / weight
-    on its nodes and mirrored onto the rest, weight = (1, sqrt2, ..., sqrt2, 1).
+    The stencil of ``discretize`` (2/h^2 on the diagonal, gamma/h added
+    at the defect node k, periodic couplings -1/h^2) commutes with
+    j -> n - j, as does any reflection-symmetric diagonal added to it.
+    In the orthonormal even coordinates e_0, (e_j + e_{n-j})/sqrt2, e_k
+    it is tridiagonal on nodes 0..k with couplings -1/h^2, times sqrt2
+    at the self-mirror nodes 0 and k; the odd block (nodes 1..k-1, on
+    (e_j - e_{n-j})/sqrt2) keeps the inner diagonal and couplings.  A
+    block vector y is the grid vector equal to y / weight on its nodes
+    and mirrored onto the rest, weight = (1, sqrt2, ..., sqrt2, 1).
     """
+    diag = np.full(k + 1, 2.0 / h**2)
+    diag[k] += gamma / h
     off = np.full(k, -1.0 / h**2)
     off[[0, -1]] *= math.sqrt(2.0)
     weight = np.full(k + 1, math.sqrt(2.0))
     weight[[0, -1]] = 1.0
-    return off, weight
+    return diag, off, weight
 
 
 def theta_norm_constant(halfperiod: float) -> float:
@@ -368,12 +374,10 @@ def discretize(op: DeltaOperator, n: int) -> NDArray[np.float64]:
     if n % 2 != 0:
         raise AdmissibilityError(f"grid size must be even, got n={n}")
     h = 2.0 * op.halfperiod / n
-    m = np.zeros((n, n))
+    diag = even_block(n // 2, h, op.gamma)[0]
+    m = np.diag(np.concatenate([diag, diag[-2:0:-1]]))
     idx = np.arange(n)
-    m[idx, idx] = 2.0 / h**2
-    m[idx, (idx + 1) % n] = -1.0 / h**2
-    m[idx, (idx - 1) % n] = -1.0 / h**2
-    m[n // 2, n // 2] += op.gamma / h
+    m[idx, (idx + 1) % n] = m[idx, (idx - 1) % n] = -1.0 / h**2
     return m
 
 

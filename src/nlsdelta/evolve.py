@@ -5,11 +5,12 @@ Strang splitting: a half nonlinear step (exact pointwise phase
 rotation), a full linear step, a half nonlinear step.  The linear
 operator -d^2/dx^2 - Z delta commutes with the reflection x -> -x, and
 so does its discretization on the exactly symmetric grid.  The linear
-step therefore advances the odd part of the state (nodes 1..n/2-1) by a
-DST-I, diagonal phases and an inverse DST-I (the odd eigenfunctions are
-the grid sines, blind to the defect), and the even part (nodes 0..n/2)
-by one (n/2+1)^2 complex propagator, then mirrors both onto the grid,
-so exactly even data stays exactly even.  Two schemes are available:
+step therefore advances the even part of the state (nodes 0..n/2) and
+the odd part (nodes 1..n/2-1) each by its own square complex
+propagator, then mirrors both onto the grid, so exactly even data stays
+exactly even.  The odd eigenfunctions are the grid sines in both
+schemes (they vanish at the defect); two schemes set the even block
+and the eigenvalues:
 
 ``exact``
     Projects onto the closed-form even eigenfunctions (bound state +
@@ -22,9 +23,9 @@ so exactly even data stays exactly even.  Two schemes are available:
 ``fd``
     Unitary step in the eigenbasis of the symmetric finite-difference
     stencil of delta_op.discretize with gamma = -Z: its even
-    tridiagonal block, and (4/h^2) sin^2(pi j/n) for the sines.
-    First-order accurate in h at the defect; kept as the
-    cross-validation scheme.
+    tridiagonal block (delta_op.even_block), and (4/h^2) sin^2(pi j/n)
+    for the sines.  First-order accurate in h at the defect; kept as
+    the cross-validation scheme.
 
 Both preserve the discrete charge to rounding (the nonlinear substep is
 exactly modulus-preserving; the linear substeps are unitary or
@@ -39,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.fft import dst, idst
 from scipy.linalg import eigh_tridiagonal
 
 from .delta_op import bound_state_root, even_block, interior_root, periodic_grid
@@ -137,10 +137,10 @@ def _exact_eigenbasis(
 
 
 class SplitStepEvolver:
-    """Strang splitting with a precomputed linear propagator.
+    """Strang splitting with precomputed even and odd linear propagators.
 
-    The even propagator and the odd phases are built once per dt and
-    reused; changing dt mid-run triggers a rebuild.
+    Both propagators are built once per dt and reused; changing dt
+    mid-run triggers a rebuild.
     """
 
     def __init__(
@@ -162,35 +162,34 @@ class SplitStepEvolver:
         self.scheme = scheme
         self.x = periodic_grid(self.halfperiod, self.n)
         self.h = 2.0 * self.halfperiod / self.n
-        self._mirror = (self.n - np.arange(self.n)) % self.n  # reflection j -> n - j
         k = self.n // 2
         if scheme == "exact":
             b, lam = _exact_eigenbasis(self.z, self.halfperiod, self.n)
-            self._basis, self._analysis = b, np.linalg.inv(b)
-            self._odd_eigenvalues = lam[k + 1 :]
+            even = (b, np.linalg.inv(b), lam[: k + 1])
+            odd_lam = lam[k + 1 :]
         else:
-            off, weight = even_block(k, self.h)
-            diag = np.full(k + 1, 2.0 / self.h**2)
-            diag[k] -= self.z / self.h
+            diag, off, weight = even_block(k, self.h, -self.z)
             lam, y = eigh_tridiagonal(diag, off)
-            self._basis, self._analysis = y / weight[:, None], y.T * weight
-            sines = np.sin(np.arange(1, k) * math.pi / self.n)
-            self._odd_eigenvalues = (2.0 / self.h * sines) ** 2
-        self._eigenvalues = lam[: k + 1]
+            even = (y / weight[:, None], y.T * weight, lam)
+            odd_lam = (2.0 / self.h * np.sin(np.arange(1, k) * math.pi / self.n)) ** 2
+        # Orthonormal grid sines on nodes 1..k-1: symmetric, its own inverse.
+        j = np.arange(1, k)
+        sines = math.sqrt(2.0 / k) * np.sin(np.outer(j, j) * math.pi / k)
+        self._blocks = (even, (sines, sines, odd_lam))
         self._dt: Optional[float] = None
-        self._propagator: Optional[NDArray[np.complex128]] = None
-        self._odd_phases: Optional[NDArray[np.complex128]] = None
+        self._propagators: tuple[NDArray[np.complex128], ...] = ()
 
     def _linear_step(self, u: NDArray[np.complex128], dt: float) -> NDArray[np.complex128]:
-        if self._propagator is None or dt != self._dt:
-            phases = np.exp(-1j * self._eigenvalues * dt)
-            self._propagator = (self._basis * phases) @ self._analysis
-            self._odd_phases = np.exp(-1j * self._odd_eigenvalues * dt)
+        if dt != self._dt:
+            self._propagators = tuple(
+                (b * np.exp(-1j * lam * dt)) @ a for b, a, lam in self._blocks
+            )
             self._dt = dt
         k = self.n // 2
-        refl = u[self._mirror]
-        even = self._propagator @ (0.5 * (u[: k + 1] + refl[: k + 1]))
-        odd = idst(self._odd_phases * dst(0.5 * (u[1:k] - refl[1:k]), type=1), type=1)
+        mirror = np.concatenate([u[:1], u[: k - 1 : -1]])  # u[n - j], j = 0..k
+        p_even, p_odd = self._propagators
+        even = p_even @ (0.5 * (u[: k + 1] + mirror))
+        odd = p_odd @ (0.5 * (u[1:k] - mirror[1:k]))
         out = np.concatenate([even, even[k - 1 : 0 : -1]])
         out[1:k] += odd
         out[k + 1 :] -= odd[::-1]
@@ -227,7 +226,7 @@ class SplitStepEvolver:
     def odd_residual(self, state: State) -> float:
         """Max-norm odd component of the state (0 for exactly even data)."""
         u = state.u
-        return 0.5 * float(np.abs(u - u[self._mirror]).max())
+        return 0.5 * float(np.abs(u - np.roll(u[::-1], 1)).max())
 
 
 def orbit_distance(
@@ -274,7 +273,7 @@ def _initial_data(
     seed: int,
 ) -> NDArray[np.complex128]:
     if kind == "even":
-        bump = np.cos(math.pi * x / halfperiod)
+        bump = np.cos(math.pi * np.abs(x) / halfperiod)
         return phi * (1.0 + amplitude * bump)
     if kind == "odd":
         bump = np.sin(math.pi * x / halfperiod)
@@ -305,10 +304,11 @@ def run_experiment(
     run and is reported on the (partial) trace rather than raised.
 
     The evolver keeps exactly even data exactly even (its grid and both
-    linear blocks respect the reflection), so for the 'even' and
-    'phase' kinds the recorded odd residual is 0.0 throughout, even
-    where an odd linearized instability exists (the Z < 0 trough
-    waves).  For other data it measures genuine symmetry breaking.
+    linear blocks respect the reflection), and the 'even' and 'phase'
+    kinds are built from functions of |x|, so for them the recorded odd
+    residual is 0.0 throughout, even where an odd linearized
+    instability exists (the Z < 0 trough waves).  For other data it
+    measures genuine symmetry breaking.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise AdmissibilityError(f"horizon T must be positive and finite, got {T!r}")

@@ -141,8 +141,7 @@ def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
     x = periodic_grid(params.halfperiod, n)
     h = 2.0 * params.halfperiod / n
     k = n // 2
-    half = np.full(k + 1, 2.0 / h**2)
-    half[k] += -params.z / h
+    half = even_block(k, h, -params.z)[0]
     half += params.omega - which.coefficient * profile.evaluate(x[: k + 1]) ** 2
     return LinearizedOperator(which=which, profile=profile, half_diagonal=half, x=x)
 
@@ -153,7 +152,7 @@ def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) ->
     Blocks as laid out by delta_op.even_block.
     """
     k = half.shape[0] - 1
-    off, weight = even_block(k, h)
+    _, off, weight = even_block(k, h)
     blocks = {Parity.EVEN: (slice(0, k + 1), off), Parity.ODD: (slice(1, k), off[1:-1])}
     lams, vecs, parities = [], [], []
     for parity, (rows, e) in blocks.items():
@@ -315,7 +314,8 @@ def lame_check(k: float, n: int) -> dict:
     h = period / n
     sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), k)
     # sn^2 is even and 2K-periodic, so the stencil is reflection-symmetric.
-    spec = _split_spectrum(2.0 / h**2 + 6.0 * k**2 * sn[: n // 2 + 1] ** 2, h, 3, 0.0)
+    half = even_block(n // 2, h)[0] + 6.0 * k**2 * sn[: n // 2 + 1] ** 2
+    spec = _split_spectrum(half, h, 3, 0.0)
     lam = spec.eigenvalues
     target = 4.0 + k**2
     ref = sn * cn
