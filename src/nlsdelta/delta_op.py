@@ -41,6 +41,8 @@ __all__ = [
     "resolvent_kernel",
     "bound_state_root",
     "interior_root",
+    "defect_modes",
+    "sample_modes",
     "negative_eigenvalue",
     "positive_eigenvalues",
     "integer_sine_eigenpairs",
@@ -48,6 +50,7 @@ __all__ = [
     "periodic_grid",
     "sample_grid",
     "even_block",
+    "periodic_stencil",
     "discretize",
     "spectrum_rows",
 ]
@@ -65,6 +68,10 @@ class EigenKind(str, Enum):
     INTEGER_SINE = "integer_sine"
 
 
+# One mode of the operator: (kind, wavenumber, eigenvalue).
+Mode = tuple[EigenKind, float, float]
+
+
 @dataclass(frozen=True)
 class DeltaOperator:
     """Point-interaction operator of strength ``gamma`` on [-L, L].
@@ -79,11 +86,14 @@ class DeltaOperator:
     dirichlet: bool = False
 
     def __post_init__(self) -> None:
-        if not self.halfperiod > 0.0:
-            raise AdmissibilityError(f"halfperiod must be positive, got {self.halfperiod!r}")
-        if not self.dirichlet and not math.isfinite(self.gamma):
+        if not (math.isfinite(self.halfperiod) and self.halfperiod > 0.0):
             raise AdmissibilityError(
-                "infinite strength must be requested via the dirichlet flag"
+                f"halfperiod must be positive and finite, got {self.halfperiod!r}"
+            )
+        if not (self.dirichlet or math.isfinite(self.gamma)):
+            raise AdmissibilityError(
+                f"gamma must be finite, got {self.gamma!r} "
+                "(infinite strength is requested via the dirichlet flag)"
             )
 
 
@@ -144,6 +154,18 @@ def even_block(
     weight = np.full(k + 1, math.sqrt(2.0))
     weight[[0, -1]] = 1.0
     return diag, off, weight
+
+
+def periodic_stencil(half_diagonal: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+    """Dense periodic matrix, couplings -1/h^2, diagonal mirrored from nodes 0..n/2.
+
+    The grid form of the blocks laid out by ``even_block``; n = 2 (len(half_diagonal) - 1).
+    """
+    n = 2 * (half_diagonal.shape[0] - 1)
+    m = np.diag(np.concatenate([half_diagonal, half_diagonal[-2:0:-1]]))
+    idx = np.arange(n)
+    m[idx, (idx + 1) % n] = m[idx, (idx - 1) % n] = -1.0 / h**2
+    return m
 
 
 def theta_norm_constant(halfperiod: float) -> float:
@@ -254,24 +276,6 @@ def interior_root(j: int, gamma: float, halfperiod: float) -> float:
     return bisect(f, lo, hi, xtol=1e-15 * max(1.0, hi))
 
 
-def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> DeltaEigenpair:
-    """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
-
-    mu > 0 solves gamma = -2 mu tanh(mu L); the eigenfunction
-    cosh(mu (|x| - L)) is strictly positive and even.
-    """
-    if not gamma < 0.0:
-        raise AdmissibilityError(
-            f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
-        )
-    L = halfperiod
-    mu = bound_state_root(gamma, L)
-    x = sample_grid(L, n)
-    psi = np.cosh(mu * (np.abs(x) - L))
-    psi /= math.sqrt(np.trapezoid(psi * psi, x))
-    return DeltaEigenpair(-mu * mu, EigenKind.NEGATIVE_BOUND_STATE, x, psi)
-
-
 def _root_bracket(j: int, gamma: float, L: float) -> tuple[float, float]:
     # cot(kappa L) = 2 kappa / gamma has exactly one root per half-lattice
     # cell: ((j-1/2) pi, j pi)/L for gamma < 0, ((j-1) pi, (j-1/2) pi)/L
@@ -282,6 +286,61 @@ def _root_bracket(j: int, gamma: float, L: float) -> tuple[float, float]:
         lo, hi = (j - 1.0) * math.pi, (j - 0.5) * math.pi
     pad = _BRACKET_EPS * max(1.0, hi)
     return (lo + pad) / L, (hi - pad) / L
+
+
+def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False) -> list[Mode]:
+    """The ``count`` lowest modes of one parity as (kind, wavenumber, eigenvalue), ascending.
+
+    Even: the bound state cosh(mu (|x| - L)), eigenvalue -mu^2 (gamma < 0
+    only), then the interior roots cos(kappa_j (|x| - L)); at gamma = 0
+    the free cosines kappa = j pi/L, j >= 0, their gamma -> 0 limit.
+    Odd (gamma ignored): the integer sines sin(j pi x/L), j >= 1.
+    """
+    if count < 1:
+        raise AdmissibilityError(f"count must be >= 1, got {count}")
+    L = halfperiod
+    if odd:
+        sines = (j * math.pi / L for j in range(1, count + 1))
+        return [(EigenKind.INTEGER_SINE, w, w * w) for w in sines]
+    modes: list[Mode] = []
+    if gamma < 0.0:
+        mu = bound_state_root(gamma, L)
+        modes.append((EigenKind.NEGATIVE_BOUND_STATE, mu, -mu * mu))
+    for j in range(1, count - len(modes) + 1):
+        kappa = interior_root(j, gamma, L) if gamma != 0.0 else (j - 1) * math.pi / L
+        modes.append((EigenKind.INTERIOR_ROOT, kappa, kappa * kappa))
+    return modes
+
+
+def sample_modes(modes: list[Mode], halfperiod: float, x: NDArray[np.float64]) -> NDArray:
+    """Eigenfunctions of ``modes`` on the nodes x, one column each, unit trapezoid L2 norm on x."""
+    edge = np.abs(x) - halfperiod
+    v = np.array([
+        np.sin(w * x) if kind is EigenKind.INTEGER_SINE
+        else np.cosh(w * edge) if kind is EigenKind.NEGATIVE_BOUND_STATE
+        else np.cos(w * edge)
+        for kind, w, _ in modes
+    ]).T
+    return v / np.sqrt(np.trapezoid(v * v, x, axis=0))
+
+
+def _eigenpairs(modes: list[Mode], halfperiod: float, n: int) -> list[DeltaEigenpair]:
+    x = sample_grid(halfperiod, n)
+    vecs = sample_modes(modes, halfperiod, x).T
+    return [DeltaEigenpair(lam, kind, x, v) for (kind, _, lam), v in zip(modes, vecs)]
+
+
+def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> DeltaEigenpair:
+    """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
+
+    mu > 0 solves gamma = -2 mu tanh(mu L); the eigenfunction
+    cosh(mu (|x| - L)) is strictly positive and even.
+    """
+    if not gamma < 0.0:
+        raise AdmissibilityError(
+            f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
+        )
+    return _eigenpairs(defect_modes(gamma, halfperiod, 1), halfperiod, n)[0]
 
 
 def positive_eigenvalues(
@@ -295,17 +354,8 @@ def positive_eigenvalues(
     """
     if gamma == 0.0:
         raise AdmissibilityError("gamma=0 is the free Laplacian; no interior roots")
-    if count < 1:
-        raise AdmissibilityError(f"count must be >= 1, got {count}")
-    L = halfperiod
-    x = sample_grid(L, n)
-    pairs: list[DeltaEigenpair] = []
-    for j in range(1, count + 1):
-        kappa = interior_root(j, gamma, L)
-        v = np.cos(kappa * (np.abs(x) - L))
-        v /= math.sqrt(np.trapezoid(v * v, x))
-        pairs.append(DeltaEigenpair(kappa * kappa, EigenKind.INTERIOR_ROOT, x, v))
-    return pairs
+    bound = 1 if gamma < 0.0 else 0
+    return _eigenpairs(defect_modes(gamma, halfperiod, count + bound)[bound:], halfperiod, n)
 
 
 def integer_sine_eigenpairs(
@@ -317,44 +367,20 @@ def integer_sine_eigenpairs(
     gamma; for the Dirichlet (+infinity) extension they are the entire
     spectrum.
     """
-    L = halfperiod
-    x = sample_grid(L, n)
-    pairs = []
-    for j in range(1, count + 1):
-        v = np.sin(j * math.pi * x / L)
-        v /= math.sqrt(np.trapezoid(v * v, x))
-        pairs.append(DeltaEigenpair((j * math.pi / L) ** 2, EigenKind.INTEGER_SINE, x, v))
-    return pairs
+    return _eigenpairs(defect_modes(0.0, halfperiod, count, odd=True), halfperiod, n)
 
 
 def full_spectrum(op: DeltaOperator, count: int, n: int = 2048) -> list[DeltaEigenpair]:
     """Lowest ``count`` eigenpairs of the operator, sorted ascending.
 
-    Merges the negative bound state (gamma < 0 only), the interior-root
-    family, and the integer sines.  For gamma = 0 the interior roots
-    degenerate onto the sine lattice and the pure Laplacian eigenvalues
-    {0} union {(j pi/L)^2 doubly} are returned instead.
+    Merges the ``count`` lowest even modes (bound state for gamma < 0,
+    interior roots, or the free cosines at gamma = 0) with the integer
+    sines; for the Dirichlet extension only the sines remain.
     """
+    sines = integer_sine_eigenpairs(op.halfperiod, count, n)
     if op.dirichlet:
-        return integer_sine_eigenpairs(op.halfperiod, count, n)
-    L = op.halfperiod
-    if op.gamma == 0.0:
-        x = sample_grid(L, n)
-        const = DeltaEigenpair(
-            0.0, EigenKind.INTERIOR_ROOT, x, np.full(n + 1, 1.0 / math.sqrt(2.0 * L))
-        )
-        cosines = []
-        for j in range(1, count + 1):
-            v = np.cos(j * math.pi * x / L)
-            v /= math.sqrt(np.trapezoid(v * v, x))
-            cosines.append(DeltaEigenpair((j * math.pi / L) ** 2, EigenKind.INTERIOR_ROOT, x, v))
-        pairs = [const] + cosines + integer_sine_eigenpairs(L, count, n)
-    else:
-        pairs = positive_eigenvalues(op.gamma, L, count, n) + integer_sine_eigenpairs(
-            L, count, n
-        )
-        if op.gamma < 0.0:
-            pairs.append(negative_eigenvalue(op.gamma, L, n))
+        return sines
+    pairs = _eigenpairs(defect_modes(op.gamma, op.halfperiod, count), op.halfperiod, n) + sines
     pairs.sort(key=lambda p: p.eigenvalue)
     return pairs[:count]
 
@@ -374,11 +400,7 @@ def discretize(op: DeltaOperator, n: int) -> NDArray[np.float64]:
     if n % 2 != 0:
         raise AdmissibilityError(f"grid size must be even, got n={n}")
     h = 2.0 * op.halfperiod / n
-    diag = even_block(n // 2, h, op.gamma)[0]
-    m = np.diag(np.concatenate([diag, diag[-2:0:-1]]))
-    idx = np.arange(n)
-    m[idx, (idx + 1) % n] = m[idx, (idx - 1) % n] = -1.0 / h**2
-    return m
+    return periodic_stencil(even_block(n // 2, h, op.gamma)[0], h)
 
 
 def spectrum_rows(pairs: list[DeltaEigenpair]) -> list[tuple[float, str, str]]:

@@ -35,6 +35,7 @@ __all__ = [
     "jacobi_sn_cn_dn",
     "jacobi_dn",
     "inverse_dn",
+    "inverse_am",
 ]
 
 ArrayLike = Union[float, NDArray[np.float64]]
@@ -131,13 +132,9 @@ def inverse_dn(y: float, k: float) -> float:
     """Inverse of dn(.; k) on the quarter period [0, K(k)], in closed form.
 
     dn is strictly decreasing from dn(0) = 1 to dn(K) = k' there, so the
-    root is unique.  With the amplitude phi = am(u), sin phi = sn u =
-    sqrt(1 - y^2)/k and cos phi = cn u = sqrt(y^2 - k'^2)/k, hence
-
-        u = F(phi; k),   phi = atan2(sqrt((1-y)(1+y)), sqrt((y-k')(y+k'))),
-
-    where the common factor 1/k cancels and the factored differences
-    keep full relative accuracy as y -> 1 and y -> k'.  On the
+    root is unique: sn u : cn u = sqrt((1-y)(1+y)) : sqrt((y-k')(y+k'))
+    (the common 1/k dropped; the factored differences keep full relative
+    accuracy as y -> 1 and y -> k'), so u = inverse_am of those.  On the
     hyperbolic branch this is arccosh(1/y).
 
     Parameters
@@ -154,7 +151,20 @@ def inverse_dn(y: float, k: float) -> float:
     kp = complement(k)
     if not kp <= y <= 1.0:
         raise ValueError(f"inverse_dn target y={y!r} outside [k', 1] = [{kp!r}, 1]")
-    phi = math.atan2(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)))
+    return inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), k)
+
+
+def inverse_am(s: float, c: float, k: float) -> float:
+    """The u in [0, K(k)] with sn u : cn u = s : c, i.e. F(atan2(s, c); k).
+
+    s and c are nonnegative and may share any positive factor, so
+    callers pass unnormalized gaps; the amplitude is phi = am(u) =
+    atan2(s, c) (DLMF 22.15, 22.16), and s = c = 0 gives u = 0.
+    """
+    k = _check_modulus(k)
+    if not (s >= 0.0 and c >= 0.0):
+        raise ValueError(f"inverse_am needs s, c >= 0, got s={s!r}, c={c!r}")
+    phi = math.atan2(s, c)
     if phi == 0.5 * math.pi:
         # ellipkinc(pi/2, m) exceeds ellipk(m) by up to ~1e-12 as k -> 1.
         return complete_K(k)

@@ -22,9 +22,9 @@ and the eigenvalues:
     collocated matrix cannot.
 ``fd``
     Unitary step in the eigenbasis of the symmetric finite-difference
-    stencil of delta_op.discretize with gamma = -Z: its even
-    tridiagonal block (delta_op.even_block), and (4/h^2) sin^2(pi j/n)
-    for the sines.  First-order accurate in h at the defect; kept as
+    stencil of delta_op.even_block with gamma = -Z: its even
+    tridiagonal block, and (4/h^2) sin^2(pi j/n) for the sines.
+    First-order accurate in h at the defect; kept as
     the cross-validation scheme.
 
 Both preserve the discrete charge to rounding (the nonlinear substep is
@@ -34,6 +34,7 @@ numerically indistinguishable from unitary).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
-from .delta_op import bound_state_root, even_block, interior_root, periodic_grid
+from .delta_op import defect_modes, even_block, periodic_grid, sample_modes
 from .errors import AdmissibilityError, NumericsError
 from .wave import WaveParams, build_profile
 
@@ -106,34 +107,15 @@ def _exact_eigenbasis(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Closed-form even eigenfunctions of -d^2/dx^2 - Z delta on nodes 0..n/2.
 
-    Returns (B, lam): B has n/2+1 unit columns spanning the even block
-    exactly, lam the exact eigenvalues of those columns followed by the
-    n/2-1 of the odd sines sin(j pi x/L), j = 1..n/2-1.
+    Returns (B, lam): B has the n/2+1 lowest even delta_op.defect_modes
+    as columns, spanning the even block exactly, lam their exact
+    eigenvalues followed by the n/2-1 of the odd sines sin(j pi x/L).
     """
-    gamma = -z
-    L = halfperiod
     k = n // 2
-    x = periodic_grid(L, n)[: k + 1]
-    cols: list[NDArray[np.float64]] = []
-    lams: list[float] = []
-    if gamma == 0.0:
-        for j in range(k + 1):
-            cols.append(np.cos(j * math.pi * x / L))
-            lams.append((j * math.pi / L) ** 2)
-    else:
-        n_roots = k + 1
-        if gamma < 0.0:
-            mu = bound_state_root(gamma, L)
-            cols.append(np.cosh(mu * (np.abs(x) - L)))
-            lams.append(-mu * mu)
-            n_roots -= 1
-        for j in range(1, n_roots + 1):
-            kappa = interior_root(j, gamma, L)
-            cols.append(np.cos(kappa * (np.abs(x) - L)))
-            lams.append(kappa * kappa)
-    b = np.array(cols).T
-    b /= np.linalg.norm(b, axis=0)
-    return b, np.concatenate([lams, (np.arange(1, k) * math.pi / L) ** 2])
+    even = defect_modes(-z, halfperiod, k + 1)
+    b = sample_modes(even, halfperiod, periodic_grid(halfperiod, n)[: k + 1])
+    modes = even + defect_modes(-z, halfperiod, k - 1, odd=True)
+    return b, np.array([lam for _, _, lam in modes])
 
 
 class SplitStepEvolver:
@@ -154,8 +136,6 @@ class SplitStepEvolver:
             raise AdmissibilityError(f"unknown linear scheme {scheme!r}")
         if n < 64:
             raise AdmissibilityError(f"evolver grid too coarse: n={n} < 64")
-        if n % 2 != 0:
-            raise AdmissibilityError(f"evolver needs an even grid size, got n={n}")
         self.z = float(z)
         self.halfperiod = float(halfperiod)
         self.n = int(n)
@@ -237,19 +217,17 @@ def orbit_distance(
     """inf over theta of the discrete H1 distance ||u - e^{i theta} phi||.
 
     With the complex H1 pairing s = <u, phi>_{H1}, the minimum is
-    attained at theta = arg(s) and equals sqrt(||u||^2 + ||phi||^2 -
-    2|s|).  Derivatives by centered differences; the defect point term
-    is not part of the norm.
+    attained at theta = arg(s); the norm of u - e^{i theta} phi is then
+    taken directly (sqrt(||u||^2 + ||phi||^2 - 2|s|) cancels to 0 below
+    ~1e-7).  Centered differences; no defect point term in the norm.
     """
 
     def d(v: NDArray) -> NDArray:
         return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
 
     du, dphi = d(u), d(phi)
-    nu = h * float(np.sum(np.abs(u) ** 2 + np.abs(du) ** 2))
-    nphi = h * float(np.sum(phi**2 + dphi**2))
-    s = h * (np.vdot(phi, u) + np.vdot(dphi, du))
-    return math.sqrt(max(0.0, nu + nphi - 2.0 * abs(s)))
+    rot = cmath.exp(1j * cmath.phase(np.vdot(phi, u) + np.vdot(dphi, du)))
+    return math.sqrt(h * float(np.sum(np.abs(u - rot * phi) ** 2 + np.abs(du - rot * dphi) ** 2)))
 
 
 def parse_perturbation(spec: str) -> tuple[str, float]:

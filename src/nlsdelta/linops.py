@@ -19,7 +19,7 @@ splits them into exact even and odd symmetric tridiagonal blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
 from . import elliptic
-from .delta_op import even_block, periodic_grid
+from .delta_op import even_block, periodic_grid, periodic_stencil
 from .errors import AdmissibilityError, InconclusiveError, NumericsError
 from .wave import WaveParams, WaveProfile, build_profile
 
@@ -96,10 +96,7 @@ class LinearizedOperator:
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
         """Dense n x n matrix, built on first access; the eigensolve never reads it."""
-        idx = np.arange(self.n)
-        m = np.diag(np.concatenate([self.half_diagonal, self.half_diagonal[-2:0:-1]]))
-        m[idx, (idx + 1) % self.n] = m[idx, (idx - 1) % self.n] = -1.0 / self.h**2
-        return m
+        return periodic_stencil(self.half_diagonal, self.h)
 
 
 @dataclass(frozen=True)
@@ -109,17 +106,28 @@ class Spectrum:
     ``vectors[:, i]`` is the orthonormal grid eigenfunction of
     ``eigenvalues[i]`` and ``parities[i]`` its exact parity: the
     tridiagonal block it came from.  ``n_negative`` counts eigenvalues
-    below -tau and ``kernel_candidates`` those with |lambda| < tau = ``band``.
+    below -tau, ``kernel_candidates`` those with |lambda| < tau = ``band``
+    and ``surplus`` those beyond the operator's ``expected_kernel`` modes.
     """
 
     eigenvalues: NDArray[np.float64]
     vectors: NDArray[np.float64]
     parities: tuple[Parity, ...]
     band: float
+    expected_kernel: int = 0
 
     @property
     def n_negative(self) -> int:
         return int(np.sum(self.eigenvalues < -self.band))
+
+    @property
+    def n_negative_even(self) -> int:
+        lams = zip(self.eigenvalues, self.parities)
+        return sum(1 for lam, p in lams if lam < -self.band and p is Parity.EVEN)
+
+    @property
+    def surplus(self) -> int:
+        return len(self.kernel_candidates) - self.expected_kernel
 
     @property
     def kernel_candidates(self) -> NDArray[np.float64]:
@@ -130,7 +138,7 @@ class Spectrum:
 def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
     """Symmetric discretization of the linearized operator on the periodic grid.
 
-    The defect Laplacian is the stencil of delta_op.discretize with
+    The defect Laplacian is the stencil of delta_op.even_block with
     gamma = -Z (the linearization inherits the profile's jump
     condition); the potential omega - c*phi^2 is sampled exactly from
     the closed-form profile at nodes 0..n/2 and mirrored onto the rest.
@@ -176,16 +184,12 @@ def spectrum(op: LinearizedOperator, m: int) -> Spectrum:
     """Lowest m eigenpairs from the even and odd tridiagonal blocks, parity-labelled."""
     if not 0 < m <= op.n:
         raise AdmissibilityError(f"requested {m} eigenpairs of an n={op.n} operator")
-    band = negative_band(op.profile.params.halfperiod, op.profile.params.omega, op.n)
-    return _split_spectrum(op.half_diagonal, op.h, m, band)
-
-
-def _expected_kernel_modes(op: LinearizedOperator) -> int:
+    params = op.profile.params
+    band = negative_band(params.halfperiod, params.omega, op.n)
     # L2 always has the profile itself as a zero mode; L1 has the
     # translation mode phi' only in the defect-free case Z = 0.
-    if op.which is Which.L2:
-        return 1
-    return 1 if op.profile.params.z == 0.0 else 0
+    expected = 1 if op.which is Which.L2 or params.z == 0.0 else 0
+    return replace(_split_spectrum(op.half_diagonal, op.h, m, band), expected_kernel=expected)
 
 
 def count_negative(op: LinearizedOperator) -> int:
@@ -197,10 +201,9 @@ def count_negative(op: LinearizedOperator) -> int:
     guess at this resolution and raises InconclusiveError instead.
     """
     spec = spectrum(op, min(op.n, 8))
-    surplus = len(spec.kernel_candidates) - _expected_kernel_modes(op)
-    if surplus > 0:
+    if spec.surplus > 0:
         raise InconclusiveError(
-            f"{surplus} unexpected eigenvalue(s) inside the zero band "
+            f"{spec.surplus} unexpected eigenvalue(s) inside the zero band "
             f"[-{spec.band:.3e}, {spec.band:.3e}] of {op.which.value}; "
             "refine the grid to classify"
         )

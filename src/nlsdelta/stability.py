@@ -28,7 +28,7 @@ import numpy as np
 
 from . import elliptic
 from .errors import AdmissibilityError
-from .linops import Parity, Which, assemble, spectrum
+from .linops import Which, assemble, spectrum
 from .wave import WaveParams, WaveProfile, build_profile
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 # |slope| below this fraction of ||phi||^2/omega is treated as
 # numerically indistinguishable from zero -> inconclusive verdict.
 SLOPE_ZERO_REL = 1e-6
+
+# Grid sizes of classify: the profile samples and the L1 eigensolve.
+N_PROFILE = 4096
+N_EIGEN = 1024
 
 
 class Verdict(str, Enum):
@@ -146,41 +150,31 @@ def verdict_from_counts(n_negative: int, p_index: int, n_negative_even: int) -> 
     return Verdict.INCONCLUSIVE
 
 
-def classify(
-    params: WaveParams,
-    n_profile: int = 4096,
-    n_eigen: int = 1024,
-) -> StabilityReport:
+def classify(params: WaveParams) -> StabilityReport:
     """Full index classification at one parameter point.
 
     Computes the slope, the L1 negative count (total and even-restricted),
     and applies ``verdict_from_counts``.  A non-positive or numerically
     zero slope short-circuits to inconclusive with the measured value
-    attached; Z = 0 reports the classical verdict with a kernel caveat
-    (the translation mode makes the kernel nontrivial there, outside the
-    hypotheses of the Z != 0 theory).
+    attached, and so does an eigenvalue inside the zero band beyond the
+    expected kernel modes (the rule of linops.count_negative); Z = 0
+    reports the classical verdict with a kernel caveat (the translation
+    mode makes the kernel nontrivial there, outside the hypotheses of
+    the Z != 0 theory).
     """
-    profile = build_profile(params, n=n_profile)
+    profile = build_profile(params, n=N_PROFILE)
     s = slope(params)
     scale = norm_squared(profile) / params.omega
-    op = assemble(profile, Which.L1, n_eigen)
-    spec = spectrum(op, 8)
-    n_neg = spec.n_negative
-    n_even = sum(
-        1
-        for lam, par in zip(spec.eigenvalues, spec.parities)
-        if lam < -spec.band and par is Parity.EVEN
-    )
-    if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale:
+    spec = spectrum(assemble(profile, Which.L1, N_EIGEN), 8)
+    p = 0 if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale else 1
+    if p == 0 or spec.surplus > 0:
         verdict = Verdict.INCONCLUSIVE
-        p = 0
     else:
-        p = 1
-        verdict = verdict_from_counts(n_neg, p, n_even)
+        verdict = verdict_from_counts(spec.n_negative, p, spec.n_negative_even)
     return StabilityReport(
         params=params,
-        n_negative=n_neg,
-        n_negative_even=n_even,
+        n_negative=spec.n_negative,
+        n_negative_even=spec.n_negative_even,
         p_index=p,
         slope=s,
         verdict=verdict,

@@ -53,7 +53,6 @@ __all__ = [
     "phi_at_zero",
     "period_minus",
     "period_plus",
-    "classic_period",
     "threshold_T0",
     "threshold_T1",
     "period_threshold",
@@ -124,40 +123,38 @@ def lambda_scale(omega: float, z: float) -> float:
     return (_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
 
 
-def _eta1_sq(eta2: float, omega: float) -> float:
-    return 2.0 * omega - eta2**2
-
-
-def _modulus(eta2: float, omega: float) -> float:
-    # k^2 = (eta1^2 - eta2^2)/eta1^2 = (2 omega - 2 eta2^2)/(2 omega - eta2^2)
-    e1sq = _eta1_sq(eta2, omega)
-    return math.sqrt((e1sq - eta2**2) / e1sq)
-
-
-def _check_eta2(eta2: float, omega: float, z: float) -> float:
+def _check_eta2(eta2: float, omega: float, z: float) -> None:
     th = theta_admissible(omega, z)
-    if not 0.0 < eta2 < th or (z == 0.0 and not eta2 < math.sqrt(omega)):
+    if not 0.0 < eta2 < th:
         raise AdmissibilityError(
             f"eta2={eta2!r} outside the admissible interval (0, {th!r}) "
             f"for omega={omega!r}, Z={z!r}"
         )
-    return th
 
 
-def phi_at_zero(eta2: float, omega: float, z: float) -> float:
-    """Defect value Phi(eta2, omega, Z) = phi(0) on the physical branch.
+def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, float]:
+    """The orbit fixed by eta2: (eta1, k, Phi, a).
 
-    Root of (Z^2/4) Phi^2 = F(Phi)/2 with
-    F(t) = (eta1^2 - t^2)(t^2 - eta2^2); the larger root
+    eta1^2 = 2 omega - eta2^2, k^2 = (eta1^2 - eta2^2)/eta1^2, the
+    defect value Phi is phi_at_zero's root, and the shift
+    a = dn^{-1}(Phi/eta1; k) lies in [0, K(k)] (Phi = eta1, a = 0 at
+    Z = 0).  With s = sqrt(disc), disc = (eta1^2 - eta2^2)^2
+    - Z^2 (2 omega - Z^2/4), the two gaps of Phi^2 inside the band are
 
-        Phi^2 = [(2 omega - Z^2/2) + sqrt((2 omega - Z^2/2)^2
-                  - 4 eta2^2 (2 omega - eta2^2))] / 2
+        eta1^2 - Phi^2 = Z^2/2 [1/2 + (2 omega - Z^2/4)/(s + eta1^2 - eta2^2)],
+        Phi^2 - eta2^2 = [eta1^2 - eta2^2 - Z^2/2 + s]/2,
 
-    is the one compatible with the peak/trough geometry.
+    sums of positive terms, so a keeps full relative accuracy as Z -> 0
+    (eta1^2 minus a rounded Phi^2 loses all of it below |Z| ~ 1e-8).
     """
     _check_eta2(eta2, omega, z)
-    b = 2.0 * omega - z**2 / 2.0
-    disc = b * b - 4.0 * eta2**2 * _eta1_sq(eta2, omega)
+    eta1_sq = 2.0 * omega - eta2**2
+    spread = eta1_sq - eta2**2
+    eta1 = math.sqrt(eta1_sq)
+    k = math.sqrt(spread / eta1_sq)
+    if z == 0.0:
+        return eta1, k, eta1, 0.0
+    disc = spread * spread - z * z * (2.0 * omega - 0.25 * z * z)
     if not math.isfinite(disc):
         raise NumericsError(
             f"phi(0) discriminant overflowed in double precision at omega={omega!r}, Z={z!r}"
@@ -166,24 +163,32 @@ def phi_at_zero(eta2: float, omega: float, z: float) -> float:
         raise AdmissibilityError(
             f"negative discriminant at eta2={eta2!r}, omega={omega!r}, Z={z!r}"
         )
-    return math.sqrt(0.5 * (b + math.sqrt(disc)))
+    s = math.sqrt(disc)
+    # eta1^2 - Phi^2 = Z^2 * upper, kept factored so it cannot underflow.
+    upper = 0.5 * (0.5 + (2.0 * omega - 0.25 * z * z) / (s + spread))
+    lower = 0.5 * (spread - 0.5 * z * z + s)
+    a = elliptic.inverse_am(abs(z) * math.sqrt(upper), math.sqrt(lower), k)
+    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a
 
 
-def _shift(eta2: float, omega: float, z: float) -> float:
-    """Argument shift a = dn^{-1}(Phi/eta1; k) in [0, K(k)]."""
-    if z == 0.0:
-        return 0.0
-    eta1 = math.sqrt(_eta1_sq(eta2, omega))
-    k = _modulus(eta2, omega)
-    return elliptic.inverse_dn(phi_at_zero(eta2, omega, z) / eta1, k)
+def phi_at_zero(eta2: float, omega: float, z: float) -> float:
+    """Defect value Phi(eta2, omega, Z) = phi(0) on the physical branch (see _orbit).
+
+    The larger root of (Z^2/4) Phi^2 = (eta1^2 - Phi^2)(Phi^2 - eta2^2)/2,
+    the one compatible with the peak/trough geometry.
+    """
+    return _orbit(eta2, omega, z)[2]
 
 
 def _signed_period(eta2: float, omega: float, z: float, sign: float) -> float:
     # T = 2 sqrt2/eta1 * [K(k) + sign * a], sign = -1 for T_-, +1 for T_+.
-    _check_eta2(eta2, omega, z)
-    eta1 = math.sqrt(_eta1_sq(eta2, omega))
-    k = _modulus(eta2, omega)
-    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + sign * _shift(eta2, omega, z))
+    eta1, k, _, a = _orbit(eta2, omega, z)
+    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
+        raise NumericsError(
+            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
+            f"the period map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})"
+        )
+    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + sign * a)
 
 
 def period_minus(eta2: float, omega: float, z: float) -> float:
@@ -205,11 +210,6 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
     branch is used by solve_eta2.
     """
     return _signed_period(eta2, omega, z, 1.0)
-
-
-def classic_period(eta2: float, omega: float) -> float:
-    """Minimal period of the classical (Z = 0) dnoidal wave, 2 sqrt2 K(k)/eta1."""
-    return period_minus(eta2, omega, 0.0)
 
 
 def _signed_threshold(omega: float, z: float, sign: float) -> float:
@@ -274,7 +274,7 @@ def solve_eta2(params: WaveParams) -> float:
             f"no wave of period 2L={target!r}: requires 2L > {kind}(omega,Z)={thresh!r}"
         )
     period = period_minus if z >= 0.0 else period_plus
-    upper = theta_admissible(omega, z) if z != 0.0 else math.sqrt(omega)
+    upper = theta_admissible(omega, z)
     eps = _ETA2_BRACKET_EPS * upper
 
     def f(eta2: float) -> float:
@@ -351,13 +351,6 @@ class WaveProfile:
         sgn = np.where(xs >= 0.0, 1.0, -1.0)
         return -(self.eta1**2 / _SQRT2) * self.k**2 * np.asarray(sn) * np.asarray(cn) * sgn
 
-    def norm_h1_squared(self) -> float:
-        """Trapezoid H1 norm squared, integral of phi^2 + (phi')^2."""
-        d = self.derivative(self.x)
-        return float(
-            np.trapezoid(self.samples**2, self.x) + np.trapezoid(d**2, self.x)
-        )
-
     def diagnostics(self) -> dict:
         """Residuals of the defining identities, computed numerically.
 
@@ -410,7 +403,7 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     """
     if n < 128 or n & (n - 1) != 0:
         raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
-    omega, z = params.omega, params.z
+    z = params.z
     if z > 0.0:
         branch = SignBranch.PLUS_SHIFT
     elif z < 0.0:
@@ -418,13 +411,11 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     else:
         branch = SignBranch.CLASSIC
     eta2 = solve_eta2(params)
-    eta1 = math.sqrt(_eta1_sq(eta2, omega))
-    k = _modulus(eta2, omega)
-    a = _shift(eta2, omega, z)
-    phi0 = phi_at_zero(eta2, omega, z) if z != 0.0 else eta1
+    eta1, k, _, a = _orbit(eta2, params.omega, z)
     x = np.linspace(-params.halfperiod, params.halfperiod, n + 1)
     samples = _dnoidal(x, eta1, k, math.copysign(a, z))
-    profile = WaveProfile(params, eta1, eta2, k, a, phi0, branch, x, samples)
+    # phi0 is the sample at x = 0, bit for bit the value the profile file holds there.
+    profile = WaveProfile(params, eta1, eta2, k, a, float(samples[n // 2]), branch, x, samples)
     _validate(profile)
     return profile
 
@@ -435,7 +426,8 @@ def _validate(p: WaveProfile) -> None:
         raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
     if not p.eta1 - p.eta2 > abs(z) / _SQRT2:
         raise NumericsError("separation eta1 - eta2 > |Z|/sqrt2 violated")
-    if z != 0.0 and not p.eta2 < p.phi0 < p.eta1:
+    # a > 0 is the computed gap eta1^2 - Phi^2 > 0, also where phi0 rounds to eta1.
+    if z != 0.0 and not (p.eta2 < p.phi0 <= p.eta1 and p.a > 0.0):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
     if not 0.0 <= p.a <= elliptic.complete_K(p.k):
         raise NumericsError("shift a escaped [0, K(k)]")
@@ -471,15 +463,12 @@ def solitary_limit_check(
     sup distance to ``solitary_profile``; the shifts must approach
     atanh(Z/(2 sqrt omega)) and the sup errors must decrease.
     """
-    if not omega > z**2 / 4.0:
-        raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     xs = np.linspace(-window, window, n + 1)
-    target = solitary_profile(omega, z, xs)
+    target = solitary_profile(omega, z, xs)  # checks omega > Z^2/4
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        a = _shift(eta2, omega, z)
-        eta1, k = math.sqrt(_eta1_sq(eta2, omega)), _modulus(eta2, omega)
+        eta1, k, _, a = _orbit(eta2, omega, z)
         phi = _dnoidal(xs, eta1, k, math.copysign(a, z))
         shifts.append(a)
         sups.append(float(np.max(np.abs(phi - target))))

@@ -230,3 +230,55 @@ class TestOverflowAndNonFinite:
         assert rc == 2
         assert "got -1" in capsys.readouterr().err
         assert not (tmp_path / "lattice_sweep.csv").exists()
+
+
+class TestSmallDefectAndEdges:
+    @pytest.mark.parametrize("z, half_period", [("1e-8", "0.5"), ("-1e-8", "1")])
+    def test_classify_at_tiny_z(self, tmp_path, z, half_period):
+        rc = main(["--output-dir", str(tmp_path), "classify",
+                   "--omega", "20", f"--z={z}", "--half-period", half_period])
+        assert rc == 0
+        report = json.loads((tmp_path / "point_classification.json").read_text())
+        assert report["verdict"] == "inconclusive"
+
+    def test_band_hidden_eigenvalue_strict(self, tmp_path):
+        rc = main(["--output-dir", str(tmp_path), "classify", "--omega", "20",
+                   "--z=-0.01", "--half-period", "1", "--strict-inconclusive"])
+        assert rc == 4
+
+    def test_sweep_at_subnormal_scale_z(self, tmp_path):
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "20",
+                   "--omega-max", "20", "--omega-steps", "1", "--z-values", "1e-300",
+                   "--half-period", "0.5", "--workers", "1"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "lattice_sweep.csv")
+        assert len(rows) == 1 and not rows[0][7].startswith("error")
+
+    @pytest.mark.parametrize("z, half_period", [("0", "20"), ("1", "20"), ("-1", "20"),
+                                                ("1", "100"), ("-1", "100")])
+    def test_modulus_at_cutoff_exits_3(self, tmp_path, capsys, z, half_period):
+        rc = main(["--output-dir", str(tmp_path), "build-wave", "--omega", "1",
+                   f"--z={z}", "--half-period", half_period])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "K_ONE_CUTOFF" in err and "exist" not in err
+
+    def test_infinite_delta_half_period(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
+                   "--gamma", "1", "--half-period", "inf"])
+        assert rc == 2
+        assert "halfperiod must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_strength(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
+                   "--gamma", "nan", "--half-period", "1"])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--count", "0"], ["--dirichlet", "--count", "-1"]])
+    def test_empty_delta_spectrum_rejected(self, tmp_path, capsys, extra):
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
+                   "--gamma", "0", "--half-period", "1", *extra])
+        assert rc == 2
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "delta_delta_spectrum.csv").exists()

@@ -239,3 +239,53 @@ class TestGrids:
     def test_odd_size_is_typed(self, grid):
         with pytest.raises(AdmissibilityError, match="n=255"):
             grid(1.0, 255)
+
+
+class TestDefectModes:
+    @pytest.mark.parametrize("gamma", [1e-9, -1e-9])
+    def test_free_cosines_are_the_small_gamma_limit(self, gamma):
+        L = 0.7
+        free = [lam for _, _, lam in delta_op.defect_modes(0.0, L, 6)]
+        near = [lam for _, _, lam in delta_op.defect_modes(gamma, L, 6)]
+        assert near == pytest.approx(free, abs=1e-8)
+
+    def test_one_list_behind_every_eigenpair_family(self):
+        gamma, L = -1.5, 0.9
+        modes = delta_op.defect_modes(gamma, L, 4)
+        assert [m[0] for m in modes] == [EigenKind.NEGATIVE_BOUND_STATE] + 3 * [
+            EigenKind.INTERIOR_ROOT
+        ]
+        assert delta_op.negative_eigenvalue(gamma, L).eigenvalue == modes[0][2]
+        assert [p.eigenvalue for p in delta_op.positive_eigenvalues(gamma, L, 3)] == [
+            m[2] for m in modes[1:]
+        ]
+
+    def test_sampled_modes_have_unit_norm(self):
+        x = delta_op.sample_grid(1.0, 512)
+        modes = delta_op.defect_modes(-2.0, 1.0, 3) + delta_op.defect_modes(
+            -2.0, 1.0, 3, odd=True
+        )
+        v = delta_op.sample_modes(modes, 1.0, x)
+        assert v.shape == (513, 6)
+        assert [np.trapezoid(c * c, x) for c in v.T] == pytest.approx(np.ones(6), rel=1e-13)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_guard(self, count):
+        with pytest.raises(AdmissibilityError, match="count must be >= 1"):
+            delta_op.integer_sine_eigenpairs(1.0, count)
+
+
+class TestPeriodicStencil:
+    def test_discretize_is_the_stencil_of_the_even_block(self):
+        n, L, gamma = 128, 1.0, 1.5
+        h = 2.0 * L / n
+        half = delta_op.even_block(n // 2, h, gamma)[0]
+        m = delta_op.periodic_stencil(half, h)
+        assert np.array_equal(m, delta_op.discretize(DeltaOperator(gamma, L), n))
+        refl = (n - np.arange(n)) % n
+        assert np.array_equal(m, m[np.ix_(refl, refl)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_operator_rejects_bad_half_period(self, bad):
+        with pytest.raises(AdmissibilityError, match="positive and finite"):
+            DeltaOperator(1.0, bad)

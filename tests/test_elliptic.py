@@ -207,3 +207,23 @@ class TestInverseDnClosedForm:
     @pytest.mark.parametrize("k", [0.7, 0.99, 1.0 - 1e-7, 1.0 - 1e-9])
     def test_lower_endpoint_is_exactly_K(self, k):
         assert elliptic.inverse_dn(elliptic.complement(k), k) == elliptic.complete_K(k)
+
+
+class TestInverseAm:
+    @pytest.mark.parametrize("k", [0.3, 0.9, 1.0 - 1e-7])
+    def test_scale_free_and_consistent_with_inverse_dn(self, k):
+        kp = elliptic.complement(k)
+        y = 0.5 * (1.0 + kp)
+        s, c = math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp))
+        u = elliptic.inverse_am(s, c, k)
+        assert u == elliptic.inverse_dn(y, k)
+        assert elliptic.inverse_am(1e-200 * s, 1e-200 * c, k) == pytest.approx(u, rel=1e-15)
+
+    def test_endpoints(self):
+        assert elliptic.inverse_am(0.0, 1.0, 0.8) == 0.0
+        assert elliptic.inverse_am(1.0, 0.0, 0.8) == elliptic.complete_K(0.8)
+
+    @pytest.mark.parametrize("s, c", [(-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0)])
+    def test_negative_or_nan_rejected(self, s, c):
+        with pytest.raises(ValueError):
+            elliptic.inverse_am(s, c, 0.5)

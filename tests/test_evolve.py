@@ -143,6 +143,18 @@ class TestOrbitDistance:
         d2 = orbit_distance(phi + 2e-3 * bump, phi, ev.h)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-2)
 
+    def test_linear_at_tiny_perturbations(self):
+        profile = build_profile(POINT, n=2048)
+        ev = SplitStepEvolver(POINT.z, POINT.halfperiod, n=512)
+        phi = profile.evaluate(ev.x)
+        bump = np.cos(math.pi * ev.x / POINT.halfperiod)
+        dbump = (np.roll(bump, -1) - np.roll(bump, 1)) / (2.0 * ev.h)
+        norm = math.sqrt(ev.h * float(np.sum(bump**2 + dbump**2)))
+        d1 = orbit_distance(phi + 1e-10 * bump, phi, ev.h)
+        d2 = orbit_distance(phi + 2e-10 * bump, phi, ev.h)
+        assert d1 == pytest.approx(1e-10 * norm, rel=1e-4)
+        assert d2 == pytest.approx(2.0 * d1, rel=1e-4)
+
     def test_phase_minimization_against_brute_force(self):
         profile = build_profile(POINT, n=2048)
         ev = SplitStepEvolver(POINT.z, POINT.halfperiod, n=512)

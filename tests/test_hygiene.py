@@ -4,17 +4,23 @@ Every name a package module imports is used or re-exported;
 ``__init__.py`` is exempt, its imports are the package's re-exports.
 Every ``raise`` in the package raises an ``NlsDeltaError`` subclass, so
 the CLI maps each failure to a typed exit code; ``elliptic.py`` is
-exempt, its wrappers raise ``ValueError`` as their tests pin.
+exempt, its wrappers raise ``ValueError`` as their tests pin.  Every
+function, class and method the package defines is referenced somewhere
+in ``src/``, ``tests/`` or ``perfbench/``, by name, attribute or inside
+a string that is neither a docstring nor an ``__all__`` entry; dunder
+methods are exempt, Python calls them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from nlsdelta import errors
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nlsdelta"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nlsdelta"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TYPED = {
     name
@@ -110,3 +116,92 @@ def test_raise_detector_flags_untyped():
         "    raise ValueError('odd')\n"
     )
     assert untyped_raises(source) == ["ValueError (line 8)"]
+
+
+def _unreferencing_strings(tree: ast.Module) -> set[int]:
+    """ids of the docstrings and ``__all__`` entries of a module."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    found = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            found.update(id(e) for e in ast.walk(node.value))
+    return found
+
+
+def referenced_names(sources: list[str]) -> set[str]:
+    """Names, attributes and identifier tokens of strings that are not
+    docstrings or ``__all__`` entries."""
+    refs: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        docs = _unreferencing_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docs:
+                    refs.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return refs
+
+
+def unreferenced_definitions(source: str, refs: set[str]) -> list[str]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in refs
+    ]
+
+
+def test_no_dead_definitions():
+    sources = [
+        p.read_text(encoding="utf-8")
+        for d in ("src", "tests", "perfbench")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    refs = referenced_names(sources)
+    dead = {
+        path.name: found
+        for path in MODULES
+        if (found := unreferenced_definitions(path.read_text(encoding="utf-8"), refs))
+    }
+    assert dead == {}
+
+
+def test_dead_definition_detector():
+    source = (
+        "class A:\n"
+        "    \"\"\"Mentions unused_in_doc.\"\"\"\n"
+        "    def __init__(self):\n"
+        "        self.kept = helper()\n"
+        "    def by_attr(self):\n"
+        "        pass\n"
+        "    def unused_in_doc(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return A().by_attr\n"
+        "def named_in_string():\n"
+        "    pass\n"
+        "def only_exported():\n"
+        "    pass\n"
+        "SPANS = ('mod.named_in_string',)\n"
+        "__all__ = ['A', 'only_exported']\n"
+    )
+    refs = referenced_names([source])
+    assert sorted(unreferenced_definitions(source, refs)) == [
+        "only_exported (line 13)",
+        "unused_in_doc (line 7)",
+    ]

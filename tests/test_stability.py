@@ -109,3 +109,11 @@ class TestClassify:
             "omega", "z", "half_period", "n_negative", "n_negative_even",
             "p_index", "slope", "verdict", "kernel_caveat",
         }
+
+    @pytest.mark.parametrize("params", [WaveParams(20.0, -0.01, 1.0), WaveParams(20.0, 1e-8, 0.5)])
+    def test_eigenvalue_hidden_by_band_is_inconclusive(self, params):
+        # the small-Z branch of the odd L1 eigenvalue sits inside the
+        # zero band, where count_negative refuses to count
+        rep = classify(params)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.p_index == 1

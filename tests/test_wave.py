@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsdelta import wave
-from nlsdelta.errors import AdmissibilityError
+from nlsdelta.errors import AdmissibilityError, NumericsError
 from nlsdelta.wave import WaveParams, build_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -233,3 +233,49 @@ class TestNonFiniteParams:
         values = {"omega": 20.0, "z": 1.0, "halfperiod": 0.5, field: bad}
         with pytest.raises(AdmissibilityError, match=field):
             WaveParams(**values)
+
+
+def _shift_oracle(eta2, omega, z):
+    """a = F(asin(sn a); k) at 60 digits, from the textbook Phi^2 root."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        eta2, omega, z = (mpmath.mpf(v) for v in (eta2, omega, z))
+        eta1_sq = 2 * omega - eta2**2
+        b = 2 * omega - z**2 / 2
+        phi_sq = (b + mpmath.sqrt(b * b - 4 * eta2**2 * eta1_sq)) / 2
+        m = (eta1_sq - eta2**2) / eta1_sq
+        sn = mpmath.sqrt((1 - phi_sq / eta1_sq) / m)
+        return float(mpmath.ellipf(mpmath.asin(sn), m))
+
+
+class TestSmallDefect:
+    @pytest.mark.parametrize("z", [1.0, 1e-3, 1e-6, 1e-8, 1e-12])
+    def test_shift_against_mpmath(self, z):
+        # the difference eta1^2 - Phi^2 of rounded squares left a with
+        # 9e-3 relative error at Z = 1e-6 and no value at all below 1e-8
+        a = wave._orbit(3.9, 20.0, z)[3]
+        assert a == pytest.approx(_shift_oracle(3.9, 20.0, z), rel=1e-13)
+
+    @pytest.mark.parametrize("z", [1e-8, -1e-8, 1e-300])
+    def test_profile_builds_at_tiny_z(self, z):
+        params = WaveParams(20.0, z, 0.5 if z > 0.0 else 1.0)
+        p = build_profile(params, n=512)
+        assert p.a > 0.0
+        assert p.phi0 == p.samples[256]
+        period = wave.period_minus if z > 0.0 else wave.period_plus
+        assert abs(period(p.eta2, 20.0, z) - 2.0 * params.halfperiod) <= wave.PERIOD_RESIDUAL_TOL
+
+    def test_one_admissibility_check_per_period_evaluation(self, monkeypatch):
+        calls = []
+        check = wave._check_eta2
+        monkeypatch.setattr(wave, "_check_eta2", lambda *a: calls.append(a) or check(*a))
+        wave.period_plus(3.0, 20.0, -1.0)
+        assert len(calls) == 1
+
+
+class TestNearSolitaryCell:
+    @pytest.mark.parametrize("z", [0.0, 1.0, -1.0])
+    def test_modulus_cutoff_is_numerics_error(self, z):
+        with pytest.raises(NumericsError, match="K_ONE_CUTOFF") as info:
+            build_profile(WaveParams(1.0, z, 20.0))
+        assert "exist" not in str(info.value)
