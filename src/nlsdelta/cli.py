@@ -62,10 +62,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             )
 
 
-def _write_sidecar(csv_path: Path, config: dict, extra: dict | None = None) -> None:
+def _write_sidecar(csv_path: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
     payload = {
         "version": __version__,
-        "config": config,
+        "config": vars(args) | {"func": None},
         **(extra or {}),
     }
     csv_path.with_suffix(".json").write_text(
@@ -85,7 +85,7 @@ def cmd_build_wave(args: argparse.Namespace) -> int:
     _write_csv(out, ["x", "phi"], zip(profile.x.tolist(), profile.samples.tolist()))
     _write_sidecar(
         out,
-        vars(args) | {"func": None},
+        args,
         {
             "solved": {
                 "eta1": profile.eta1,
@@ -113,11 +113,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for i, (lam, par) in enumerate(zip(spec.eigenvalues, spec.parities))
     ]
     _write_csv(out, ["index", "eigenvalue", "parity"], rows)
-    _write_sidecar(
-        out,
-        vars(args) | {"func": None},
-        {"n_negative": spec.n_negative, "band": spec.band},
-    )
+    _write_sidecar(out, args, {"n_negative": spec.n_negative, "band": spec.band})
     print(f"wrote {out} (n_negative={spec.n_negative})")
     return EXIT_OK
 
@@ -133,7 +129,7 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
         ["eigenvalue", "kind", "parity"],
         delta_op.spectrum_rows(pairs),
     )
-    _write_sidecar(out, vars(args) | {"func": None})
+    _write_sidecar(out, args)
     print(f"wrote {out} ({len(pairs)} eigenvalues)")
     return EXIT_OK
 
@@ -164,11 +160,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args) / f"{args.prefix}_trace.csv"
     _write_csv(out, ["t", "Q", "E", "orbit_distance", "odd_residual"], trace.rows())
-    _write_sidecar(
-        out,
-        vars(args) | {"func": None},
-        {"blown_up": trace.blown_up, "blowup_time": trace.blowup_time},
-    )
+    _write_sidecar(out, args, {"blown_up": trace.blown_up, "blowup_time": trace.blowup_time})
     d = trace.orbit_distance
     print(f"wrote {out} (final distance {d[-1]:.3e}, blow-up={trace.blown_up})")
     return EXIT_OK
@@ -220,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         # Flush whatever finished, including on interrupt.
         _write_csv(out, header, rows)
-        _write_sidecar(out, vars(args) | {"func": None}, {"points": len(rows)})
+        _write_sidecar(out, args, {"points": len(rows)})
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")
     return EXIT_OK
 

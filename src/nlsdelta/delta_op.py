@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,9 +58,6 @@ __all__ = [
 
 # beta = sqrt(i) with positive real part; governs the deficiency element.
 _BETA = complex(1.0, 1.0) / math.sqrt(2.0)
-
-# Relative guard band used when shrinking root brackets away from cot poles.
-_BRACKET_EPS = 1e-12
 
 
 class EigenKind(str, Enum):
@@ -99,10 +97,22 @@ class DeltaOperator:
 
 @dataclass(frozen=True)
 class DeltaEigenpair:
-    eigenvalue: float
+    """A Mode on [-L, L]; ``x``/``samples`` hold its unit-norm eigenfunction, read lazily."""
+
     kind: EigenKind
-    x: NDArray[np.float64]
-    samples: NDArray[np.float64]
+    wavenumber: float
+    eigenvalue: float
+    halfperiod: float
+    n: int
+
+    @cached_property
+    def x(self) -> NDArray[np.float64]:
+        return sample_grid(self.halfperiod, self.n)
+
+    @cached_property
+    def samples(self) -> NDArray[np.float64]:
+        mode = (self.kind, self.wavenumber, self.eigenvalue)
+        return sample_modes([mode], self.halfperiod, self.x)[:, 0]
 
     @property
     def parity(self) -> str:
@@ -265,27 +275,22 @@ def bound_state_root(gamma: float, halfperiod: float) -> float:
 
 
 def interior_root(j: int, gamma: float, halfperiod: float) -> float:
-    """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0."""
-    L = halfperiod
-    lo, hi = _root_bracket(j, gamma, L)
+    """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0.
 
-    def f(kappa: float) -> float:
-        return 1.0 / math.tan(kappa * L) - 2.0 * kappa / gamma
+    Solved in the offset t from the regular point (j - 1/2) pi of cot,
+    kappa(t) L = (j - 1/2) pi - sign(gamma) t: |gamma| sin t = 2 kappa(t) cos t
+    on [0, pi/2] for both signs, with sin and cos exact at t = 0.
+    """
+    regular = (j - 0.5) * math.pi
 
-    # cot is monotone on the bracket, so the root is unique.
-    return bisect(f, lo, hi, xtol=1e-15 * max(1.0, hi))
+    def kappa(t: float) -> float:
+        return (regular - math.copysign(t, gamma)) / halfperiod
 
+    def f(t: float) -> float:
+        return abs(gamma) * math.sin(t) - 2.0 * kappa(t) * math.cos(t)
 
-def _root_bracket(j: int, gamma: float, L: float) -> tuple[float, float]:
-    # cot(kappa L) = 2 kappa / gamma has exactly one root per half-lattice
-    # cell: ((j-1/2) pi, j pi)/L for gamma < 0, ((j-1) pi, (j-1/2) pi)/L
-    # for gamma > 0, j = 1, 2, ...
-    if gamma < 0.0:
-        lo, hi = (j - 0.5) * math.pi, j * math.pi
-    else:
-        lo, hi = (j - 1.0) * math.pi, (j - 0.5) * math.pi
-    pad = _BRACKET_EPS * max(1.0, hi)
-    return (lo + pad) / L, (hi - pad) / L
+    # f(0) = -2 kappa(0) < 0 < f(pi/2) = |gamma| with one sign change between.
+    return kappa(bisect(f, 0.0, 0.5 * math.pi, xtol=1e-16 * regular))
 
 
 def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False) -> list[Mode]:
@@ -324,12 +329,6 @@ def sample_modes(modes: list[Mode], halfperiod: float, x: NDArray[np.float64]) -
     return v / np.sqrt(np.trapezoid(v * v, x, axis=0))
 
 
-def _eigenpairs(modes: list[Mode], halfperiod: float, n: int) -> list[DeltaEigenpair]:
-    x = sample_grid(halfperiod, n)
-    vecs = sample_modes(modes, halfperiod, x).T
-    return [DeltaEigenpair(lam, kind, x, v) for (kind, _, lam), v in zip(modes, vecs)]
-
-
 def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> DeltaEigenpair:
     """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
 
@@ -340,7 +339,7 @@ def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> Delta
         raise AdmissibilityError(
             f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
         )
-    return _eigenpairs(defect_modes(gamma, halfperiod, 1), halfperiod, n)[0]
+    return DeltaEigenpair(*defect_modes(gamma, halfperiod, 1)[0], halfperiod, n)
 
 
 def positive_eigenvalues(
@@ -355,7 +354,8 @@ def positive_eigenvalues(
     if gamma == 0.0:
         raise AdmissibilityError("gamma=0 is the free Laplacian; no interior roots")
     bound = 1 if gamma < 0.0 else 0
-    return _eigenpairs(defect_modes(gamma, halfperiod, count + bound)[bound:], halfperiod, n)
+    modes = defect_modes(gamma, halfperiod, count + bound)[bound:]
+    return [DeltaEigenpair(*mode, halfperiod, n) for mode in modes]
 
 
 def integer_sine_eigenpairs(
@@ -367,7 +367,8 @@ def integer_sine_eigenpairs(
     gamma; for the Dirichlet (+infinity) extension they are the entire
     spectrum.
     """
-    return _eigenpairs(defect_modes(0.0, halfperiod, count, odd=True), halfperiod, n)
+    sines = defect_modes(0.0, halfperiod, count, odd=True)
+    return [DeltaEigenpair(*mode, halfperiod, n) for mode in sines]
 
 
 def full_spectrum(op: DeltaOperator, count: int, n: int = 2048) -> list[DeltaEigenpair]:
@@ -380,7 +381,8 @@ def full_spectrum(op: DeltaOperator, count: int, n: int = 2048) -> list[DeltaEig
     sines = integer_sine_eigenpairs(op.halfperiod, count, n)
     if op.dirichlet:
         return sines
-    pairs = _eigenpairs(defect_modes(op.gamma, op.halfperiod, count), op.halfperiod, n) + sines
+    even = defect_modes(op.gamma, op.halfperiod, count)
+    pairs = [DeltaEigenpair(*mode, op.halfperiod, n) for mode in even] + sines
     pairs.sort(key=lambda p: p.eigenvalue)
     return pairs[:count]
 

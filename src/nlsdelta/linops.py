@@ -223,10 +223,10 @@ def kernel_diagnostic(
     control, whose kernel genuinely contains the translation mode,
     converges to 0 instead.
     """
+    profile = build_profile(profile_params)
     gaps: list[float] = []
     counts: list[int] = []
     for n in n_ladder:
-        profile = build_profile(profile_params, n=max(4096, n))
         op = assemble(profile, which, n)
         spec = spectrum(op, min(op.n, 8))
         neg = spec.n_negative
@@ -279,7 +279,7 @@ def second_eigen_slope(
         raise AdmissibilityError(f"z_ladder must be decreasing positive, got {z_ladder!r}")
 
     def second_eigenvalue(z: float) -> float:
-        profile = build_profile(WaveParams(omega, z, halfperiod), n=max(4096, n))
+        profile = build_profile(WaveParams(omega, z, halfperiod))
         return float(spectrum(assemble(profile, Which.L1, n), 2).eigenvalues[1])
 
     pi = [(second_eigenvalue(z), second_eigenvalue(-z)) for z in z_ladder]

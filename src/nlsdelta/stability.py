@@ -13,8 +13,8 @@ count is 1 = p and the wave is stable against even data.
 
 The omega-derivative is taken by central differences over the *full*
 construction pipeline (each stencil point re-solves eta2), with one
-Richardson level; the closed-form norm is cross-checked against grid
-quadrature on every call path that builds a profile.
+Richardson level; the closed-form norm's oracle is trapezoid quadrature
+of the profile samples (norm_squared_quadrature), read only by tests.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ __all__ = [
 # numerically indistinguishable from zero -> inconclusive verdict.
 SLOPE_ZERO_REL = 1e-6
 
-# Grid sizes of classify: the profile samples and the L1 eigensolve.
-N_PROFILE = 4096
+# Grid size of classify's L1 eigensolve.
 N_EIGEN = 1024
 
 
@@ -86,17 +85,15 @@ class StabilityReport:
 def norm_squared(profile: WaveProfile) -> float:
     """Closed-form squared L2 norm of the profile over the cell.
 
-    Substituting u = eta1 xi/sqrt2 -+ a turns the integral of
-    eta1^2 dn^2 into incomplete second-kind integrals over the window
-    [a, K] (peak branch) or [-a, K] (trough branch):
+    Substituting u = eta1 xi/sqrt2 + s (s the signed shift) turns the
+    integral of eta1^2 dn^2 over u in [s, K] into E(am(u; k); k), odd in u:
 
-        ||phi||^2 = 2 sqrt2 eta1 [E(k) -+ E(am(a; k); k)].
+        ||phi||^2 = 2 sqrt2 eta1 [E(k) - E(am(s; k); k)].
     """
-    k, a, eta1 = profile.k, profile.a, profile.eta1
-    sn_a, _, _ = elliptic.jacobi_sn_cn_dn(a, k)
-    e_inc = elliptic.incomplete_E(math.asin(min(1.0, sn_a)), k)
-    sign = -1.0 if profile.params.z >= 0.0 else 1.0
-    return 2.0 * math.sqrt(2.0) * eta1 * (elliptic.complete_E(k) + sign * e_inc)
+    k, eta1 = profile.k, profile.eta1
+    sn_s, _, _ = elliptic.jacobi_sn_cn_dn(profile.shift, k)
+    e_inc = elliptic.incomplete_E(math.asin(max(-1.0, min(1.0, sn_s))), k)
+    return 2.0 * math.sqrt(2.0) * eta1 * (elliptic.complete_E(k) - e_inc)
 
 
 def norm_squared_quadrature(profile: WaveProfile) -> float:
@@ -116,7 +113,7 @@ def slope(params: WaveParams, h_omega: float | None = None) -> float:
         h_omega = 1e-3 * omega
 
     def g(w: float) -> float:
-        return norm_squared(build_profile(WaveParams(w, z, L), n=256))
+        return norm_squared(build_profile(WaveParams(w, z, L)))
 
     def central(h: float) -> float:
         return (g(omega + h) - g(omega - h)) / (2.0 * h)
@@ -162,7 +159,7 @@ def classify(params: WaveParams) -> StabilityReport:
     mode makes the kernel nontrivial there, outside the hypotheses of
     the Z != 0 theory).
     """
-    profile = build_profile(params, n=N_PROFILE)
+    profile = build_profile(params)
     s = slope(params)
     scale = norm_squared(profile) / params.omega
     spec = spectrum(assemble(profile, Which.L1, N_EIGEN), 8)

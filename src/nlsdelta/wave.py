@@ -34,8 +34,10 @@ construction: profiles at moderate Z exist well below it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -94,9 +96,9 @@ class WaveParams:
                 raise AdmissibilityError(f"{name} must be finite, got {value!r}")
         if not self.halfperiod > 0.0:
             raise AdmissibilityError(f"halfperiod must be positive, got {self.halfperiod!r}")
-        if not self.omega > self.z**2 / 4.0:
+        if not self.omega > self.z * self.z / 4.0:
             raise AdmissibilityError(
-                f"omega={self.omega!r} violates omega > Z^2/4 = {self.z ** 2 / 4.0!r}"
+                f"omega={self.omega!r} violates omega > Z^2/4 = {self.z * self.z / 4.0!r}"
             )
 
     @property
@@ -109,7 +111,7 @@ class WaveParams:
 
 def theta_admissible(omega: float, z: float) -> float:
     """Upper end theta(omega, Z) of the admissible eta2 interval (0, theta)."""
-    disc = omega - z**2 / 8.0
+    disc = omega - z * z / 8.0
     if disc <= 0.0:
         raise AdmissibilityError(f"omega={omega!r} too small for |Z|={abs(z)!r}")
     return -(_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
@@ -117,7 +119,7 @@ def theta_admissible(omega: float, z: float) -> float:
 
 def lambda_scale(omega: float, z: float) -> float:
     """The companion scale lambda(omega, Z) = +sqrt2/4 |Z| + sqrt(omega - Z^2/8)."""
-    disc = omega - z**2 / 8.0
+    disc = omega - z * z / 8.0
     if disc <= 0.0:
         raise AdmissibilityError(f"omega={omega!r} too small for |Z|={abs(z)!r}")
     return (_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
@@ -150,6 +152,8 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, fl
     _check_eta2(eta2, omega, z)
     eta1_sq = 2.0 * omega - eta2**2
     spread = eta1_sq - eta2**2
+    if not 0.0 < spread < math.inf:
+        raise NumericsError(f"eta1^2 - eta2^2 = {spread!r} over- or underflowed at omega={omega!r}")
     eta1 = math.sqrt(eta1_sq)
     k = math.sqrt(spread / eta1_sq)
     if z == 0.0:
@@ -214,13 +218,15 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
 
 def _signed_threshold(omega: float, z: float, sign: float) -> float:
     # lim_{eta2->theta} of _signed_period: 2 sqrt2/lambda * [K(k0) + sign * a0].
-    if not omega > z**2 / 4.0:
+    if not omega > z * z / 4.0:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
         return _SQRT2 * math.pi / math.sqrt(omega)
     lam = lambda_scale(omega, z)
-    k0 = math.sqrt(_SQRT2 * abs(z) * math.sqrt(omega - z**2 / 8.0) / lam**2)
-    a0 = elliptic.inverse_dn(math.sqrt(omega - z**2 / 4.0) / lam, k0)
+    if not sys.float_info.min <= lam * lam < math.inf:
+        raise NumericsError(f"lambda^2 = {lam * lam!r} over- or underflowed at omega={omega!r}")
+    k0 = math.sqrt(_SQRT2 * abs(z) * math.sqrt(omega - z * z / 8.0) / lam**2)
+    a0 = elliptic.inverse_dn(math.sqrt(omega - z * z / 4.0) / lam, k0)
     return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) + sign * a0)
 
 
@@ -316,12 +322,11 @@ def _dnoidal(xs, eta1: float, k: float, shift: float) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """A constructed standing-wave profile with its solved parameters.
+    """A standing-wave profile: its orbit (eta1, eta2, k, a), the sign of Z and a grid size n.
 
-    ``x``/``samples`` hold the profile on an endpoint-inclusive uniform
-    grid over [-L, L] with nodes at 0 and +-L; ``evaluate`` and
-    ``derivative`` give the closed form at arbitrary points (the
-    derivative at x = 0 returns the right-sided value).
+    ``evaluate`` and ``derivative`` give the closed form at any points (the
+    derivative at x = 0 is the right-sided value); ``x``/``samples`` sample
+    it on first read on the (n+1)-point grid over [-L, L], nodes at 0 and +-L.
     """
 
     params: WaveParams
@@ -329,24 +334,44 @@ class WaveProfile:
     eta2: float
     k: float
     a: float
-    phi0: float
-    sign_branch: SignBranch
-    x: NDArray[np.float64]
-    samples: NDArray[np.float64]
+    n: int
 
     @property
-    def shift_sign(self) -> float:
-        return {SignBranch.PLUS_SHIFT: 1.0, SignBranch.MINUS_SHIFT: -1.0, SignBranch.CLASSIC: 0.0}[
-            self.sign_branch
-        ]
+    def shift(self) -> float:
+        """The signed shift: +a on the peak branch (Z > 0), -a on the trough branch."""
+        return math.copysign(self.a, self.params.z)
+
+    @property
+    def sign_branch(self) -> SignBranch:
+        if self.params.z == 0.0:
+            return SignBranch.CLASSIC
+        return SignBranch.PLUS_SHIFT if self.params.z > 0.0 else SignBranch.MINUS_SHIFT
+
+    @cached_property
+    def x(self) -> NDArray[np.float64]:
+        return np.linspace(-self.params.halfperiod, self.params.halfperiod, self.n + 1)
+
+    @cached_property
+    def samples(self) -> NDArray[np.float64]:
+        return self.evaluate(self.x)
+
+    @cached_property
+    def phi0(self) -> float:
+        """phi(0), bit for bit the sample at the node x = 0 the profile file holds."""
+        return float(self.evaluate(0.0))
 
     def evaluate(self, xs) -> NDArray[np.float64]:
-        return _dnoidal(xs, self.eta1, self.k, self.shift_sign * self.a)
+        """The closed form at xs; raises if a value escapes the band [eta2, eta1]."""
+        phi = _dnoidal(xs, self.eta1, self.k, self.shift)
+        lo, hi = self.eta2 - 1e-9 * self.eta1, self.eta1 * (1.0 + 1e-12)
+        if not np.all((phi >= lo) & (phi <= hi)):
+            raise NumericsError("profile escaped the band [eta2, eta1]")
+        return phi
 
     def derivative(self, xs) -> NDArray[np.float64]:
         """Closed-form phi'(x); uses dn' = -k^2 sn cn and the |x| chain rule."""
         xs = np.asarray(xs, dtype=float)
-        u = self.eta1 * np.abs(xs) / _SQRT2 + self.shift_sign * self.a
+        u = self.eta1 * np.abs(xs) / _SQRT2 + self.shift
         sn, cn, _ = elliptic.jacobi_sn_cn_dn(u, self.k)
         sgn = np.where(xs >= 0.0, 1.0, -1.0)
         return -(self.eta1**2 / _SQRT2) * self.k**2 * np.asarray(sn) * np.asarray(cn) * sgn
@@ -397,43 +422,26 @@ class WaveProfile:
 def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     """Construct the standing-wave profile of period 2L at (omega, Z, L).
 
-    Solves the period equation for eta2, assembles the closed form on an
-    (n+1)-point grid (n a power of two >= 128), and validates the
-    structural invariants before returning.
+    Solves the period equation for eta2 and validates the structural
+    invariants of the orbit before returning; n (a power of two >= 128)
+    sets the grid of ``x``/``samples``, which are sampled only if read.
     """
     if n < 128 or n & (n - 1) != 0:
         raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
-    z = params.z
-    if z > 0.0:
-        branch = SignBranch.PLUS_SHIFT
-    elif z < 0.0:
-        branch = SignBranch.MINUS_SHIFT
-    else:
-        branch = SignBranch.CLASSIC
+    omega, z = params.omega, params.z
     eta2 = solve_eta2(params)
-    eta1, k, _, a = _orbit(eta2, params.omega, z)
-    x = np.linspace(-params.halfperiod, params.halfperiod, n + 1)
-    samples = _dnoidal(x, eta1, k, math.copysign(a, z))
-    # phi0 is the sample at x = 0, bit for bit the value the profile file holds there.
-    profile = WaveProfile(params, eta1, eta2, k, a, float(samples[n // 2]), branch, x, samples)
-    _validate(profile)
-    return profile
-
-
-def _validate(p: WaveProfile) -> None:
-    omega, z = p.params.omega, p.params.z
-    if abs(p.eta1**2 + p.eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
+    eta1, k, _, a = _orbit(eta2, omega, z)
+    profile = WaveProfile(params, eta1, eta2, k, a, n)
+    if abs(eta1**2 + eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
         raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
-    if not p.eta1 - p.eta2 > abs(z) / _SQRT2:
+    if not eta1 - eta2 > abs(z) / _SQRT2:
         raise NumericsError("separation eta1 - eta2 > |Z|/sqrt2 violated")
     # a > 0 is the computed gap eta1^2 - Phi^2 > 0, also where phi0 rounds to eta1.
-    if z != 0.0 and not (p.eta2 < p.phi0 <= p.eta1 and p.a > 0.0):
+    if z != 0.0 and not (eta2 < profile.phi0 <= eta1 and a > 0.0):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
-    if not 0.0 <= p.a <= elliptic.complete_K(p.k):
+    if not 0.0 <= a <= elliptic.complete_K(k):
         raise NumericsError("shift a escaped [0, K(k)]")
-    lo, hi = float(np.min(p.samples)), float(np.max(p.samples))
-    if lo < p.eta2 - 1e-9 * p.eta1 or hi > p.eta1 * (1.0 + 1e-12):
-        raise NumericsError("profile escaped the band [eta2, eta1]")
+    return profile
 
 
 def solitary_profile(omega: float, z: float, xs) -> NDArray[np.float64]:
@@ -442,7 +450,7 @@ def solitary_profile(omega: float, z: float, xs) -> NDArray[np.float64]:
     b = atanh(Z/(2 sqrt(omega))); this is the eta2 -> 0 limit of the
     periodic family at fixed (omega, Z).
     """
-    if not omega > z**2 / 4.0:
+    if not omega > z * z / 4.0:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     b = math.atanh(z / (2.0 * math.sqrt(omega)))
     xs = np.asarray(xs, dtype=float)
@@ -458,20 +466,20 @@ def solitary_limit_check(
 ) -> dict:
     """Convergence report of the free-period profiles to the sech limit.
 
-    For each eta2 in the (decreasing) ladder, evaluates the dnoidal-peak
-    closed form on |x| <= window and reports the shift a(eta2) and the
-    sup distance to ``solitary_profile``; the shifts must approach
-    atanh(Z/(2 sqrt omega)) and the sup errors must decrease.
+    For each eta2 in the (decreasing) ladder, views the orbit as a
+    WaveProfile on n intervals over |x| <= window and reports its signed
+    shift and sup distance to ``solitary_profile``; the shifts must
+    approach atanh(Z/(2 sqrt omega)) and the sup errors must decrease.
     """
-    xs = np.linspace(-window, window, n + 1)
-    target = solitary_profile(omega, z, xs)  # checks omega > Z^2/4
+    view = WaveParams(omega, z, window)  # checks omega > Z^2/4
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
         eta1, k, _, a = _orbit(eta2, omega, z)
-        phi = _dnoidal(xs, eta1, k, math.copysign(a, z))
-        shifts.append(a)
-        sups.append(float(np.max(np.abs(phi - target))))
+        profile = WaveProfile(view, eta1, eta2, k, a, n)
+        shifts.append(profile.shift)
+        target = solitary_profile(omega, z, profile.x)
+        sups.append(float(np.max(np.abs(profile.samples - target))))
     return {
         "eta2_ladder": list(eta2_ladder),
         "shift_values": shifts,

@@ -5,9 +5,12 @@ re-read and checked for schema, determinism, and exit-code contract.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlsdelta.cli import main
 
@@ -282,3 +285,31 @@ class TestSmallDefectAndEdges:
         assert rc == 2
         assert "count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "delta_delta_spectrum.csv").exists()
+
+
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
+
+
+class TestFuzzedWaveArguments:
+    @given(
+        command=st.sampled_from(["build-wave", "classify", "spectrum"]),
+        omega=ANY_FLOAT,
+        z=ANY_FLOAT,
+        half_period=ANY_FLOAT,
+    )
+    @example(command="build-wave", omega=1.0, z=1e200, half_period=1.0)
+    @example(command="classify", omega=1.0, z=1e200, half_period=1.0)
+    @example(command="spectrum", omega=1.0, z=1e200, half_period=1.0)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_every_failure_is_typed(self, tmp_path_factory, command, omega, z, half_period):
+        out = tmp_path_factory.mktemp("fuzz")
+        rc = main(["--output-dir", str(out), command, f"--omega={omega!r}", f"--z={z!r}",
+                   f"--half-period={half_period!r}"])
+        assert rc in (0, 2, 3, 4)
+
+    def test_huge_defect_strength_spectrum(self, tmp_path):
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
+                   "--gamma", "1e300", "--half-period", "1"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "delta_delta_spectrum.csv")
+        assert float(rows[0][0]) == pytest.approx((0.5 * math.pi) ** 2, rel=1e-12)

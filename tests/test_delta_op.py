@@ -15,7 +15,7 @@ from scipy.linalg import eigh, eigvalsh
 
 from nlsdelta import delta_op
 from nlsdelta.delta_op import DeltaOperator, EigenKind
-from nlsdelta.errors import AdmissibilityError
+from nlsdelta.errors import AdmissibilityError, NumericsError
 
 GAMMAS = st.floats(min_value=-5.0, max_value=5.0).filter(lambda g: abs(g) > 1e-3)
 
@@ -152,7 +152,31 @@ class TestPositiveEigenvalues:
             delta_op.positive_eigenvalues(0.0, 1.0, 3)
 
 
+class TestInteriorRootExtremes:
+    @pytest.mark.parametrize("gamma", [1e13, -1e13, 1e300, -1e300])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_huge_strength_pins_root_to_regular_point(self, gamma, j):
+        kappa = delta_op.interior_root(j, gamma, 1.0)
+        assert kappa == pytest.approx((j - 0.5) * math.pi, rel=1e-12)
+        if gamma > 0.0:
+            assert (j - 1.0) * math.pi < kappa <= (j - 0.5) * math.pi
+        else:
+            assert (j - 0.5) * math.pi <= kappa < j * math.pi
+
+    def test_strength_below_cos_rounding_is_typed(self):
+        # f(pi/2) = |gamma| - 2 kappa cos(pi/2) < 0 once |gamma| < 1.2e-16 kappa
+        with pytest.raises(NumericsError, match="no sign change"):
+            delta_op.interior_root(2, 1e-20, 1.0)
+
+
 class TestFullSpectrum:
+    def test_eigenfunctions_sampled_only_when_read(self):
+        pairs = delta_op.full_spectrum(DeltaOperator(gamma=-1.0, halfperiod=1.0), 4)
+        assert all("samples" not in vars(p) and "x" not in vars(p) for p in pairs)
+        p = pairs[1]
+        assert p.samples.shape == p.x.shape == (2049,)
+        assert np.trapezoid(p.samples**2, p.x) == pytest.approx(1.0, rel=1e-12)
+
     def test_sorted_and_kinds(self):
         op = DeltaOperator(gamma=-1.0, halfperiod=math.pi)
         pairs = delta_op.full_spectrum(op, 7)

@@ -96,6 +96,14 @@ class TestEvolverBasics:
         with pytest.raises(NumericsError, match="blow-up"):
             ev.step(state, 1e-3, blowup_ref=float(phi.max()))
 
+    def test_overflow_within_one_step_is_blowup(self):
+        # no amplitude reference: the state's finiteness check catches it
+        ev = SplitStepEvolver(1.0, 0.5, n=256)
+        state = State(0.0, np.full(256, 1e200, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"blow-up detected; last good time t=0\.0$"):
+                ev.step(state, 1e-3)
+
 
 class TestStandingWave:
     def test_exact_scheme_reproduces_phase_rotation(self):

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsdelta import wave
+from nlsdelta import elliptic, evolve, stability, wave
 from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta.linops import Which, assemble
 from nlsdelta.wave import WaveParams, build_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -217,6 +218,11 @@ class TestSolitaryLimit:
         assert rep["monotone_decreasing"]
         assert abs(rep["shift_values"][-1] - rep["shift_limit"]) < 1e-4
 
+    def test_trough_shift_is_signed(self):
+        # the report carried the unsigned a, +0.2554 against the limit -0.2554
+        rep = wave.solitary_limit_check(4.0, -1.0)
+        assert abs(rep["shift_values"][-1] - rep["shift_limit"]) < 1e-4
+
     def test_solitary_profile_closed_form(self):
         omega, z = 4.0, 1.0
         xs = np.array([-1.0, 0.0, 0.7])
@@ -279,3 +285,45 @@ class TestNearSolitaryCell:
         with pytest.raises(NumericsError, match="K_ONE_CUTOFF") as info:
             build_profile(WaveParams(1.0, z, 20.0))
         assert "exist" not in str(info.value)
+
+
+class TestLazySamples:
+    def test_only_the_read_grid_is_sampled(self, monkeypatch):
+        sizes = []
+        dnoidal = wave._dnoidal
+        monkeypatch.setattr(
+            wave, "_dnoidal", lambda xs, *args: sizes.append(np.size(xs)) or dnoidal(xs, *args)
+        )
+        params = WaveParams(20.0, 1.0, 0.5)
+        stability.classify(params)
+        assert 0 < max(sizes) <= stability.N_EIGEN // 2 + 1  # assemble's nodes 0..n/2
+        sizes.clear()
+        stability.slope(params)
+        assert max(sizes) == 1  # phi(0) alone, for the defect-value check
+        sizes.clear()
+        evolve.run_experiment(params, "even:1e-3", T=1e-3, dt=1e-3, n=256)
+        assert max(sizes) <= 256
+        p = build_profile(params)
+        assert "samples" not in vars(p) and "x" not in vars(p)
+        assert p.samples.shape == p.x.shape == (4097,)
+        assert "samples" in vars(p)
+
+    @pytest.mark.parametrize(
+        "z, L, branch", [(1.0, 0.5, "plus_shift"), (-1.0, 1.0, "minus_shift"), (0.0, 1.0, "classic")]
+    )
+    def test_signed_shift_and_branch_follow_z(self, z, L, branch):
+        p = build_profile(WaveParams(20.0, z, L))
+        assert p.sign_branch.value == branch
+        assert p.a >= 0.0 and p.shift == math.copysign(p.a, z)
+
+    def test_band_check_guards_every_read(self, monkeypatch):
+        p = build_profile(WaveParams(20.0, 1.0, 0.5), n=256)
+        op = assemble(p, Which.L1, 256)
+        sn_cn_dn = elliptic.jacobi_sn_cn_dn
+        monkeypatch.setattr(
+            elliptic, "jacobi_sn_cn_dn", lambda u, k: (*sn_cn_dn(u, k)[:2], np.full_like(u, 2.0))
+        )
+        with pytest.raises(NumericsError, match="band"):
+            p.samples
+        with pytest.raises(NumericsError, match="band"):
+            p.evaluate(op.x)
