@@ -107,14 +107,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     profile = build_profile(params)
     op = linops.assemble(profile, linops.Which(args.which), args.n)
     spec = linops.spectrum(op, args.count)
+    idx = linops.index(op)
     out = _out_dir(args) / f"{args.prefix}_{args.which}_spectrum.csv"
     rows = [
         (i, float(lam), par.value)
         for i, (lam, par) in enumerate(zip(spec.eigenvalues, spec.parities))
     ]
     _write_csv(out, ["index", "eigenvalue", "parity"], rows)
-    _write_sidecar(out, args, {"n_negative": spec.n_negative, "band": spec.band})
-    print(f"wrote {out} (n_negative={spec.n_negative})")
+    _write_sidecar(out, args, {"n_negative": idx.n_negative, "band": idx.band})
+    print(f"wrote {out} (n_negative={idx.n_negative})")
     return EXIT_OK
 
 
@@ -136,11 +137,15 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     report = classify(_wave_params(args))
+    idx = report.index
+    numerics = {
+        "band": idx.band,
+        "expected_kernel": idx.expected_kernel,
+        "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},
+    }
+    payload = {"version": __version__, **report.as_dict(), "numerics": numerics}
     out = _out_dir(args) / f"{args.prefix}_classification.json"
-    out.write_text(
-        json.dumps({"version": __version__, **report.as_dict()}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"{report.verdict.value} (n={report.n_negative}, p={report.p_index}, "
           f"slope={report.slope:.6g}) -> {out}")
     if args.strict_inconclusive and report.verdict is Verdict.INCONCLUSIVE:

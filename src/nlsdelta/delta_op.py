@@ -277,20 +277,29 @@ def bound_state_root(gamma: float, halfperiod: float) -> float:
 def interior_root(j: int, gamma: float, halfperiod: float) -> float:
     """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0.
 
-    Solved in the offset t from the regular point (j - 1/2) pi of cot,
-    kappa(t) L = (j - 1/2) pi - sign(gamma) t: |gamma| sin t = 2 kappa(t) cos t
-    on [0, pi/2] for both signs, with sin and cos exact at t = 0.
+    Solved in the offset u in [0, pi/4] from the nearer of two anchors
+    where sin and cos are exact, so kappa L = anchor +/- u never cancels:
+    - the regular point (j - 1/2) pi of cot: kappa L = (j - 1/2) pi -
+      sign(gamma) u and |gamma| sin u = 2 kappa cos u;
+    - when the root lies past pi/4 from it, the lattice point (j - 1) pi
+      (gamma > 0) or j pi (gamma < 0): kappa L = anchor + sign(gamma) u
+      and |gamma| cos u = 2 kappa sin u.
     """
-    regular = (j - 0.5) * math.pi
+    sign = math.copysign(1.0, gamma)
 
-    def kappa(t: float) -> float:
-        return (regular - math.copysign(t, gamma)) / halfperiod
+    def f(u: float) -> float:  # reads the form chosen below
+        return abs(gamma) * near(u) - 2.0 * (anchor + step * u) / halfperiod * far(u)
 
-    def f(t: float) -> float:
-        return abs(gamma) * math.sin(t) - 2.0 * kappa(t) * math.cos(t)
-
-    # f(0) = -2 kappa(0) < 0 < f(pi/2) = |gamma| with one sign change between.
-    return kappa(bisect(f, 0.0, 0.5 * math.pi, xtol=1e-16 * regular))
+    anchor, step, near, far = (j - 0.5) * math.pi, -sign, math.sin, math.cos
+    if f(0.25 * math.pi) < 0.0:
+        anchor, step, near, far = (j - 0.5 - 0.5 * sign) * math.pi, sign, math.cos, math.sin
+    # Either form changes sign once on [0, pi/2], with the root in
+    # [0, pi/4]; the wider bracket keeps the sign change when rounding
+    # splits the two forms' values at pi/4.  At anchor 0 (j = 1,
+    # gamma > 0, kappa^2 ~ gamma/2L) bisection runs to the last bit,
+    # up to ~1075 halvings for a subnormal root.
+    u = bisect(f, 0.0, 0.5 * math.pi, xtol=1e-16 * anchor, max_iter=1100)
+    return (anchor + step * u) / halfperiod
 
 
 def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False) -> list[Mode]:

@@ -8,9 +8,9 @@ cell with the defect jump condition (strength gamma = -Z):
     L2 = -d^2/dx^2 + omega -   phi^2   (acts on the imaginary part)
 
 This module assembles their finite-difference discretizations, counts
-negative eigenvalues with an explicit ambiguity band (never guessing
-through near-zero modes), provides a grid-refinement diagnostic for
-kernel triviality, and cross-checks against the n=2 Lame equation
+negative eigenvalues with an explicit ambiguity band (``index``; never
+guessing through near-zero modes), provides a grid-refinement diagnostic
+for kernel triviality, and cross-checks against the n=2 Lame equation
 (second periodic eigenvalue 4 + k^2, eigenfunction sn*cn).  Both
 operators commute with the grid reflection j -> n - j, so the eigensolve
 splits them into exact even and odd symmetric tridiagonal blocks.
@@ -19,14 +19,14 @@ splits them into exact even and odd symmetric tridiagonal blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import elliptic
 from .delta_op import even_block, periodic_grid, periodic_stencil
@@ -38,9 +38,10 @@ __all__ = [
     "Parity",
     "LinearizedOperator",
     "Spectrum",
-    "negative_band",
+    "Index",
     "assemble",
     "spectrum",
+    "index",
     "count_negative",
     "kernel_diagnostic",
     "second_eigen_slope",
@@ -65,17 +66,6 @@ class Parity(str, Enum):
     ODD = "odd"
 
 
-def negative_band(halfperiod: float, omega: float, n: int) -> float:
-    """Half-width tau of the zero-classification band, 10*h*(1+omega).
-
-    Calibrated so the exact zero modes (the L2 ground state, the Z=0
-    L1 translation mode), which the first-order defect collocation
-    smears to O(h), land inside the band while true negative
-    eigenvalues stay well outside it on the usual grid ladder.
-    """
-    return 10.0 * (2.0 * halfperiod / n) * (1.0 + omega)
-
-
 @dataclass(frozen=True)
 class LinearizedOperator:
     """L1 or L2 about a profile: -1/h^2 periodic couplings, diagonal mirrored from 0..n/2."""
@@ -93,6 +83,17 @@ class LinearizedOperator:
     def h(self) -> float:
         return 2.0 * self.profile.params.halfperiod / self.n
 
+    @property
+    def band(self) -> float:
+        """Half-width tau of the zero-classification band, 10*h*(1+omega).
+
+        Calibrated so the exact zero modes (the L2 ground state, the Z=0
+        L1 translation mode), which the first-order defect collocation
+        smears to O(h), land inside the band while true negative
+        eigenvalues stay well outside it on the usual grid ladder.
+        """
+        return 10.0 * self.h * (1.0 + self.profile.params.omega)
+
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
         """Dense n x n matrix, built on first access; the eigensolve never reads it."""
@@ -105,34 +106,41 @@ class Spectrum:
 
     ``vectors[:, i]`` is the orthonormal grid eigenfunction of
     ``eigenvalues[i]`` and ``parities[i]`` its exact parity: the
-    tridiagonal block it came from.  ``n_negative`` counts eigenvalues
-    below -tau, ``kernel_candidates`` those with |lambda| < tau = ``band``
-    and ``surplus`` those beyond the operator's ``expected_kernel`` modes.
+    tridiagonal block it came from.  ``band`` is the zero-band half-width
+    tau; the counts against it are ``Index``'s.
     """
 
     eigenvalues: NDArray[np.float64]
     vectors: NDArray[np.float64]
     parities: tuple[Parity, ...]
     band: float
-    expected_kernel: int = 0
 
-    @property
-    def n_negative(self) -> int:
-        return int(np.sum(self.eigenvalues < -self.band))
+
+@dataclass(frozen=True)
+class Index:
+    """Eigenvalues below +tau of the even and odd blocks: the package's one counting rule.
+
+    Eigenvalues below -tau count as negative; those with |lambda| < tau
+    beyond the ``expected_kernel`` zero modes (the profile itself for
+    L2, the translation mode phi' for L1 at Z = 0) are the ``surplus``.
+    """
+
+    even: tuple[float, ...]
+    odd: tuple[float, ...]
+    band: float
+    expected_kernel: int
 
     @property
     def n_negative_even(self) -> int:
-        lams = zip(self.eigenvalues, self.parities)
-        return sum(1 for lam, p in lams if lam < -self.band and p is Parity.EVEN)
+        return sum(lam < -self.band for lam in self.even)
+
+    @property
+    def n_negative(self) -> int:
+        return self.n_negative_even + sum(lam < -self.band for lam in self.odd)
 
     @property
     def surplus(self) -> int:
-        return len(self.kernel_candidates) - self.expected_kernel
-
-    @property
-    def kernel_candidates(self) -> NDArray[np.float64]:
-        lam = self.eigenvalues
-        return lam[np.abs(lam) < self.band]
+        return sum(abs(lam) < self.band for lam in self.even + self.odd) - self.expected_kernel
 
 
 def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
@@ -154,27 +162,33 @@ def assemble(profile: WaveProfile, which: Which, n: int) -> LinearizedOperator:
     return LinearizedOperator(which=which, profile=profile, half_diagonal=half, x=x)
 
 
-def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) -> Spectrum:
-    """Lowest m eigenpairs of the periodic -1/h^2 stencil whose diagonal mirrors ``half``.
-
-    Blocks as laid out by delta_op.even_block.
-    """
+def _solve_blocks(half: NDArray[np.float64], h: float, solve: Callable) -> dict:
+    """{parity: (rows of ``half``, solve(d, e))} over the blocks of delta_op.even_block's layout."""
     k = half.shape[0] - 1
-    _, off, weight = even_block(k, h)
+    off = even_block(k, h)[1]
     blocks = {Parity.EVEN: (slice(0, k + 1), off), Parity.ODD: (slice(1, k), off[1:-1])}
+    try:
+        return {parity: (rows, solve(half[rows], e)) for parity, (rows, e) in blocks.items()}
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericsError(f"eigensolve failed: {exc}") from exc
+
+
+def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) -> Spectrum:
+    """Lowest m eigenpairs of the periodic -1/h^2 stencil whose diagonal mirrors ``half``."""
+    k = half.shape[0] - 1
+    weight = even_block(k, h)[2]
+
+    def lowest(d: NDArray[np.float64], e: NDArray[np.float64]) -> tuple:
+        return eigh_tridiagonal(d, e, select="i", select_range=(0, min(m, d.shape[0]) - 1))
+
     lams, vecs, parities = [], [], []
-    for parity, (rows, e) in blocks.items():
-        count = min(m, e.shape[0] + 1)
-        try:
-            lam, y = eigh_tridiagonal(half[rows], e, select="i", select_range=(0, count - 1))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericsError(f"eigensolve failed: {exc}") from exc
-        v = np.zeros((2 * k, count))
+    for parity, (rows, (lam, y)) in _solve_blocks(half, h, lowest).items():
+        v = np.zeros((2 * k, lam.shape[0]))
         v[rows] = y / weight[rows, None]
         v[2 * k - 1 : k : -1] = v[1:k] if parity is Parity.EVEN else -v[1:k]
         lams.append(lam)
         vecs.append(v)
-        parities += [parity] * count
+        parities += [parity] * lam.shape[0]
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")[:m]
     return Spectrum(lam[order], np.hstack(vecs)[:, order], tuple(parities[i] for i in order), band)
@@ -184,12 +198,16 @@ def spectrum(op: LinearizedOperator, m: int) -> Spectrum:
     """Lowest m eigenpairs from the even and odd tridiagonal blocks, parity-labelled."""
     if not 0 < m <= op.n:
         raise AdmissibilityError(f"requested {m} eigenpairs of an n={op.n} operator")
-    params = op.profile.params
-    band = negative_band(params.halfperiod, params.omega, op.n)
-    # L2 always has the profile itself as a zero mode; L1 has the
-    # translation mode phi' only in the defect-free case Z = 0.
-    expected = 1 if op.which is Which.L2 or params.z == 0.0 else 0
-    return replace(_split_spectrum(op.half_diagonal, op.h, m, band), expected_kernel=expected)
+    return _split_spectrum(op.half_diagonal, op.h, m, op.band)
+
+
+def index(op: LinearizedOperator) -> Index:
+    """Every eigenvalue below +tau of each parity block; no vectors, no lowest-m cut-off."""
+    below = partial(eigvalsh_tridiagonal, select="v", select_range=(-np.inf, op.band))
+    blocks = _solve_blocks(op.half_diagonal, op.h, below)
+    even, odd = (tuple(lam.tolist()) for _, lam in blocks.values())
+    expected = 1 if op.which is Which.L2 or op.profile.params.z == 0.0 else 0
+    return Index(even, odd, op.band, expected)
 
 
 def count_negative(op: LinearizedOperator) -> int:
@@ -200,14 +218,14 @@ def count_negative(op: LinearizedOperator) -> int:
     Z = 0, none otherwise); any surplus means the count would be a
     guess at this resolution and raises InconclusiveError instead.
     """
-    spec = spectrum(op, min(op.n, 8))
-    if spec.surplus > 0:
+    idx = index(op)
+    if idx.surplus > 0:
         raise InconclusiveError(
-            f"{spec.surplus} unexpected eigenvalue(s) inside the zero band "
-            f"[-{spec.band:.3e}, {spec.band:.3e}] of {op.which.value}; "
+            f"{idx.surplus} unexpected eigenvalue(s) inside the zero band "
+            f"[-{idx.band:.3e}, {idx.band:.3e}] of {op.which.value}; "
             "refine the grid to classify"
         )
-    return spec.n_negative
+    return idx.n_negative
 
 
 def kernel_diagnostic(
@@ -217,22 +235,17 @@ def kernel_diagnostic(
 ) -> dict:
     """Grid-refinement evidence for (non-)triviality of the L1 kernel.
 
-    For each n in the ladder the smallest |eigenvalue| above the counted
-    negatives is recorded.  A trivial kernel (Z != 0) shows up as
+    For each n in the ladder, |lambda| of the first eigenvalue above the
+    counted negatives is recorded.  A trivial kernel (Z != 0) shows up as
     convergence of this gap to a strictly positive limit; the Z = 0
     control, whose kernel genuinely contains the translation mode,
     converges to 0 instead.
     """
     profile = build_profile(profile_params)
-    gaps: list[float] = []
-    counts: list[int] = []
-    for n in n_ladder:
-        op = assemble(profile, which, n)
-        spec = spectrum(op, min(op.n, 8))
-        neg = spec.n_negative
-        gaps.append(float(np.min(np.abs(spec.eigenvalues[neg:]))))
-        counts.append(neg)
-    positive_limit = gaps[-1] > 2.0 * spec.band  # band of the finest grid
+    ops = [assemble(profile, which, n) for n in n_ladder]
+    counts = [index(op).n_negative for op in ops]
+    gaps = [abs(float(spectrum(op, c + 1).eigenvalues[c])) for op, c in zip(ops, counts)]
+    positive_limit = gaps[-1] > 2.0 * ops[-1].band  # band of the finest grid
     return {
         "n_ladder": list(n_ladder),
         "gaps": gaps,

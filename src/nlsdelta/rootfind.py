@@ -43,7 +43,9 @@ def bisect(
     fhi = f(hi)
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    # Signs are compared, not multiplied: a product of two tiny values
+    # underflows to 0 and would hide the sign change.
+    if (flo < 0.0) == (fhi < 0.0):
         raise NumericsError(
             f"no sign change on bracket [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
@@ -54,7 +56,7 @@ def bisect(
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if flo * fmid < 0.0:
+        if (flo < 0.0) != (fmid < 0.0):
             hi = mid
         else:
             lo, flo = mid, fmid

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import elliptic
 from .errors import AdmissibilityError
-from .linops import Which, assemble, spectrum
+from .linops import Index, Which, assemble, index
 from .wave import WaveParams, WaveProfile, build_profile
 
 __all__ = [
@@ -58,15 +58,22 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it."""
+    """Classification outcome with the raw quantities that produced it, the L1 index included."""
 
     params: WaveParams
-    n_negative: int
-    n_negative_even: int
+    index: Index
     p_index: int
     slope: float
     verdict: Verdict
     kernel_caveat: bool = False
+
+    @property
+    def n_negative(self) -> int:
+        return self.index.n_negative
+
+    @property
+    def n_negative_even(self) -> int:
+        return self.index.n_negative_even
 
     def as_dict(self) -> dict:
         return {
@@ -154,7 +161,7 @@ def classify(params: WaveParams) -> StabilityReport:
     and applies ``verdict_from_counts``.  A non-positive or numerically
     zero slope short-circuits to inconclusive with the measured value
     attached, and so does an eigenvalue inside the zero band beyond the
-    expected kernel modes (the rule of linops.count_negative); Z = 0
+    expected kernel modes (the rule of linops.index); Z = 0
     reports the classical verdict with a kernel caveat (the translation
     mode makes the kernel nontrivial there, outside the hypotheses of
     the Z != 0 theory).
@@ -162,16 +169,15 @@ def classify(params: WaveParams) -> StabilityReport:
     profile = build_profile(params)
     s = slope(params)
     scale = norm_squared(profile) / params.omega
-    spec = spectrum(assemble(profile, Which.L1, N_EIGEN), 8)
+    idx = index(assemble(profile, Which.L1, N_EIGEN))
     p = 0 if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale else 1
-    if p == 0 or spec.surplus > 0:
+    if p == 0 or idx.surplus > 0:
         verdict = Verdict.INCONCLUSIVE
     else:
-        verdict = verdict_from_counts(spec.n_negative, p, spec.n_negative_even)
+        verdict = verdict_from_counts(idx.n_negative, p, idx.n_negative_even)
     return StabilityReport(
         params=params,
-        n_negative=spec.n_negative,
-        n_negative_even=spec.n_negative_even,
+        index=idx,
         p_index=p,
         slope=s,
         verdict=verdict,

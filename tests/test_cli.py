@@ -69,6 +69,18 @@ class TestSpectrum:
         side = json.loads((tmp_path / "linop_L1_spectrum.json").read_text())
         assert side["n_negative"] == 1
 
+    def test_sidecar_counts_past_the_listed_eigenvalues(self, tmp_path):
+        # the trough has two negative eigenvalues; listing one must not cut the count
+        rc = main(
+            ["--output-dir", str(tmp_path), "spectrum",
+             "--omega", "20", "--z", "-1", "--half-period", "1", "--count", "1"]
+        )
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "linop_L1_spectrum.csv")
+        assert len(rows) == 1
+        side = json.loads((tmp_path / "linop_L1_spectrum.json").read_text())
+        assert side["n_negative"] == 2
+
 
 class TestDeltaSpectrum:
     def test_interleaving_written_to_file(self, tmp_path):
@@ -99,6 +111,18 @@ class TestClassify:
         rep = json.loads((tmp_path / "point_classification.json").read_text())
         assert rep["verdict"] == "stable"
         assert rep["n_negative"] == 1 and rep["p_index"] == 1
+
+    @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
+    def test_numerics_reproduce_the_counts(self, tmp_path, wave):
+        assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
+        rep = json.loads((tmp_path / "point_classification.json").read_text())
+        numerics = rep["numerics"]
+        tau, below = numerics["band"], numerics["l1_below_band"]
+        assert tau > 0.0
+        assert all(lam <= tau for lams in below.values() for lam in lams)
+        even = sum(lam < -tau for lam in below["even"])
+        assert even == rep["n_negative_even"]
+        assert even + sum(lam < -tau for lam in below["odd"]) == rep["n_negative"]
 
 
 class TestEvolve:

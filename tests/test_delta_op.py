@@ -5,8 +5,10 @@ transcendental eigenvalue equations) are checked against quadrature,
 finite differences, and the discretized matrix as independent oracles.
 """
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from scipy.linalg import eigh, eigvalsh
 
 from nlsdelta import delta_op
 from nlsdelta.delta_op import DeltaOperator, EigenKind
-from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta.errors import AdmissibilityError
 
 GAMMAS = st.floats(min_value=-5.0, max_value=5.0).filter(lambda g: abs(g) > 1e-3)
 
@@ -163,10 +165,46 @@ class TestInteriorRootExtremes:
         else:
             assert (j - 0.5) * math.pi <= kappa < j * math.pi
 
-    def test_strength_below_cos_rounding_is_typed(self):
-        # f(pi/2) = |gamma| - 2 kappa cos(pi/2) < 0 once |gamma| < 1.2e-16 kappa
-        with pytest.raises(NumericsError, match="no sign change"):
-            delta_op.interior_root(2, 1e-20, 1.0)
+    @pytest.mark.parametrize("gamma", [1e-20, -1e-20])
+    def test_tiny_strength_pins_root_to_lattice_point(self, gamma):
+        # below |gamma| ~ 1.2e-16 kappa the root is within rounding of the
+        # lattice point, where cos(pi/2) rounding would hide the sign
+        # change of the regular-point form
+        kappa = delta_op.interior_root(2, gamma, 1.0)
+        lattice = math.pi if gamma > 0.0 else 2.0 * math.pi
+        assert kappa == pytest.approx(lattice, rel=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1e-20, 1e-100, 1e-300])
+    def test_tiny_strength_ground_root(self, gamma):
+        # j = 1, gamma -> 0+: kappa^2 = gamma / 2L to first order, with
+        # no cancellation in kappa L = 0 + u
+        kappa = delta_op.interior_root(1, gamma, 1.0)
+        assert kappa == pytest.approx(math.sqrt(0.5 * gamma), rel=1e-13, abs=0.0)
+
+
+def _mp_interior_root(j, gamma, L):
+    # 40-digit root of gamma cos(kappa L) = 2 kappa sin(kappa L) on the
+    # half cell that holds it: ((j-1) pi, (j-1/2) pi) / L for gamma > 0,
+    # ((j-1/2) pi, j pi) / L for gamma < 0
+    with mpmath.workdps(40):
+        g, L = mpmath.mpf(gamma), mpmath.mpf(L)
+        lo = (j - 1 if gamma > 0.0 else j - mpmath.mpf(0.5)) * mpmath.pi / L
+        return mpmath.findroot(
+            lambda k: g * mpmath.cos(k * L) - 2 * k * mpmath.sin(k * L),
+            (lo, lo + mpmath.pi / (2 * L)),
+            solver="anderson",
+        )
+
+
+class TestInteriorRootAccuracy:
+    @pytest.mark.parametrize("L", [0.5, 1.0, math.pi])
+    def test_relative_error_against_mpmath(self, L):
+        gammas = [1e-3, -1e-3, 1e-2, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0]
+        worst = 0.0
+        for gamma, j in itertools.product(gammas, (1, 2, 5)):
+            ref = _mp_interior_root(j, gamma, L)
+            worst = max(worst, float(abs(delta_op.interior_root(j, gamma, L) - ref) / ref))
+        assert worst < 2e-15
 
 
 class TestFullSpectrum:

@@ -6,6 +6,7 @@ the closed-form Hill-equation eigenvalue 4 + k^2, and the closed-form
 expression for the small-defect eigenvalue slope.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.linalg import eigh
 
 from nlsdelta import linops
 from nlsdelta.errors import AdmissibilityError, InconclusiveError
-from nlsdelta.linops import Parity, Which, assemble, spectrum
+from nlsdelta.linops import Parity, Which, assemble, index, spectrum
 from nlsdelta.wave import WaveParams, build_profile
 
 
@@ -143,6 +144,34 @@ class TestNegativeCounts:
             spectrum(op, 0)
         with pytest.raises(AdmissibilityError):
             spectrum(op, 513)
+
+
+class TestIndex:
+    @pytest.mark.parametrize("which", [Which.L1, Which.L2])
+    @pytest.mark.parametrize(
+        "omega, z, L",
+        [(16.0, 0.5, 0.5), (20.0, 2.0, 1.0), (24.0, 1.0, 0.5),
+         (16.0, -2.0, 1.0), (20.0, -1.0, 1.0), (30.0, -0.5, 1.0)],
+    )
+    def test_counts_agree_with_dense_solver(self, omega, z, L, which):
+        # peaks (Z > 0) and troughs (Z < 0): the counts below -tau and
+        # inside the band match a full dense eigendecomposition
+        op = make_op(omega, z, L, which, n=512)
+        idx = index(op)
+        full = np.linalg.eigvalsh(op.matrix)
+        assert idx.n_negative == np.sum(full < -op.band)
+        in_band = np.sum(np.abs(full) < op.band)
+        assert idx.surplus == in_band - idx.expected_kernel
+        below = np.sort(np.concatenate([idx.even, idx.odd]))
+        assert below == pytest.approx(full[full <= op.band], rel=1e-10, abs=1e-9)
+
+    def test_count_is_not_cut_at_eight(self):
+        # a deep shift pushes 29 eigenvalues below -tau; every one counts
+        op = make_op(20.0, -1.0, 1.0, Which.L1, n=256)
+        deep = dataclasses.replace(op, half_diagonal=op.half_diagonal - 2000.0)
+        dense = int(np.sum(np.linalg.eigvalsh(deep.matrix) < -deep.band))
+        assert dense == 29
+        assert linops.count_negative(deep) == dense
 
 
 class TestKernelDiagnostic:

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlsdelta import stability
+from nlsdelta import linops, stability
 from nlsdelta.stability import Verdict, classify, norm_squared, slope, verdict_from_counts
 from nlsdelta.wave import WaveParams, build_profile
 
@@ -109,6 +109,29 @@ class TestClassify:
             "omega", "z", "half_period", "n_negative", "n_negative_even",
             "p_index", "slope", "verdict", "kernel_caveat",
         }
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            (WaveParams(20.0, 1.0, 0.5), (Verdict.STABLE, 1, 1, 1)),
+            (WaveParams(20.0, -1.0, 1.0), (Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE, 2, 1, 1)),
+            (WaveParams(8.0, 0.0, 1.0), (Verdict.STABLE, 1, 1, 1)),
+            (WaveParams(20.0, -0.01, 1.0), (Verdict.INCONCLUSIVE, 1, 1, 1)),
+            (WaveParams(20.0, 1e-8, 0.5), (Verdict.INCONCLUSIVE, 1, 1, 1)),
+        ],
+    )
+    def test_counts_need_no_eigenvectors(self, params, expected, monkeypatch):
+        # classify reads eigenvalues below the band only; the eigenpair
+        # solver is never called, and the outcome is the one the lowest-8
+        # eigenpair count gave
+        def no_eigenpairs(*args, **kwargs):
+            raise AssertionError("classify computed eigenvectors")
+
+        monkeypatch.setattr(linops, "eigh_tridiagonal", no_eigenpairs)
+        rep = classify(params)
+        assert (rep.verdict, rep.n_negative, rep.n_negative_even, rep.p_index) == expected
+        assert rep.index.n_negative == rep.n_negative
+        assert hash(rep) == hash(classify(params))  # a frozen report stays a value
 
     @pytest.mark.parametrize("params", [WaveParams(20.0, -0.01, 1.0), WaveParams(20.0, 1e-8, 0.5)])
     def test_eigenvalue_hidden_by_band_is_inconclusive(self, params):
