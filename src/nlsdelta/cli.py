@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .evolve import DEFAULT_SEED, run_experiment
 from .stability import Verdict, classify
-from .wave import WaveParams, build_profile
+from .wave import WaveParams, build_profile, period_residual
 
 __all__ = ["main"]
 
@@ -139,6 +140,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report = classify(_wave_params(args))
     idx = report.index
     numerics = {
+        "eta2": report.eta2,
+        "period_residual": period_residual(report.params, report.eta2),
         "band": idx.band,
         "expected_kernel": idx.expected_kernel,
         "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},
@@ -228,6 +231,7 @@ def _add_wave_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--half-period", type=float, required=True)
 
 
+@functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlsdelta",

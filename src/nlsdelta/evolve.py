@@ -293,6 +293,11 @@ def run_experiment(
         raise AdmissibilityError(f"horizon T must be positive and finite, got {T!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise AdmissibilityError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.5 < T / dt < math.inf:  # round(T/dt) would be 0 steps, or overflow
+        raise AdmissibilityError(
+            f"T/dt = {T / dt!r} must round to a finite step count >= 1 (T={T!r}, dt={dt!r})"
+        )
+    n_steps = round(T / dt)
     kind, amp = parse_perturbation(perturbation)
     profile = build_profile(params)
     evolver = SplitStepEvolver(params.z, params.halfperiod, n=n, scheme=scheme)
@@ -307,7 +312,6 @@ def run_experiment(
         trace.append(s.t, q, e, orbit_distance(s.u, phi, evolver.h), evolver.odd_residual(s))
 
     record(state)
-    n_steps = int(round(T / dt))
     for i in range(n_steps):
         try:
             state = evolver.step(state, dt, blowup_ref=blowup_ref)

@@ -58,9 +58,10 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it, the L1 index included."""
+    """Classification outcome with the raw quantities that produced it: eta2 and the L1 index."""
 
     params: WaveParams
+    eta2: float
     index: Index
     p_index: int
     slope: float
@@ -177,6 +178,7 @@ def classify(params: WaveParams) -> StabilityReport:
         verdict = verdict_from_counts(idx.n_negative, p, idx.n_negative_even)
     return StabilityReport(
         params=params,
+        eta2=profile.eta2,
         index=idx,
         p_index=p,
         slope=s,

@@ -44,20 +44,20 @@ from numpy.typing import NDArray
 
 from . import elliptic
 from .errors import AdmissibilityError, NumericsError
-from .rootfind import bisect
+from .rootfind import newton
 
 __all__ = [
     "SignBranch",
     "WaveParams",
     "WaveProfile",
     "theta_admissible",
-    "lambda_scale",
     "phi_at_zero",
     "period_minus",
     "period_plus",
     "threshold_T0",
     "threshold_T1",
     "period_threshold",
+    "period_residual",
     "solve_eta2",
     "build_profile",
     "solitary_profile",
@@ -117,14 +117,6 @@ def theta_admissible(omega: float, z: float) -> float:
     return -(_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
 
 
-def lambda_scale(omega: float, z: float) -> float:
-    """The companion scale lambda(omega, Z) = +sqrt2/4 |Z| + sqrt(omega - Z^2/8)."""
-    disc = omega - z * z / 8.0
-    if disc <= 0.0:
-        raise AdmissibilityError(f"omega={omega!r} too small for |Z|={abs(z)!r}")
-    return (_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
-
-
 def _check_eta2(eta2: float, omega: float, z: float) -> None:
     th = theta_admissible(omega, z)
     if not 0.0 < eta2 < th:
@@ -158,6 +150,13 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, fl
     k = math.sqrt(spread / eta1_sq)
     if z == 0.0:
         return eta1, k, eta1, 0.0
+    _, upper, lower = _gaps(eta2, spread, omega, z)
+    a = elliptic.inverse_am(abs(z) * math.sqrt(upper), math.sqrt(lower), k)
+    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a
+
+
+def _gaps(eta2: float, spread: float, omega: float, z: float) -> tuple[float, float, float]:
+    """(s, upper, lower) of _orbit's Phi: eta1^2 - Phi^2 = Z^2 upper, Phi^2 - eta2^2 = lower."""
     disc = spread * spread - z * z * (2.0 * omega - 0.25 * z * z)
     if not math.isfinite(disc):
         raise NumericsError(
@@ -168,11 +167,8 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, fl
             f"negative discriminant at eta2={eta2!r}, omega={omega!r}, Z={z!r}"
         )
     s = math.sqrt(disc)
-    # eta1^2 - Phi^2 = Z^2 * upper, kept factored so it cannot underflow.
     upper = 0.5 * (0.5 + (2.0 * omega - 0.25 * z * z) / (s + spread))
-    lower = 0.5 * (spread - 0.5 * z * z + s)
-    a = elliptic.inverse_am(abs(z) * math.sqrt(upper), math.sqrt(lower), k)
-    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a
+    return s, upper, 0.5 * (spread - 0.5 * z * z + s)
 
 
 def phi_at_zero(eta2: float, omega: float, z: float) -> float:
@@ -184,15 +180,52 @@ def phi_at_zero(eta2: float, omega: float, z: float) -> float:
     return _orbit(eta2, omega, z)[2]
 
 
-def _signed_period(eta2: float, omega: float, z: float, sign: float) -> float:
-    # T = 2 sqrt2/eta1 * [K(k) + sign * a], sign = -1 for T_-, +1 for T_+.
-    eta1, k, _, a = _orbit(eta2, omega, z)
-    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
+def _period_orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, float]:
+    """_orbit, refused where the period map's K(k) cannot be evaluated."""
+    orbit = _orbit(eta2, omega, z)
+    if orbit[1] >= 1.0 - elliptic.K_ONE_CUTOFF:
         raise NumericsError(
-            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
+            f"modulus k={orbit[1]!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
             f"the period map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})"
         )
+    return orbit
+
+
+def _signed_period(eta2: float, omega: float, z: float, sign: float) -> float:
+    # T = 2 sqrt2/eta1 * [K(k) + sign * a], sign = -1 for T_-, +1 for T_+.
+    eta1, k, _, a = _period_orbit(eta2, omega, z)
     return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + sign * a)
+
+
+def _period_and_slope(eta2: float, omega: float, z: float, sign: float) -> tuple[float, float]:
+    """(T, dT/deta2) of the signed period map, both in closed form.
+
+    dk/deta2 = -2 eta2 omega/(k eta1^4), dK/dk (DLMF 19.4.1), dF/dk
+    (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k), where sin^2 psi =
+    Z^2 upper/spread (see _gaps), give with c = -2 omega/(spread eta2):
+
+        dK/deta2 = c [E - k'^2 K],
+        da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
+        psi' = sc (eta2/s) [2 - 1/(2 upper) + (spread + s)/lower],  sc = sin psi cos psi,
+
+    free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
+    """
+    eta1, k, phi, a = _period_orbit(eta2, omega, z)
+    big_k = elliptic.complete_K(k)
+    kp_sq = (eta2 / eta1) ** 2
+    spread = 2.0 * omega - eta2**2 - eta2**2  # as in _orbit, bit for bit
+    c = -2.0 * omega / (spread * eta2)
+    d_sum = c * (elliptic.complete_E(k) - kp_sq * big_k)
+    if z != 0.0:
+        s, upper, lower = _gaps(eta2, spread, omega, z)
+        sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
+        sc = sin_psi * cos_psi / spread
+        d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
+        e_psi = elliptic.incomplete_E(math.atan2(sin_psi, cos_psi), k)
+        d_a = c * (e_psi - kp_sq * a) + (sc * 2.0 * omega / (eta2 * eta1) + eta1 * d_psi) / phi
+        d_sum += sign * d_a
+    total = big_k + sign * a
+    return (2.0 * _SQRT2 / eta1) * total, 2.0 * _SQRT2 * (total * eta2 / eta1**3 + d_sum / eta1)
 
 
 def period_minus(eta2: float, omega: float, z: float) -> float:
@@ -222,10 +255,11 @@ def _signed_threshold(omega: float, z: float, sign: float) -> float:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
         return _SQRT2 * math.pi / math.sqrt(omega)
-    lam = lambda_scale(omega, z)
+    root = math.sqrt(omega - z * z / 8.0)
+    lam = (_SQRT2 / 4.0) * abs(z) + root  # the scale lambda(omega, Z), theta's companion
     if not sys.float_info.min <= lam * lam < math.inf:
         raise NumericsError(f"lambda^2 = {lam * lam!r} over- or underflowed at omega={omega!r}")
-    k0 = math.sqrt(_SQRT2 * abs(z) * math.sqrt(omega - z * z / 8.0) / lam**2)
+    k0 = math.sqrt(_SQRT2 * abs(z) * root / lam**2)
     a0 = elliptic.inverse_dn(math.sqrt(omega - z * z / 4.0) / lam, k0)
     return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) + sign * a0)
 
@@ -261,12 +295,18 @@ def period_threshold(omega: float, z: float) -> float:
     return threshold_T0(omega, z) if z >= 0.0 else threshold_T1(omega, z)
 
 
+def period_residual(params: WaveParams, eta2: float) -> float:
+    """|T(eta2) - 2L| on the branch of the sign of Z (T_- for Z >= 0, T_+ for Z < 0)."""
+    period = period_minus if params.z >= 0.0 else period_plus
+    return abs(period(eta2, params.omega, params.z) - 2.0 * params.halfperiod)
+
+
 def solve_eta2(params: WaveParams) -> float:
     """The eta2 with minimal period equal to the cell length 2L.
 
-    Bisection on the initial decreasing branch of the period map, where
-    the root is unique; raises an admissibility error (reporting the
-    threshold) when 2L does not exceed it.  For Z < 0 the trough map
+    Bracketed Newton in log eta2 on the initial decreasing branch of the
+    period map, where the root is unique; raises an admissibility error
+    (reporting the threshold) when 2L does not exceed it.  For Z < 0 the trough map
     additionally dips below T1 near its upper end (see period_plus), so
     requiring 2L > T1 keeps the solve on the decreasing branch; waves
     on the short rising branch are deliberately not constructed.
@@ -279,16 +319,12 @@ def solve_eta2(params: WaveParams) -> float:
         raise AdmissibilityError(
             f"no wave of period 2L={target!r}: requires 2L > {kind}(omega,Z)={thresh!r}"
         )
-    period = period_minus if z >= 0.0 else period_plus
+    period, sign = (period_minus, -1.0) if z >= 0.0 else (period_plus, 1.0)
     upper = theta_admissible(omega, z)
     eps = _ETA2_BRACKET_EPS * upper
-
-    def f(eta2: float) -> float:
-        return period(eta2, omega, z) - target
-
-    # period decreasing: f > 0 near 0 (divergence), f < 0 near theta.
+    # period decreasing: above the target near 0 (divergence), below it near theta.
     hi = upper - eps
-    if f(hi) > 0.0:
+    if period(hi, omega, z) > target:
         # target barely above the threshold; the root hugs the upper end.
         raise NumericsError(
             f"period solve lost its bracket at eta2={hi!r} (2L={target!r} too close "
@@ -298,15 +334,22 @@ def solve_eta2(params: WaveParams) -> float:
     # target; K(k) diverges only logarithmically as eta2 -> 0, so this
     # stays far away from the k = 1 evaluation cutoff.
     lo = 0.5 * upper
-    while f(lo) <= 0.0:
+    while period(lo, omega, z) <= target:
         lo *= 0.5
         if lo < eps:
             raise NumericsError(
                 f"period solve could not bracket below eta2={eps!r} "
                 f"(omega={omega!r}, Z={z!r}, 2L={target!r})"
             )
-    eta2 = bisect(f, lo, hi, xtol=1e-16 * upper)
-    resid = abs(period(eta2, omega, z) - target)
+    # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
+    # an error of order its square, far below the noise of T that a smaller xtol chases.
+    def fdf(t: float) -> tuple[float, float]:
+        eta2 = math.exp(t)
+        period_value, slope = _period_and_slope(eta2, omega, z, sign)
+        return period_value - target, eta2 * slope
+
+    eta2 = math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12))
+    resid = period_residual(params, eta2)
     if resid > PERIOD_RESIDUAL_TOL:
         raise NumericsError(
             f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at eta2={eta2!r}"

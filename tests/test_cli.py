@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlsdelta.cli import main
+from nlsdelta.cli import build_parser, main
+from nlsdelta.evolve import DEFAULT_SEED
+from nlsdelta.wave import PERIOD_RESIDUAL_TOL, period_minus, period_plus, theta_admissible
 
 WAVE = ["--omega", "20", "--z", "1", "--half-period", "0.5"]
 
@@ -123,6 +125,29 @@ class TestClassify:
         even = sum(lam < -tau for lam in below["even"])
         assert even == rep["n_negative_even"]
         assert even + sum(lam < -tau for lam in below["odd"]) == rep["n_negative"]
+
+    @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
+    def test_numerics_report_the_period_solve(self, tmp_path, wave):
+        assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
+        rep = json.loads((tmp_path / "point_classification.json").read_text())
+        omega, z, half_period = (float(v) for v in wave[1::2])
+        eta2, resid = rep["numerics"]["eta2"], rep["numerics"]["period_residual"]
+        assert 0.0 < eta2 < theta_admissible(omega, z)
+        assert resid <= PERIOD_RESIDUAL_TOL
+        period = period_minus if z >= 0.0 else period_plus
+        assert resid == abs(period(eta2, omega, z) - 2.0 * half_period)
+        # the sweep-row keys are unchanged: eta2 lives only under numerics
+        assert set(rep) == {"version", "numerics", "omega", "z", "half_period", "n_negative",
+                            "n_negative_even", "p_index", "slope", "verdict", "kernel_caveat"}
+
+
+class TestParser:
+    def test_built_once_and_defaults_do_not_leak(self):
+        assert build_parser() is build_parser()
+        args = build_parser().parse_args(["evolve", *WAVE, "--seed", "6", "--n", "256"])
+        assert (args.seed, args.n) == (6, 256)
+        args = build_parser().parse_args(["evolve", *WAVE])
+        assert (args.seed, args.n) == (DEFAULT_SEED, 512)
 
 
 class TestEvolve:
@@ -248,6 +273,15 @@ class TestOverflowAndNonFinite:
         rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE, "--T", "inf"])
         assert rc == 2
         assert "got inf" in capsys.readouterr().err
+        assert not (tmp_path / "run_trace.csv").exists()
+
+    @pytest.mark.parametrize("horizon, dt", [("1e-9", "1e-3"), ("5e-4", "1e-3"), ("1e300", "1e-300")])
+    def test_horizon_without_a_whole_step(self, tmp_path, capsys, horizon, dt):
+        # round(T/dt) is 0 (no step would be taken) or overflows
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE, "--T", horizon, "--dt", dt,
+                   "--n", "256"])
+        assert rc == 2
+        assert "step count" in capsys.readouterr().err
         assert not (tmp_path / "run_trace.csv").exists()
 
     def test_negative_omega_steps(self, tmp_path, capsys):

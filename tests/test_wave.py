@@ -7,6 +7,7 @@ structure of the solved parameters.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from nlsdelta import elliptic, evolve, stability, wave
 from nlsdelta.errors import AdmissibilityError, NumericsError
 from nlsdelta.linops import Which, assemble
+from nlsdelta.rootfind import bisect
 from nlsdelta.wave import WaveParams, build_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -327,3 +329,81 @@ class TestLazySamples:
             p.samples
         with pytest.raises(NumericsError, match="band"):
             p.evaluate(op.x)
+
+
+def _period_oracle(eta2, omega, z, sign):
+    """T = 2 sqrt2/eta1 [K(k) + sign F(psi; k)] from mpmath.ellipk/ellipf at the working precision.
+
+    The gap eta1^2 - Phi^2 = eta1^2 Z^2/2 / (eta1^2 - b/2 + sqrt(b^2 - 4 eta2^2 eta1^2)/2),
+    b = 2 omega - Z^2/2, is the textbook root rationalised, so it stays exact down to Z = 1e-300.
+    """
+    import mpmath
+
+    eta2, omega, z = (mpmath.mpf(v) for v in (eta2, omega, z))
+    eta1_sq = 2 * omega - eta2**2
+    m = (eta1_sq - eta2**2) / eta1_sq
+    b = 2 * omega - z**2 / 2
+    gap = eta1_sq * z**2 / 2 / (eta1_sq - b / 2 + mpmath.sqrt(b * b - 4 * eta2**2 * eta1_sq) / 2)
+    a = mpmath.ellipf(mpmath.asin(mpmath.sqrt(gap / (eta1_sq - eta2**2))), m)
+    return 2 * mpmath.sqrt(2) / mpmath.sqrt(eta1_sq) * (mpmath.ellipk(m) + sign * a)
+
+
+class TestPeriodSlope:
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("z", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 2.0, -2.0])
+    @pytest.mark.parametrize("omega", [16.0, 20.0, 24.0])
+    def test_closed_form_against_mpmath_diff(self, omega, z, fraction):
+        # the grid straddles the trough minimum, where dT_+/deta2 changes
+        # sign (between 0.7 and 0.95 theta at |Z| >= 0.5): the bound is
+        # absolute below |dT/deta2| = 1
+        mpmath = pytest.importorskip("mpmath")
+        sign = -1.0 if z >= 0.0 else 1.0
+        eta2 = fraction * wave.theta_admissible(omega, z)
+        period, slope = wave._period_and_slope(eta2, omega, z, sign)
+        with mpmath.workdps(30):
+            expected = mpmath.diff(lambda e: _period_oracle(e, omega, z, sign), mpmath.mpf(eta2))
+            assert period == pytest.approx(float(_period_oracle(eta2, omega, z, sign)), rel=1e-11)
+        assert abs(slope - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+
+    def test_period_agrees_with_the_period_maps(self):
+        for z, period in ((1.0, wave.period_minus), (-1.0, wave.period_plus), (0.0, wave.period_minus)):
+            sign = -1.0 if z >= 0.0 else 1.0
+            assert wave._period_and_slope(2.0, 20.0, z, sign)[0] == period(2.0, 20.0, z)
+
+
+def _latin_hypercube(rng, count):
+    """(omega, |Z|) strata over the benchmark's existence region, omega in [16, 24], |Z| in [0.5, 2]."""
+    z_strata = rng.sample(range(count), count)
+    return [
+        (16.0 + 8.0 * (i + rng.random()) / count, 0.5 + 1.5 * (z_strata[i] + rng.random()) / count)
+        for i in range(count)
+    ]
+
+
+class TestNewtonSolve:
+    def test_period_evaluations_per_solve(self, monkeypatch):
+        # bisection took 54-62 evaluations per solve; every period call
+        # counts here, the value-and-slope calls of the Newton loop included
+        calls = []
+        for name in ("period_minus", "period_plus", "_period_and_slope"):
+            fn = getattr(wave, name)
+            monkeypatch.setattr(wave, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        counts = []
+        rng = random.Random(9)
+        for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
+            for omega, abs_z in _latin_hypercube(rng, 20):
+                calls.clear()
+                params = WaveParams(omega, sign * abs_z, L)
+                eta2 = wave.solve_eta2(params)
+                counts.append(len(calls))
+                assert wave.period_residual(params, eta2) <= wave.PERIOD_RESIDUAL_TOL
+        assert max(counts) <= 24
+        assert sum(counts) / len(counts) <= 14.0
+
+    @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
+    def test_root_matches_bisection(self, omega, z, L):
+        period = wave.period_minus if z >= 0.0 else wave.period_plus
+        theta = wave.theta_admissible(omega, z)
+        lo = 1e-3 * theta  # every ADMISSIBLE period is above 2L there
+        root = bisect(lambda e: period(e, omega, z) - 2.0 * L, lo, theta * (1.0 - 1e-12))
+        assert wave.solve_eta2(WaveParams(omega, z, L)) == pytest.approx(root, rel=1e-12)
