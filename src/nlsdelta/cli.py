@@ -39,6 +39,12 @@ __all__ = ["main"]
 
 _FMT = "%.17g"
 
+# Columns of a sweep row: the keys of StabilityReport.as_dict.
+_SWEEP_HEADER = (
+    "omega", "z", "half_period", "n_negative", "n_negative_even",
+    "p_index", "slope", "verdict", "kernel_caveat",
+)
+
 
 def _fmt(value: float) -> str:
     return _FMT % value
@@ -177,21 +183,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def _sweep_point(task: tuple[float, float, float]) -> dict:
     omega, z, half_period = task
     try:
-        report = classify(WaveParams(omega, z, half_period))
-        row = report.as_dict()
+        return classify(WaveParams(omega, z, half_period)).as_dict()
     except NlsDeltaError as exc:
-        row = {
+        return dict.fromkeys(_SWEEP_HEADER, -1) | {  # the three counts read -1
             "omega": omega,
             "z": z,
             "half_period": half_period,
-            "n_negative": -1,
-            "n_negative_even": -1,
-            "p_index": -1,
             "slope": float("nan"),
             "verdict": f"error:{type(exc).__name__}",
             "kernel_caveat": False,
         }
-    return row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -208,18 +209,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise AdmissibilityError(f"--z-values: {token!r} is not a number") from exc
     tasks = [(float(w), z, args.half_period) for w in omegas for z in zs]
     out = _out_dir(args) / f"{args.prefix}_sweep.csv"
-    header = [
-        "omega", "z", "half_period", "n_negative", "n_negative_even",
-        "p_index", "slope", "verdict", "kernel_caveat",
-    ]
     rows: list[Sequence] = []
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             for row in pool.map(_sweep_point, tasks):
-                rows.append([row[k] for k in header])
+                rows.append([row[k] for k in _SWEEP_HEADER])
     finally:
         # Flush whatever finished, including on interrupt.
-        _write_csv(out, header, rows)
+        _write_csv(out, _SWEEP_HEADER, rows)
         _write_sidecar(out, args, {"points": len(rows)})
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")
     return EXIT_OK

@@ -240,6 +240,8 @@ def parse_perturbation(spec: str) -> tuple[str, float]:
         raise AdmissibilityError(f"bad perturbation spec {spec!r}: want kind:amplitude") from exc
     if kind not in ("even", "odd", "random", "phase"):
         raise AdmissibilityError(f"unknown perturbation kind {kind!r}")
+    if not math.isfinite(amp):
+        raise AdmissibilityError(f"perturbation amplitude must be finite, got {amp!r}")
     return kind, amp
 
 
@@ -297,6 +299,8 @@ def run_experiment(
         raise AdmissibilityError(
             f"T/dt = {T / dt!r} must round to a finite step count >= 1 (T={T!r}, dt={dt!r})"
         )
+    if seed < 0:
+        raise AdmissibilityError(f"seed must be non-negative, got {seed!r}")
     n_steps = round(T / dt)
     kind, amp = parse_perturbation(perturbation)
     profile = build_profile(params)

@@ -11,15 +11,16 @@ Away from the defect the profile rides the classical dnoidal orbit
     2 (phi')^2 = (eta1^2 - phi^2)(phi^2 - eta2^2),
     eta1^2 + eta2^2 = 2 omega,
 
-and the defect is absorbed by a shifted argument:
+and the defect is absorbed by the signed shift s = copysign(a, Z):
 
-    phi(x)  = eta1 * dn(eta1 |x|/sqrt2 + a; k)   (Z > 0, peak at 0),
-    zeta(x) = eta1 * dn(eta1 |x|/sqrt2 - a; k)   (Z < 0, trough at 0),
+    phi(x) = eta1 * dn(eta1 |x|/sqrt2 + s; k),   T = 2 sqrt2/eta1 * [K(k) - s],
 
-with modulus k^2 = (eta1^2 - eta2^2)/eta1^2.  The free parameter eta2
-is pinned down by requiring the minimal period to equal the cell length
-2L.  The peak map T_-(eta2) (Z>0) is strictly decreasing; the trough map
-T_+(eta2) (Z<0) is observed numerically to dip below its endpoint limit
+a peak at 0 for Z > 0 and a trough for Z < 0, with modulus k^2 =
+(eta1^2 - eta2^2)/eta1^2 and a >= 0 set by |Z|: the sign of Z enters the
+profile, the period and its threshold only through s.  The free parameter
+eta2 is pinned down by requiring the minimal period to equal the cell
+length 2L.  The peak map T_-(eta2) (Z>0) is strictly decreasing; the trough
+map T_+(eta2) (Z<0) is observed numerically to dip below its endpoint limit
 T1 before rising back to it, so the solve targets the decreasing branch
 where the root is unique (see solve_eta2).
 
@@ -37,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,12 +67,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Bracket shrink factor for the eta2 bisection, relative to theta(omega, Z).
+# Bracket shrink factor for the eta2 solve, relative to theta(omega, Z).
 _ETA2_BRACKET_EPS = 1e-12
 
-# Maximum allowed |T - 2L| after the period solve.  The bisection runs
-# at machine xtol; this guard only has to sit above the evaluation
-# noise of the period map near its root.
+# Maximum allowed |T - 2L| after the period solve.  Newton stops at
+# xtol 1e-12 in log eta2; this guard only has to sit above the
+# evaluation noise of the period map near its root.
 PERIOD_RESIDUAL_TOL = 5e-12
 
 
@@ -180,26 +181,11 @@ def phi_at_zero(eta2: float, omega: float, z: float) -> float:
     return _orbit(eta2, omega, z)[2]
 
 
-def _period_orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, float]:
-    """_orbit, refused where the period map's K(k) cannot be evaluated."""
-    orbit = _orbit(eta2, omega, z)
-    if orbit[1] >= 1.0 - elliptic.K_ONE_CUTOFF:
-        raise NumericsError(
-            f"modulus k={orbit[1]!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
-            f"the period map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})"
-        )
-    return orbit
+def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float]:
+    """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form.
 
-
-def _signed_period(eta2: float, omega: float, z: float, sign: float) -> float:
-    # T = 2 sqrt2/eta1 * [K(k) + sign * a], sign = -1 for T_-, +1 for T_+.
-    eta1, k, _, a = _period_orbit(eta2, omega, z)
-    return (2.0 * _SQRT2 / eta1) * (elliptic.complete_K(k) + sign * a)
-
-
-def _period_and_slope(eta2: float, omega: float, z: float, sign: float) -> tuple[float, float]:
-    """(T, dT/deta2) of the signed period map, both in closed form.
-
+    T = 2 sqrt2/eta1 [K(k) - s] with the signed shift s = copysign(a, Z):
+    T_- for Z > 0 (and +0.0), T_+ for Z < 0.  The orbit depends on |Z| only.
     dk/deta2 = -2 eta2 omega/(k eta1^4), dK/dk (DLMF 19.4.1), dF/dk
     (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k), where sin^2 psi =
     Z^2 upper/spread (see _gaps), give with c = -2 omega/(spread eta2):
@@ -210,7 +196,13 @@ def _period_and_slope(eta2: float, omega: float, z: float, sign: float) -> tuple
 
     free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
     """
-    eta1, k, phi, a = _period_orbit(eta2, omega, z)
+    eta1, k, phi, a = _orbit(eta2, omega, z)
+    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
+        raise NumericsError(
+            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
+            f"the period map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})"
+        )
+    sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
     big_k = elliptic.complete_K(k)
     kp_sq = (eta2 / eta1) ** 2
     spread = 2.0 * omega - eta2**2 - eta2**2  # as in _orbit, bit for bit
@@ -223,8 +215,8 @@ def _period_and_slope(eta2: float, omega: float, z: float, sign: float) -> tuple
         d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
         e_psi = elliptic.incomplete_E(math.atan2(sin_psi, cos_psi), k)
         d_a = c * (e_psi - kp_sq * a) + (sc * 2.0 * omega / (eta2 * eta1) + eta1 * d_psi) / phi
-        d_sum += sign * d_a
-    total = big_k + sign * a
+        d_sum += sigma * d_a
+    total = big_k + sigma * a
     return (2.0 * _SQRT2 / eta1) * total, 2.0 * _SQRT2 * (total * eta2 / eta1**3 + d_sum / eta1)
 
 
@@ -234,7 +226,7 @@ def period_minus(eta2: float, omega: float, z: float) -> float:
     Strictly decreasing in eta2, diverging as eta2 -> 0 and tending to
     the threshold T0(omega, Z) as eta2 -> theta(omega, Z).
     """
-    return _signed_period(eta2, omega, z, -1.0)
+    return _period_and_slope(eta2, omega, abs(z))[0]
 
 
 def period_plus(eta2: float, omega: float, z: float) -> float:
@@ -246,11 +238,11 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
     integration of the profile equation).  Only the initial decreasing
     branch is used by solve_eta2.
     """
-    return _signed_period(eta2, omega, z, 1.0)
+    return _period_and_slope(eta2, omega, -abs(z))[0]
 
 
-def _signed_threshold(omega: float, z: float, sign: float) -> float:
-    # lim_{eta2->theta} of _signed_period: 2 sqrt2/lambda * [K(k0) + sign * a0].
+def period_threshold(omega: float, z: float) -> float:
+    """T0 for Z >= 0, T1 for Z < 0: 2 sqrt2/lambda [K(k0) - copysign(a0, Z)] (see threshold_T0)."""
     if not omega > z * z / 4.0:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
@@ -261,7 +253,7 @@ def _signed_threshold(omega: float, z: float, sign: float) -> float:
         raise NumericsError(f"lambda^2 = {lam * lam!r} over- or underflowed at omega={omega!r}")
     k0 = math.sqrt(_SQRT2 * abs(z) * root / lam**2)
     a0 = elliptic.inverse_dn(math.sqrt(omega - z * z / 4.0) / lam, k0)
-    return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) + sign * a0)
+    return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) - math.copysign(1.0, z) * a0)
 
 
 def threshold_T0(omega: float, z: float) -> float:
@@ -277,7 +269,7 @@ def threshold_T0(omega: float, z: float) -> float:
     as Z -> 0, which is *half* the classical dnoidal threshold
     sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
     """
-    return _signed_threshold(omega, z, -1.0)
+    return period_threshold(omega, abs(z))
 
 
 def threshold_T1(omega: float, z: float) -> float:
@@ -287,18 +279,12 @@ def threshold_T1(omega: float, z: float) -> float:
     T1 -> (3/2) sqrt2 pi/sqrt(omega), above the classical threshold
     returned at Z = 0 exactly.
     """
-    return _signed_threshold(omega, z, 1.0)
-
-
-def period_threshold(omega: float, z: float) -> float:
-    """The threshold relevant to the sign of Z (T0 for Z >= 0, T1 for Z < 0)."""
-    return threshold_T0(omega, z) if z >= 0.0 else threshold_T1(omega, z)
+    return period_threshold(omega, -abs(z))
 
 
 def period_residual(params: WaveParams, eta2: float) -> float:
-    """|T(eta2) - 2L| on the branch of the sign of Z (T_- for Z >= 0, T_+ for Z < 0)."""
-    period = period_minus if params.z >= 0.0 else period_plus
-    return abs(period(eta2, params.omega, params.z) - 2.0 * params.halfperiod)
+    """|T(eta2) - 2L| on the branch of the sign of Z (see _period_and_slope)."""
+    return abs(_period_and_slope(eta2, params.omega, params.z)[0] - 2.0 * params.halfperiod)
 
 
 def solve_eta2(params: WaveParams) -> float:
@@ -319,35 +305,29 @@ def solve_eta2(params: WaveParams) -> float:
         raise AdmissibilityError(
             f"no wave of period 2L={target!r}: requires 2L > {kind}(omega,Z)={thresh!r}"
         )
-    period, sign = (period_minus, -1.0) if z >= 0.0 else (period_plus, 1.0)
+    # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
+    # an error of order its square, far below the noise of T that a smaller xtol chases.
+    # Memoised, so the bracket ends found below are not evaluated again by newton.
+    @cache
+    def fdf(t: float) -> tuple[float, float]:
+        eta2 = math.exp(t)
+        period, slope = _period_and_slope(eta2, omega, z)
+        return period - target, eta2 * slope
+
     upper = theta_admissible(omega, z)
-    eps = _ETA2_BRACKET_EPS * upper
     # period decreasing: above the target near 0 (divergence), below it near theta.
-    hi = upper - eps
-    if period(hi, omega, z) > target:
+    hi = upper - _ETA2_BRACKET_EPS * upper
+    if fdf(math.log(hi))[0] > 0.0:
         # target barely above the threshold; the root hugs the upper end.
         raise NumericsError(
             f"period solve lost its bracket at eta2={hi!r} (2L={target!r} too close "
             f"to the threshold {thresh!r})"
         )
-    # Walk the lower end down geometrically until the period exceeds the
-    # target; K(k) diverges only logarithmically as eta2 -> 0, so this
-    # stays far away from the k = 1 evaluation cutoff.
+    # Walk the lower end down geometrically until the period exceeds the target; where it
+    # never does, the K_ONE_CUTOFF refusal (eta2/eta1 ~ 1.4e-6) ends the walk.
     lo = 0.5 * upper
-    while period(lo, omega, z) <= target:
+    while fdf(math.log(lo))[0] <= 0.0:
         lo *= 0.5
-        if lo < eps:
-            raise NumericsError(
-                f"period solve could not bracket below eta2={eps!r} "
-                f"(omega={omega!r}, Z={z!r}, 2L={target!r})"
-            )
-    # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
-    # an error of order its square, far below the noise of T that a smaller xtol chases.
-    def fdf(t: float) -> tuple[float, float]:
-        eta2 = math.exp(t)
-        period_value, slope = _period_and_slope(eta2, omega, z, sign)
-        return period_value - target, eta2 * slope
-
     eta2 = math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12))
     resid = period_residual(params, eta2)
     if resid > PERIOD_RESIDUAL_TOL:

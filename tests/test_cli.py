@@ -12,9 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlsdelta.cli import build_parser, main
+from nlsdelta.cli import _SWEEP_HEADER, build_parser, main
 from nlsdelta.evolve import DEFAULT_SEED
-from nlsdelta.wave import PERIOD_RESIDUAL_TOL, period_minus, period_plus, theta_admissible
+from nlsdelta.stability import classify
+from nlsdelta.wave import (
+    PERIOD_RESIDUAL_TOL,
+    WaveParams,
+    period_minus,
+    period_plus,
+    theta_admissible,
+)
 
 WAVE = ["--omega", "20", "--z", "1", "--half-period", "0.5"]
 
@@ -192,6 +199,10 @@ class TestSweep:
         side = json.loads((tmp_path / "lattice_sweep.json").read_text())
         assert side["points"] == 4
 
+    def test_header_is_the_report_schema(self):
+        report = classify(WaveParams(20.0, 1.0, 0.5))
+        assert tuple(report.as_dict()) == _SWEEP_HEADER
+
 
 class TestTypedFailures:
     def test_zero_time_step(self, tmp_path, capsys):
@@ -199,6 +210,19 @@ class TestTypedFailures:
                    "--T", "0.01", "--dt", "0", "--n", "256"])
         assert rc == 2
         assert "dt must be positive" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE, "--T", "0.01",
+                   "--n", "256", "--perturb", "random:1e-3", "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude(self, tmp_path, capsys, amplitude):
+        rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE, "--T", "0.01",
+                   "--n", "256", "--perturb", f"even:{amplitude}"])
+        assert rc == 2
+        assert f"amplitude must be finite, got {amplitude}" in capsys.readouterr().err
 
     def test_odd_evolver_grid(self, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "evolve", *WAVE,

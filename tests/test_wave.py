@@ -8,6 +8,7 @@ structure of the solved parameters.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestPeriodMapsAndThresholds:
             assert t1 == pytest.approx(1.5 * classic, rel=1e-3)
             assert wave.threshold_T0(omega, 0.0) == pytest.approx(classic)
 
+    @pytest.mark.parametrize("z", [2.0, -2.0, 1.0, -1.0, 1e-6, -1e-6, 0.0, -0.0])
+    def test_threshold_follows_the_sign_of_z(self, z):
+        omega = 20.0
+        expected = wave.threshold_T0 if z >= 0.0 else wave.threshold_T1
+        assert wave.period_threshold(omega, z) == expected(omega, z)
+        assert wave.threshold_T0(omega, -z) == wave.threshold_T0(omega, z)
+        assert wave.threshold_T1(omega, -z) == wave.threshold_T1(omega, z)
+        if z == 0.0:
+            assert wave.period_threshold(omega, z) == SQRT2 * math.pi / math.sqrt(omega)
+
     def test_threshold_anchor_frequency(self):
         # the unit-cell threshold frequency for Z=1 sits near 5.12
         from nlsdelta.rootfind import bisect
@@ -117,6 +128,11 @@ class TestSolveEta2:
         eta2 = wave.solve_eta2(params)
         period = wave.period_minus if z >= 0.0 else wave.period_plus
         assert period(eta2, omega, z) == pytest.approx(2.0 * L, abs=1e-12)
+
+    @pytest.mark.parametrize("omega,L", [(8.0, 1.0), (20.0, 0.5)])
+    def test_negative_zero_defect_is_classical(self, omega, L):
+        eta2 = wave.solve_eta2(WaveParams(omega, 0.0, L))
+        assert wave.solve_eta2(WaveParams(omega, -0.0, L)) == eta2
 
     def test_inadmissible_reports_threshold(self):
         with pytest.raises(AdmissibilityError, match="T1"):
@@ -359,16 +375,20 @@ class TestPeriodSlope:
         mpmath = pytest.importorskip("mpmath")
         sign = -1.0 if z >= 0.0 else 1.0
         eta2 = fraction * wave.theta_admissible(omega, z)
-        period, slope = wave._period_and_slope(eta2, omega, z, sign)
+        period, slope = wave._period_and_slope(eta2, omega, z)
         with mpmath.workdps(30):
             expected = mpmath.diff(lambda e: _period_oracle(e, omega, z, sign), mpmath.mpf(eta2))
             assert period == pytest.approx(float(_period_oracle(eta2, omega, z, sign)), rel=1e-11)
         assert abs(slope - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
     def test_period_agrees_with_the_period_maps(self):
-        for z, period in ((1.0, wave.period_minus), (-1.0, wave.period_plus), (0.0, wave.period_minus)):
-            sign = -1.0 if z >= 0.0 else 1.0
-            assert wave._period_and_slope(2.0, 20.0, z, sign)[0] == period(2.0, 20.0, z)
+        # the sign of Z picks the branch; off the branch the maps read |Z|; -0.0 is classical
+        cases = ((1.0, wave.period_minus), (-1.0, wave.period_plus), (0.0, wave.period_minus),
+                 (-0.0, wave.period_plus), (-0.0, wave.period_minus))
+        for z, period in cases:
+            assert wave._period_and_slope(2.0, 20.0, z)[0] == period(2.0, 20.0, z)
+            assert period(2.0, 20.0, -z) == period(2.0, 20.0, z)
+        assert wave._period_and_slope(2.0, 20.0, -0.0) == wave._period_and_slope(2.0, 20.0, 0.0)
 
 
 def _latin_hypercube(rng, count):
@@ -399,6 +419,21 @@ class TestNewtonSolve:
                 assert wave.period_residual(params, eta2) <= wave.PERIOD_RESIDUAL_TOL
         assert max(counts) <= 24
         assert sum(counts) / len(counts) <= 14.0
+
+    def test_each_bracket_point_is_evaluated_once(self, monkeypatch):
+        # newton opens on the points the f(hi) check and the walk evaluated; only the
+        # residual check may see a point again, and only the root it checks
+        seen = []
+        for name in ("period_minus", "period_plus", "_period_and_slope"):
+            fn = getattr(wave, name)
+            monkeypatch.setattr(wave, name, lambda e, *a, fn=fn: seen.append(e) or fn(e, *a))
+        rng = random.Random(9)
+        for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
+            for omega, abs_z in _latin_hypercube(rng, 20):
+                seen.clear()
+                eta2 = wave.solve_eta2(WaveParams(omega, sign * abs_z, L))
+                repeated = {e: n for e, n in Counter(seen).items() if n > 1}
+                assert repeated in ({}, {eta2: 2}), (omega, sign * abs_z, L)
 
     @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
     def test_root_matches_bisection(self, omega, z, L):
