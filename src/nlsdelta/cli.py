@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,13 +70,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             )
 
 
-def _write_sidecar(csv_path: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_sidecar(path: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
     payload = {
         "version": __version__,
         "config": vars(args) | {"func": None},
         **(extra or {}),
     }
-    csv_path.with_suffix(".json").write_text(
+    path.with_suffix(".json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -152,9 +153,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "expected_kernel": idx.expected_kernel,
         "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},
     }
-    payload = {"version": __version__, **report.as_dict(), "numerics": numerics}
     out = _out_dir(args) / f"{args.prefix}_classification.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_sidecar(out, args, report.as_dict() | {"numerics": numerics})
     print(f"{report.verdict.value} (n={report.n_negative}, p={report.p_index}, "
           f"slope={report.slope:.6g}) -> {out}")
     if args.strict_inconclusive and report.verdict is Verdict.INCONCLUSIVE:
@@ -192,6 +192,7 @@ def _sweep_point(task: tuple[float, float, float]) -> dict:
             "slope": float("nan"),
             "verdict": f"error:{type(exc).__name__}",
             "kernel_caveat": False,
+            "message": str(exc),  # for the sidecar only; not a CSV column
         }
 
 
@@ -200,24 +201,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise AdmissibilityError(f"--workers must be >= 1, got {args.workers}")
     if args.omega_steps < 1:
         raise AdmissibilityError(f"--omega-steps must be >= 1, got {args.omega_steps}")
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not math.isfinite(value):
+            raise AdmissibilityError(f"{flag} must be finite, got {value}")
+    if not 0.0 < args.half_period < math.inf:
+        raise AdmissibilityError(f"--half-period must be finite and > 0, got {args.half_period}")
+    try:
+        zs = [float(token) for token in args.z_values.split(",")]
+    except ValueError as exc:
+        raise AdmissibilityError(f"--z-values: {exc}") from exc
+    if not all(map(math.isfinite, zs)):
+        raise AdmissibilityError(f"--z-values must be finite, got {args.z_values}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    zs = []
-    for token in args.z_values.split(","):
-        try:
-            zs.append(float(token))
-        except ValueError as exc:
-            raise AdmissibilityError(f"--z-values: {token!r} is not a number") from exc
     tasks = [(float(w), z, args.half_period) for w in omegas for z in zs]
     out = _out_dir(args) / f"{args.prefix}_sweep.csv"
-    rows: list[Sequence] = []
+    rows: list[dict] = []
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             for row in pool.map(_sweep_point, tasks):
-                rows.append([row[k] for k in _SWEEP_HEADER])
+                rows.append(row)
     finally:
         # Flush whatever finished, including on interrupt.
-        _write_csv(out, _SWEEP_HEADER, rows)
-        _write_sidecar(out, args, {"points": len(rows)})
+        _write_csv(out, _SWEEP_HEADER, ([row[k] for k in _SWEEP_HEADER] for row in rows))
+        errors = [{k: row[k] for k in ("omega", "z", "half_period", "message")}
+                  for row in rows if "message" in row]
+        _write_sidecar(out, args, {"points": len(rows), "errors": errors})
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")
     return EXIT_OK
 

@@ -96,12 +96,12 @@ def norm_squared(profile: WaveProfile) -> float:
     Substituting u = eta1 xi/sqrt2 + s (s the signed shift) turns the
     integral of eta1^2 dn^2 over u in [s, K] into E(am(u; k); k), odd in u:
 
-        ||phi||^2 = 2 sqrt2 eta1 [E(k) - E(am(s; k); k)].
+        ||phi||^2 = 2 sqrt2 eta1 [E(k) - E(am(s; k); k)],
+
+    where E(am(s; k); k) = copysign(E(psi; k), Z) reads the orbit's amplitude psi = am(a; k).
     """
-    k, eta1 = profile.k, profile.eta1
-    sn_s, _, _ = elliptic.jacobi_sn_cn_dn(profile.shift, k)
-    e_inc = elliptic.incomplete_E(math.asin(max(-1.0, min(1.0, sn_s))), k)
-    return 2.0 * math.sqrt(2.0) * eta1 * (elliptic.complete_E(k) - e_inc)
+    e_inc = math.copysign(elliptic.incomplete_E(profile.psi, profile.k), profile.params.z)
+    return 2.0 * math.sqrt(2.0) * profile.eta1 * (elliptic.complete_E(profile.k) - e_inc)
 
 
 def norm_squared_quadrature(profile: WaveProfile) -> float:

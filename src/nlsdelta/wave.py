@@ -127,20 +127,20 @@ def _check_eta2(eta2: float, omega: float, z: float) -> None:
         )
 
 
-def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, float]:
-    """The orbit fixed by eta2: (eta1, k, Phi, a).
+def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
+    """The orbit fixed by eta2: (eta1, k, Phi, a, psi, spread, s, upper, lower).
 
-    eta1^2 = 2 omega - eta2^2, k^2 = (eta1^2 - eta2^2)/eta1^2, the
-    defect value Phi is phi_at_zero's root, and the shift
-    a = dn^{-1}(Phi/eta1; k) lies in [0, K(k)] (Phi = eta1, a = 0 at
-    Z = 0).  With s = sqrt(disc), disc = (eta1^2 - eta2^2)^2
-    - Z^2 (2 omega - Z^2/4), the two gaps of Phi^2 inside the band are
+    eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi is
+    phi_at_zero's root and the shift a = F(psi; k) = dn^{-1}(Phi/eta1; k) lies
+    in [0, K(k)].  With s = sqrt(disc), disc = spread^2 - Z^2 (2 omega - Z^2/4),
+    the gaps eta1^2 - Phi^2 = Z^2 upper and Phi^2 - eta2^2 = lower of Phi^2,
 
-        eta1^2 - Phi^2 = Z^2/2 [1/2 + (2 omega - Z^2/4)/(s + eta1^2 - eta2^2)],
-        Phi^2 - eta2^2 = [eta1^2 - eta2^2 - Z^2/2 + s]/2,
+        upper = [1/2 + (2 omega - Z^2/4)/(s + spread)]/2,  lower = [spread - Z^2/2 + s]/2,
 
-    sums of positive terms, so a keeps full relative accuracy as Z -> 0
-    (eta1^2 minus a rounded Phi^2 loses all of it below |Z| ~ 1e-8).
+    are sums of positive terms, so a and its amplitude psi = am(a; k), sin psi :
+    cos psi = |Z| sqrt(upper) : sqrt(lower), keep full relative accuracy as Z -> 0
+    (eta1^2 minus a rounded Phi^2 loses all of it below |Z| ~ 1e-8).  Z = 0
+    forms no discriminant: Phi = eta1, a = psi = 0 and s = upper = lower = 0.
     """
     _check_eta2(eta2, omega, z)
     eta1_sq = 2.0 * omega - eta2**2
@@ -150,14 +150,7 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, float, float, fl
     eta1 = math.sqrt(eta1_sq)
     k = math.sqrt(spread / eta1_sq)
     if z == 0.0:
-        return eta1, k, eta1, 0.0
-    _, upper, lower = _gaps(eta2, spread, omega, z)
-    a = elliptic.inverse_am(abs(z) * math.sqrt(upper), math.sqrt(lower), k)
-    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a
-
-
-def _gaps(eta2: float, spread: float, omega: float, z: float) -> tuple[float, float, float]:
-    """(s, upper, lower) of _orbit's Phi: eta1^2 - Phi^2 = Z^2 upper, Phi^2 - eta2^2 = lower."""
+        return eta1, k, eta1, 0.0, 0.0, spread, 0.0, 0.0, 0.0
     disc = spread * spread - z * z * (2.0 * omega - 0.25 * z * z)
     if not math.isfinite(disc):
         raise NumericsError(
@@ -169,7 +162,11 @@ def _gaps(eta2: float, spread: float, omega: float, z: float) -> tuple[float, fl
         )
     s = math.sqrt(disc)
     upper = 0.5 * (0.5 + (2.0 * omega - 0.25 * z * z) / (s + spread))
-    return s, upper, 0.5 * (spread - 0.5 * z * z + s)
+    lower = 0.5 * (spread - 0.5 * z * z + s)
+    sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
+    a = elliptic.inverse_am(sin_psi, cos_psi, k)
+    psi = math.atan2(sin_psi, cos_psi)
+    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a, psi, spread, s, upper, lower
 
 
 def phi_at_zero(eta2: float, omega: float, z: float) -> float:
@@ -185,10 +182,10 @@ def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float
     """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form.
 
     T = 2 sqrt2/eta1 [K(k) - s] with the signed shift s = copysign(a, Z):
-    T_- for Z > 0 (and +0.0), T_+ for Z < 0.  The orbit depends on |Z| only.
-    dk/deta2 = -2 eta2 omega/(k eta1^4), dK/dk (DLMF 19.4.1), dF/dk
-    (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k), where sin^2 psi =
-    Z^2 upper/spread (see _gaps), give with c = -2 omega/(spread eta2):
+    T_- for Z > 0 (and +0.0), T_+ for Z < 0.  The orbit depends on |Z| only
+    and is read from _orbit whole.  dk/deta2 = -2 eta2 omega/(k eta1^4),
+    dK/dk (DLMF 19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for
+    a = F(psi; k) give with c = -2 omega/(spread eta2):
 
         dK/deta2 = c [E - k'^2 K],
         da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
@@ -196,7 +193,7 @@ def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float
 
     free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
     """
-    eta1, k, phi, a = _orbit(eta2, omega, z)
+    eta1, k, phi, a, psi, spread, s, upper, lower = _orbit(eta2, omega, z)
     if k >= 1.0 - elliptic.K_ONE_CUTOFF:
         raise NumericsError(
             f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
@@ -205,15 +202,12 @@ def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float
     sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
     big_k = elliptic.complete_K(k)
     kp_sq = (eta2 / eta1) ** 2
-    spread = 2.0 * omega - eta2**2 - eta2**2  # as in _orbit, bit for bit
     c = -2.0 * omega / (spread * eta2)
     d_sum = c * (elliptic.complete_E(k) - kp_sq * big_k)
     if z != 0.0:
-        s, upper, lower = _gaps(eta2, spread, omega, z)
-        sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
-        sc = sin_psi * cos_psi / spread
+        sc = abs(z) * math.sqrt(upper) * math.sqrt(lower) / spread
         d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
-        e_psi = elliptic.incomplete_E(math.atan2(sin_psi, cos_psi), k)
+        e_psi = elliptic.incomplete_E(psi, k)
         d_a = c * (e_psi - kp_sq * a) + (sc * 2.0 * omega / (eta2 * eta1) + eta1 * d_psi) / phi
         d_sum += sigma * d_a
     total = big_k + sigma * a
@@ -345,11 +339,12 @@ def _dnoidal(xs, eta1: float, k: float, shift: float) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """A standing-wave profile: its orbit (eta1, eta2, k, a), the sign of Z and a grid size n.
+    """A standing-wave profile: its orbit, the sign of Z and a grid size n.
 
-    ``evaluate`` and ``derivative`` give the closed form at any points (the
-    derivative at x = 0 is the right-sided value); ``x``/``samples`` sample
-    it on first read on the (n+1)-point grid over [-L, L], nodes at 0 and +-L.
+    The orbit is (eta1, eta2, k, a, psi), psi = am(a; k) the shift's amplitude.
+    ``evaluate``/``derivative`` give the closed form anywhere (phi'(0) is
+    right-sided); ``x``/``samples`` sample it on first read on the (n+1)-point
+    grid over [-L, L], nodes at 0 and +-L.
     """
 
     params: WaveParams
@@ -357,6 +352,7 @@ class WaveProfile:
     eta2: float
     k: float
     a: float
+    psi: float
     n: int
 
     @property
@@ -453,8 +449,8 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
         raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
     omega, z = params.omega, params.z
     eta2 = solve_eta2(params)
-    eta1, k, _, a = _orbit(eta2, omega, z)
-    profile = WaveProfile(params, eta1, eta2, k, a, n)
+    eta1, k, _, a, psi = _orbit(eta2, omega, z)[:5]
+    profile = WaveProfile(params, eta1, eta2, k, a, psi, n)
     if abs(eta1**2 + eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
         raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
     if not eta1 - eta2 > abs(z) / _SQRT2:
@@ -498,8 +494,8 @@ def solitary_limit_check(
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        eta1, k, _, a = _orbit(eta2, omega, z)
-        profile = WaveProfile(view, eta1, eta2, k, a, n)
+        eta1, k, _, a, psi = _orbit(eta2, omega, z)[:5]
+        profile = WaveProfile(view, eta1, eta2, k, a, psi, n)
         shifts.append(profile.shift)
         target = solitary_profile(omega, z, profile.x)
         sups.append(float(np.max(np.abs(profile.samples - target))))

@@ -144,8 +144,12 @@ class TestClassify:
         period = period_minus if z >= 0.0 else period_plus
         assert resid == abs(period(eta2, omega, z) - 2.0 * half_period)
         # the sweep-row keys are unchanged: eta2 lives only under numerics
-        assert set(rep) == {"version", "numerics", "omega", "z", "half_period", "n_negative",
-                            "n_negative_even", "p_index", "slope", "verdict", "kernel_caveat"}
+        assert set(rep) == {"version", "config", "numerics", "omega", "z", "half_period",
+                            "n_negative", "n_negative_even", "p_index", "slope", "verdict",
+                            "kernel_caveat"}
+        # written by the sidecar code, so the result records how it was produced
+        assert rep["config"]["command"] == "classify"
+        assert (rep["config"]["omega"], rep["config"]["z"]) == (omega, z)
 
 
 class TestParser:
@@ -198,6 +202,12 @@ class TestSweep:
         assert any(v.startswith("error:") for v in verdicts)
         side = json.loads((tmp_path / "lattice_sweep.json").read_text())
         assert side["points"] == 4
+        # each error row keeps its message in the sidecar, keyed by its point
+        failed = [[float(v) for v in r[:3]] for r in rows if r[7].startswith("error:")]
+        errors = side["errors"]
+        assert [[e["omega"], e["z"], e["half_period"]] for e in errors] == failed
+        assert all(set(e) == {"omega", "z", "half_period", "message"} for e in errors)
+        assert all(e["message"] for e in errors)
 
     def test_header_is_the_report_schema(self):
         report = classify(WaveParams(20.0, 1.0, 0.5))
@@ -235,12 +245,25 @@ class TestTypedFailures:
         assert rc == 2
         assert "n=511" in capsys.readouterr().err
 
-    def test_bad_z_value_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--z-values", "1,x", "'x'"),
+        ("--z-values", "1,nan", "1,nan"),
+        ("--z-values", "-inf,1", "-inf,1"),
+        ("--omega-min", "inf", "inf"),
+        ("--omega-max", "nan", "nan"),
+        ("--half-period", "inf", "inf"),
+        ("--half-period", "-1", "-1"),
+        ("--half-period", "0", "0"),
+    ], ids=["z-not-a-number", "z-nan", "z-minus-inf", "omega-min-inf", "omega-max-nan",
+            "half-period-inf", "half-period-negative", "half-period-zero"])
+    def test_malformed_sweep_value_named(self, tmp_path, capsys, flag, value, shown):
+        # rejected before the pool starts: exit 2, no CSV, the flag and its value named
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
-                   "--omega-max", "24", "--omega-steps", "2", "--z-values", "1,x",
-                   "--half-period", "0.5", "--workers", "1"])
+                   "--omega-max", "24", "--omega-steps", "3", "--z-values", "1,-1",
+                   "--half-period", "0.5", "--workers", "1", f"{flag}={value}"])
         assert rc == 2
-        assert "'x'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and shown in err
         assert not (tmp_path / "lattice_sweep.csv").exists()
 
 

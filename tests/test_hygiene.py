@@ -8,7 +8,9 @@ exempt, its wrappers raise ``ValueError`` as their tests pin.  Every
 function, class and method the package defines is referenced somewhere
 in ``src/``, ``tests/`` or ``perfbench/``, by name, attribute or inside
 a string that is neither a docstring nor an ``__all__`` entry; dunder
-methods are exempt, Python calls them.
+methods are exempt, Python calls them.  Every ``__all__`` entry names a
+function, class or assignment of its own module, so a deletion cannot
+leave a stale export behind.
 """
 
 import ast
@@ -179,6 +181,43 @@ def test_no_dead_definitions():
         if (found := unreferenced_definitions(path.read_text(encoding="utf-8"), refs))
     }
     assert dead == {}
+
+
+def module_definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def stale_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return sorted(exported_names(tree) - module_definitions(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_defined_in_their_module(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_stale_export_detector():
+    source = (
+        "from .errors import NumericsError\n"
+        "LIMIT = 1.0\n"
+        "TOL: float = 1e-9\n"
+        "class A:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "def f():\n"
+        "    inner = 1\n"
+        "__all__ = ['A', 'f', 'LIMIT', 'TOL', 'NumericsError', 'method', 'inner', 'gone']\n"
+    )
+    assert stale_exports(source) == ["NumericsError", "gone", "inner", "method"]
 
 
 def test_dead_definition_detector():

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlsdelta import linops, stability
+from nlsdelta import elliptic, linops, stability
 from nlsdelta.stability import Verdict, classify, norm_squared, slope, verdict_from_counts
 from nlsdelta.wave import WaveParams, build_profile
 
@@ -22,12 +22,23 @@ BRANCH_POINTS = [
 
 
 class TestNorm:
-    @pytest.mark.parametrize("omega,z,L", BRANCH_POINTS)
+    @pytest.mark.parametrize("omega,z,L", BRANCH_POINTS + [(20.0, 1e-8, 0.5), (20.0, -1e-8, 1.0)])
     def test_closed_form_against_quadrature(self, omega, z, L):
         p = build_profile(WaveParams(omega, z, L), n=8192)
         assert norm_squared(p) == pytest.approx(
             stability.norm_squared_quadrature(p), rel=1e-7
         )
+
+    def test_reads_the_orbit_amplitude(self, monkeypatch):
+        # the norm takes E(psi; k) from the orbit, with no sn(s) -> asin round trip
+        profiles = [build_profile(WaveParams(*point), n=512) for point in BRANCH_POINTS]
+        expected = [norm_squared(p) for p in profiles]
+
+        def refuse(*args):
+            raise AssertionError("jacobi_sn_cn_dn called")
+
+        monkeypatch.setattr(elliptic, "jacobi_sn_cn_dn", refuse)
+        assert [norm_squared(p) for p in profiles] == expected
 
     @pytest.mark.parametrize("omega,z,L", BRANCH_POINTS)
     def test_positive(self, omega, z, L):
