@@ -94,11 +94,10 @@ def norm_squared(profile: WaveProfile) -> float:
     """Closed-form squared L2 norm of the profile over the cell.
 
     Substituting u = eta1 xi/sqrt2 + s (s the signed shift) turns the
-    integral of eta1^2 dn^2 over u in [s, K] into E(am(u; k); k), odd in u:
+    integral of eta1^2 dn^2 over u in [s, K] into E(am(u; k); k), odd in u;
+    am(s; k) = copysign(psi, Z) with psi = am(a; k) the orbit's amplitude:
 
-        ||phi||^2 = 2 sqrt2 eta1 [E(k) - E(am(s; k); k)],
-
-    where E(am(s; k); k) = copysign(E(psi; k), Z) reads the orbit's amplitude psi = am(a; k).
+        ||phi||^2 = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)].
     """
     e_inc = math.copysign(elliptic.incomplete_E(profile.psi, profile.k), profile.params.z)
     return 2.0 * math.sqrt(2.0) * profile.eta1 * (elliptic.complete_E(profile.k) - e_inc)
