@@ -122,7 +122,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for i, (lam, par) in enumerate(zip(spec.eigenvalues, spec.parities))
     ]
     _write_csv(out, ["index", "eigenvalue", "parity"], rows)
-    _write_sidecar(out, args, {"n_negative": idx.n_negative, "band": idx.band})
+    _write_sidecar(out, args, {"n_negative": idx.n_negative, "band": idx.band,
+                               "expected_kernel": idx.expected_kernel, "surplus": idx.surplus})
     print(f"wrote {out} (n_negative={idx.n_negative})")
     return EXIT_OK
 

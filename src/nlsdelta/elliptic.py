@@ -3,9 +3,10 @@
 Thin, validated wrappers around scipy.special with the conventions used
 throughout this package: the *modulus* k (not the parameter m = k^2) is
 always the argument, the degenerate circular (k = 0) and hyperbolic
-(k = 1) limits are handled explicitly, and dn has a closed-form inverse
-on the fundamental quarter period [0, K(k)] through the incomplete
-integral F (DLMF 22.15).
+(k = 1) limits are handled explicitly, and the inverse on the quarter
+period [0, K(k)] is taken from the amplitude: inverse_am maps sn : cn to
+u = F(am u; k) (DLMF 22.15, 22.16).  dn has no inverse of its own; a
+caller that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.
 
 Conventions
 -----------
@@ -27,14 +28,12 @@ from scipy import special
 
 __all__ = [
     "K_ONE_CUTOFF",
-    "complement",
     "complete_K",
     "complete_E",
     "incomplete_F",
     "incomplete_E",
     "jacobi_sn_cn_dn",
     "jacobi_dn",
-    "inverse_dn",
     "inverse_am",
 ]
 
@@ -50,12 +49,6 @@ def _check_modulus(k: float, allow_one: bool = True) -> float:
         upper = "1" if allow_one else "1)"
         raise ValueError(f"modulus k={k!r} outside [0, {upper}]")
     return k
-
-
-def complement(k: float) -> float:
-    """Complementary modulus k' = sqrt(1 - k^2), computed stably near k = 1."""
-    k = _check_modulus(k)
-    return math.sqrt((1.0 - k) * (1.0 + k))
 
 
 def complete_K(k: float) -> float:
@@ -126,32 +119,6 @@ def jacobi_sn_cn_dn(
 def jacobi_dn(u: ArrayLike, k: float) -> ArrayLike:
     """Jacobi dn alone; see jacobi_sn_cn_dn."""
     return jacobi_sn_cn_dn(u, k)[2]
-
-
-def inverse_dn(y: float, k: float) -> float:
-    """Inverse of dn(.; k) on the quarter period [0, K(k)], in closed form.
-
-    dn is strictly decreasing from dn(0) = 1 to dn(K) = k' there, so the
-    root is unique: sn u : cn u = sqrt((1-y)(1+y)) : sqrt((y-k')(y+k'))
-    (the common 1/k dropped; the factored differences keep full relative
-    accuracy as y -> 1 and y -> k'), so u = inverse_am of those.  On the
-    hyperbolic branch this is arccosh(1/y).
-
-    Parameters
-    ----------
-    y : target value, must lie in [k', 1].
-    k : modulus in [0, 1].
-    """
-    k = _check_modulus(k)
-    y = float(y)
-    if k >= 1.0 - K_ONE_CUTOFF:
-        if not 0.0 < y <= 1.0:
-            raise ValueError(f"inverse_dn target y={y!r} outside (0, 1] at k=1")
-        return float(np.arccosh(1.0 / y))
-    kp = complement(k)
-    if not kp <= y <= 1.0:
-        raise ValueError(f"inverse_dn target y={y!r} outside [k', 1] = [{kp!r}, 1]")
-    return inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), k)
 
 
 def inverse_am(s: float, c: float, k: float) -> float:

@@ -24,9 +24,10 @@ map T_+(eta2) (Z<0) is observed numerically to dip below its endpoint limit
 T1 before rising back to it, so the solve targets the decreasing branch
 where the root is unique (see solve_eta2).
 
-Existence thresholds: the period maps range over (T0(omega,Z), inf)
-resp. (T1(omega,Z), inf), so a wave of period 2L exists iff 2L exceeds
-the corresponding threshold (together with omega > Z^2/4).  The separate
+Existence thresholds: T0 = T_-(theta) and T1 = T_+(theta) are the same
+period body at the closed end eta2 = theta (see _orbit), so a peak wave of
+period 2L exists iff 2L > T0 (with omega > Z^2/4), and the trough solve asks
+2L > T1 to stay on the decreasing branch of T_+.  The separate
 small-defect continuation condition omega > pi^2/(2 L^2) is computed and
 reported as a diagnostic flag, but deliberately does not veto
 construction: profiles at moderate Z exist well below it.
@@ -35,7 +36,6 @@ construction: profiles at moderate Z exist well below it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -111,59 +111,58 @@ class WaveParams:
 
 
 def theta_admissible(omega: float, z: float) -> float:
-    """Upper end theta(omega, Z) of the admissible eta2 interval (0, theta)."""
+    """Upper end theta = sqrt(omega - Z^2/8) - sqrt2 |Z|/4 of the admissible eta2 in (0, theta],
+    formed as (omega - Z^2/4)/(sqrt(omega - Z^2/8) + sqrt2 |Z|/4), free of the difference."""
     disc = omega - z * z / 8.0
     if disc <= 0.0:
         raise AdmissibilityError(f"omega={omega!r} too small for |Z|={abs(z)!r}")
-    return -(_SQRT2 / 4.0) * abs(z) + math.sqrt(disc)
+    return (omega - 0.25 * z * z) / (math.sqrt(disc) + (_SQRT2 / 4.0) * abs(z))
 
 
-def _check_eta2(eta2: float, omega: float, z: float) -> None:
+def _check_eta2(eta2: float, omega: float, z: float) -> float:
     th = theta_admissible(omega, z)
-    if not 0.0 < eta2 < th:
-        raise AdmissibilityError(
-            f"eta2={eta2!r} outside the admissible interval (0, {th!r}) "
-            f"for omega={omega!r}, Z={z!r}"
-        )
+    if not 0.0 < eta2 <= th:
+        raise AdmissibilityError(f"eta2={eta2!r} outside the admissible interval (0, {th!r}] "
+                                 f"for omega={omega!r}, Z={z!r}")
+    return th
 
 
 def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
-    """The orbit fixed by eta2: (eta1, k, Phi, a, psi, spread, s, upper, lower).
+    """The orbit fixed by eta2 in (0, theta]: (eta1, k, Phi, a, psi, spread, s, upper, lower).
 
     eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi is
     phi_at_zero's root and the shift a = F(psi; k) = dn^{-1}(Phi/eta1; k) lies
-    in [0, K(k)].  With s = sqrt(disc), disc = spread^2 - Z^2 (2 omega - Z^2/4),
-    the gaps eta1^2 - Phi^2 = Z^2 upper and Phi^2 - eta2^2 = lower of Phi^2,
+    in [0, K(k)].  On g = theta^2 - eta2^2 = (theta - eta2)(theta + eta2) and
+    r = sqrt(2 omega - Z^2/4), the discriminant s^2 and the gaps eta1^2 - Phi^2 =
+    Z^2 upper and Phi^2 - eta2^2 = lower are sums of non-negative terms,
 
-        upper = [1/2 + (2 omega - Z^2/4)/(s + spread)]/2,  lower = [spread - Z^2/2 + s]/2,
+        spread = 2g + |Z| r,  s^2 = spread^2 - Z^2 r^2 = 2g (spread + |Z| r),
+        upper = [1/2 + r^2/(s + spread)]/2,
+        lower = [spread - Z^2/2 + s]/2 = g + |Z| (omega - Z^2/4)/(r + |Z|/2) + s/2,
 
-    are sums of positive terms, so a and its amplitude psi = am(a; k), sin psi :
-    cos psi = |Z| sqrt(upper) : sqrt(lower), keep full relative accuracy as Z -> 0
-    (eta1^2 minus a rounded Phi^2 loses all of it below |Z| ~ 1e-8).  Z = 0
-    forms no discriminant: Phi = eta1, a = psi = 0 and s = upper = lower = 0.
+    so s > 0 inside (0, theta), s = 0 at theta (the threshold), and a and
+    psi = am(a; k), sin psi : cos psi = |Z| sqrt(upper) : sqrt(lower), keep
+    full relative accuracy as Z -> 0.  Z = 0 stops after k: Phi = eta1 and
+    a = psi = s = upper = lower = 0.
     """
-    _check_eta2(eta2, omega, z)
-    eta1_sq = 2.0 * omega - eta2**2
-    spread = eta1_sq - eta2**2
-    if not 0.0 < spread < math.inf:
+    th = _check_eta2(eta2, omega, z)
+    eta1_sq = 2.0 * omega - eta2 * eta2
+    gap = (th - eta2) * (th + eta2)
+    r = math.sqrt(2.0 * omega - 0.25 * z * z)
+    zr = abs(z) * r
+    spread = 2.0 * gap + zr
+    if not 0.0 < spread < math.inf:  # also where 2 omega overflows
         raise NumericsError(f"eta1^2 - eta2^2 = {spread!r} over- or underflowed at omega={omega!r}")
     eta1 = math.sqrt(eta1_sq)
     k = math.sqrt(spread / eta1_sq)
     if z == 0.0:
         return eta1, k, eta1, 0.0, 0.0, spread, 0.0, 0.0, 0.0
-    disc = spread * spread - z * z * (2.0 * omega - 0.25 * z * z)
-    if not math.isfinite(disc):
-        raise NumericsError(
-            f"phi(0) discriminant overflowed in double precision at omega={omega!r}, Z={z!r}"
-        )
-    if disc < 0.0:
-        raise AdmissibilityError(
-            f"negative discriminant at eta2={eta2!r}, omega={omega!r}, Z={z!r}"
-        )
-    s = math.sqrt(disc)
-    upper = 0.5 * (0.5 + (2.0 * omega - 0.25 * z * z) / (s + spread))
-    lower = 0.5 * (spread - 0.5 * z * z + s)
+    s = math.sqrt(2.0 * gap) * math.sqrt(spread + zr)
+    upper = 0.5 * (0.5 + r * r / (s + spread))
+    lower = gap + abs(z) * ((omega - 0.25 * z * z) / (r + 0.5 * abs(z))) + 0.5 * s
     sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
+    if not sin_psi + cos_psi < math.inf:
+        raise NumericsError(f"phi(0) gaps overflowed at omega={omega!r}, Z={z!r}")
     a = elliptic.inverse_am(sin_psi, cos_psi, k)
     psi = math.atan2(sin_psi, cos_psi)
     return eta1, k, math.sqrt(eta1_sq - z * z * upper), a, psi, spread, s, upper, lower
@@ -178,14 +177,25 @@ def phi_at_zero(eta2: float, omega: float, z: float) -> float:
     return _orbit(eta2, omega, z)[2]
 
 
+def _period(eta2: float, omega: float, z: float) -> tuple[float, float, tuple[float, ...]]:
+    """(T, K(k), orbit) at eta2 in (0, theta]: T = 2 sqrt2/eta1 [K(k) - copysign(a, Z)],
+    T_- for Z > 0 (and +0.0), T_+ for Z < 0; the orbit depends on |Z| only."""
+    orbit = _orbit(eta2, omega, z)
+    eta1, k, _, a = orbit[:4]
+    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
+        raise NumericsError(
+            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so the period "
+            f"map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})")
+    big_k = elliptic.complete_K(k)
+    return (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z)), big_k, orbit
+
+
 def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float]:
     """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form.
 
-    T = 2 sqrt2/eta1 [K(k) - s] with the signed shift s = copysign(a, Z):
-    T_- for Z > 0 (and +0.0), T_+ for Z < 0.  The orbit depends on |Z| only
-    and is read from _orbit whole.  dk/deta2 = -2 eta2 omega/(k eta1^4),
-    dK/dk (DLMF 19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for
-    a = F(psi; k) give with c = -2 omega/(spread eta2):
+    T is _period's.  dk/deta2 = -2 eta2 omega/(k eta1^4), dK/dk (DLMF
+    19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k) give
+    with c = -2 omega/(spread eta2):
 
         dK/deta2 = c [E - k'^2 K],
         da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
@@ -193,92 +203,83 @@ def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float
 
     free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
     """
-    eta1, k, phi, a, psi, spread, s, upper, lower = _orbit(eta2, omega, z)
-    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
-        raise NumericsError(
-            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so "
-            f"the period map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})"
-        )
-    sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
-    big_k = elliptic.complete_K(k)
-    kp_sq = (eta2 / eta1) ** 2
+    period, big_k, (eta1, k, phi, a, psi, spread, s, upper, lower) = _period(eta2, omega, z)
     c = -2.0 * omega / (spread * eta2)
+    if c == 0.0:  # spread eta2 ~ eta1^3
+        raise NumericsError(f"eta1^3 overflowed in double precision at omega={omega!r}")
+    sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
+    kp_sq = (eta2 / eta1) ** 2
     d_sum = c * (elliptic.complete_E(k) - kp_sq * big_k)
     if z != 0.0:
+        if s == 0.0:
+            raise NumericsError(f"dT/deta2 is infinite at eta2=theta={eta2!r}, omega={omega!r}")
         sc = abs(z) * math.sqrt(upper) * math.sqrt(lower) / spread
         d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
         e_psi = elliptic.incomplete_E(psi, k)
         d_a = c * (e_psi - kp_sq * a) + (sc * 2.0 * omega / (eta2 * eta1) + eta1 * d_psi) / phi
         d_sum += sigma * d_a
-    total = big_k + sigma * a
-    return (2.0 * _SQRT2 / eta1) * total, 2.0 * _SQRT2 * (total * eta2 / eta1**3 + d_sum / eta1)
+    return period, period * eta2 / eta1**2 + 2.0 * _SQRT2 * d_sum / eta1
 
 
 def period_minus(eta2: float, omega: float, z: float) -> float:
     """Minimal period T_- = 2 sqrt2/eta1 * [K(k) - a] of the Z > 0 peak profile.
 
-    Strictly decreasing in eta2, diverging as eta2 -> 0 and tending to
-    the threshold T0(omega, Z) as eta2 -> theta(omega, Z).
+    Strictly decreasing in eta2, diverging as eta2 -> 0 and equal to the
+    threshold T0(omega, Z) at eta2 = theta(omega, Z).
     """
-    return _period_and_slope(eta2, omega, abs(z))[0]
+    return _period(eta2, omega, abs(z))[0]
 
 
 def period_plus(eta2: float, omega: float, z: float) -> float:
     """Minimal period T_+ = 2 sqrt2/eta1 * [K(k) + a] of the Z < 0 trough profile.
 
-    Diverges as eta2 -> 0 and tends to T1(omega, Z) as eta2 -> theta,
+    Diverges as eta2 -> 0 and equals T1(omega, Z) at eta2 = theta,
     but is *not* monotone: it passes through an interior minimum below
     T1 before climbing back (cross-checked against direct ODE
     integration of the profile equation).  Only the initial decreasing
     branch is used by solve_eta2.
     """
-    return _period_and_slope(eta2, omega, -abs(z))[0]
+    return _period(eta2, omega, -abs(z))[0]
 
 
 def period_threshold(omega: float, z: float) -> float:
-    """T0 for Z >= 0, T1 for Z < 0: 2 sqrt2/lambda [K(k0) - copysign(a0, Z)] (see threshold_T0)."""
+    """T0 for Z >= 0, T1 for Z < 0: the period map of the sign of Z at eta2 = theta.
+
+    There _orbit's gap theta^2 - eta2^2 and s are 0 and the body is exact, so the
+    threshold costs one orbit and one K, no slope.  Z = 0 is classical: sqrt2 pi/sqrt(omega).
+    """
     if not omega > z * z / 4.0:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
         return _SQRT2 * math.pi / math.sqrt(omega)
-    root = math.sqrt(omega - z * z / 8.0)
-    lam = (_SQRT2 / 4.0) * abs(z) + root  # the scale lambda(omega, Z), theta's companion
-    if not sys.float_info.min <= lam * lam < math.inf:
-        raise NumericsError(f"lambda^2 = {lam * lam!r} over- or underflowed at omega={omega!r}")
-    k0 = math.sqrt(_SQRT2 * abs(z) * root / lam**2)
-    a0 = elliptic.inverse_dn(math.sqrt(omega - z * z / 4.0) / lam, k0)
-    return (2.0 * _SQRT2 / lam) * (elliptic.complete_K(k0) - math.copysign(1.0, z) * a0)
+    return _period(theta_admissible(omega, z), omega, z)[0]
 
 
 def threshold_T0(omega: float, z: float) -> float:
-    """Existence threshold T0(omega, Z) = lim_{eta2->theta} T_-(eta2).
+    """Existence threshold T0(omega, Z) = T_-(theta), read from the period body at theta.
 
-        T0 = 2 sqrt2/lambda * [K(k0) - a0],
+        T0 = 2 sqrt2/lambda * [K(k0) - a0],   lambda = eta1(theta),
         k0^2 = sqrt2 |Z| sqrt(omega - Z^2/8) / lambda^2,
         dn(a0; k0) = sqrt(omega - Z^2/4) / lambda.
 
-    Decreasing in omega and -> 0 as omega -> inf.  The map is
-    discontinuous at Z = 0: expanding dn(a0; k0) for small |Z| gives
-    sin^2 a0 -> 1/2, i.e. a0 -> pi/4, hence T0 -> sqrt2 pi/(2 sqrt omega)
-    as Z -> 0, which is *half* the classical dnoidal threshold
-    sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
+    Decreasing in omega.  Discontinuous at Z = 0: sin^2 am(a0) -> 1/2 as
+    Z -> 0, i.e. a0 -> pi/4, so T0 -> sqrt2 pi/(2 sqrt omega), *half* the
+    classical dnoidal threshold sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
     """
     return period_threshold(omega, abs(z))
 
 
 def threshold_T1(omega: float, z: float) -> float:
-    """Existence threshold for the trough branch: T1 = T0 + 4 sqrt2 a0 / lambda.
+    """Trough-branch threshold T1 = T_+(theta) = T0 + 4 sqrt2 a0 / lambda.
 
-    Like T0 this is discontinuous at Z = 0: a0 -> pi/4 as Z -> 0, so
-    T1 -> (3/2) sqrt2 pi/sqrt(omega), above the classical threshold
-    returned at Z = 0 exactly.
+    Discontinuous at Z = 0 like T0: T1 -> (3/2) sqrt2 pi/sqrt(omega) as Z -> 0.
     """
     return period_threshold(omega, -abs(z))
 
 
 def period_residual(params: WaveParams, eta2: float) -> float:
-    """|T(eta2) - 2L| on the branch of the sign of Z (see _period_and_slope)."""
-    return abs(_period_and_slope(eta2, params.omega, params.z)[0] - 2.0 * params.halfperiod)
+    """|T(eta2) - 2L| on the branch of the sign of Z (see _period)."""
+    return abs(_period(eta2, params.omega, params.z)[0] - 2.0 * params.halfperiod)
 
 
 def solve_eta2(params: WaveParams) -> float:
@@ -286,19 +287,19 @@ def solve_eta2(params: WaveParams) -> float:
 
     Bracketed Newton in log eta2 on the initial decreasing branch of the
     period map, where the root is unique; raises an admissibility error
-    (reporting the threshold) when 2L does not exceed it.  For Z < 0 the trough map
-    additionally dips below T1 near its upper end (see period_plus), so
-    requiring 2L > T1 keeps the solve on the decreasing branch; waves
-    on the short rising branch are deliberately not constructed.
+    (reporting the threshold) when 2L does not exceed T0, resp. T1 (see
+    period_plus: rising-branch trough waves are deliberately not constructed).
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
     thresh = period_threshold(omega, z)
-    if not target > thresh:
-        kind = "T0" if z >= 0.0 else "T1"
+    if not target > thresh and z >= 0.0:  # T_- falls strictly from inf to T0
         raise AdmissibilityError(
-            f"no wave of period 2L={target!r}: requires 2L > {kind}(omega,Z)={thresh!r}"
-        )
+            f"no wave of period 2L={target!r}: requires 2L > T0(omega,Z)={thresh!r}")
+    if not target > thresh:
+        raise AdmissibilityError(
+            f"2L={target!r} does not exceed T1(omega,Z)={thresh!r}, which the trough solve "
+            f"requires to stay on the decreasing branch of T_+ (rising-branch waves are not built)")
     # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
     # an error of order its square, far below the noise of T that a smaller xtol chases.
     # Memoised, so the bracket ends found below are not evaluated again by newton.
@@ -312,11 +313,10 @@ def solve_eta2(params: WaveParams) -> float:
     # period decreasing: above the target near 0 (divergence), below it near theta.
     hi = upper - _ETA2_BRACKET_EPS * upper
     if fdf(math.log(hi))[0] > 0.0:
-        # target barely above the threshold; the root hugs the upper end.
         raise NumericsError(
-            f"period solve lost its bracket at eta2={hi!r} (2L={target!r} too close "
-            f"to the threshold {thresh!r})"
-        )
+            f"period solve lost its bracket: T still exceeds 2L={target!r} at eta2={hi!r}, so it "
+            f"falls from there to {'T0' if z >= 0.0 else 'T1'}(omega,Z)={thresh!r} within a "
+            f"relative {_ETA2_BRACKET_EPS} of theta={upper!r}, below the eta2 solve's resolution")
     # Walk the lower end down geometrically until the period exceeds the target; where it
     # never does, the K_ONE_CUTOFF refusal (eta2/eta1 ~ 1.4e-6) ends the walk.
     lo = 0.5 * upper

@@ -77,6 +77,18 @@ class TestSpectrum:
         assert rows[0][2] == "even"
         side = json.loads((tmp_path / "linop_L1_spectrum.json").read_text())
         assert side["n_negative"] == 1
+        assert side["surplus"] == side["expected_kernel"] == 0
+
+    def test_sidecar_records_the_surplus(self, tmp_path):
+        # at Z = 0.01 the odd eigenvalue continuing the translation mode is inside the
+        # zero band, so count_negative raises on this operator: n_negative is a guess
+        rc = main(["--output-dir", str(tmp_path), "spectrum", "--omega", "20", "--z", "0.01",
+                   "--half-period", "0.5", "--n", "256"])
+        assert rc == 0
+        side = json.loads((tmp_path / "linop_L1_spectrum.json").read_text())
+        assert side["n_negative"] == 1
+        assert side["expected_kernel"] == 0
+        assert side["surplus"] == 1
 
     def test_sidecar_counts_past_the_listed_eigenvalues(self, tmp_path):
         # the trough has two negative eigenvalues; listing one must not cut the count
@@ -307,9 +319,11 @@ class TestDegenerateArguments:
 
 
 class TestOverflowAndNonFinite:
-    def test_overflowing_discriminant_is_numerics_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("z", ["1", "0"])
+    def test_overflowing_discriminant_is_numerics_error(self, tmp_path, capsys, z):
+        # Z = 0 forms no discriminant; eta1^3 in the period slope overflowed untyped there
         rc = main(["--output-dir", str(tmp_path), "build-wave",
-                   "--omega", "1e300", "--z", "1", "--half-period", "0.5"])
+                   "--omega", "1e300", "--z", z, "--half-period", "0.5"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "overflow" in err and "1e+300" in err
@@ -348,6 +362,27 @@ class TestSmallDefectAndEdges:
         assert rc == 0
         report = json.loads((tmp_path / "point_classification.json").read_text())
         assert report["verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize("z, half_period", [("-1", "0.5"), ("-1e-300", "0.6")])
+    def test_trough_refusal_is_not_a_nonexistence_claim(self, tmp_path, capsys, z, half_period):
+        # waves with Tmin < 2L <= T1 exist on the rising branch of T_+; the refusal
+        # names the branch the solve keeps to (T1 = 1.4902 at Z = -1e-300, not 0.9935)
+        rc = main(["--output-dir", str(tmp_path), "classify",
+                   "--omega", "20", f"--z={z}", "--half-period", half_period])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "T1" in err and "decreasing branch" in err
+        assert "no wave" not in err
+
+    def test_lost_bracket_names_the_resolution(self, tmp_path, capsys):
+        # 2L = 1.4 is far above T0 = 0.974, but at |Z| = 1e-300 the period falls
+        # to T0 only within a relative 1e-12 of theta
+        rc = main(["--output-dir", str(tmp_path), "build-wave",
+                   "--omega", "5.2", "--z=1e-300", "--half-period", "0.7"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "lost its bracket" in err and "resolution" in err
+        assert "too close" not in err and "no wave" not in err
 
     def test_band_hidden_eigenvalue_strict(self, tmp_path):
         rc = main(["--output-dir", str(tmp_path), "classify", "--omega", "20",
@@ -405,6 +440,14 @@ class TestFuzzedWaveArguments:
     @example(command="build-wave", omega=1.0, z=1e200, half_period=1.0)
     @example(command="classify", omega=1.0, z=1e200, half_period=1.0)
     @example(command="spectrum", omega=1.0, z=1e200, half_period=1.0)
+    # modulus at theta within K_ONE_CUTOFF of 1, s = 0 at the bracket top, and a
+    # discriminant that rounded below zero inside (0, theta): untyped or false before
+    @example(command="build-wave", omega=0.25000025, z=1.0, half_period=1.0)
+    @example(command="build-wave", omega=0.250125, z=1.0, half_period=10.0)
+    @example(command="build-wave", omega=0.25075, z=1.0, half_period=10.0)
+    @example(command="build-wave", omega=1.0034698369278702e-197, z=1.0034698369278702e-197,
+             half_period=1.0)
+    @example(command="build-wave", omega=1.7976931348623157e308, z=1.0, half_period=1.0)
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_every_failure_is_typed(self, tmp_path_factory, command, omega, z, half_period):
         out = tmp_path_factory.mktemp("fuzz")

@@ -19,6 +19,21 @@ from nlsdelta import elliptic
 MODULI = st.floats(min_value=0.01, max_value=0.99)
 
 
+def complement(k: float) -> float:
+    """k' = sqrt(1 - k^2), factored to keep its relative accuracy as k -> 1."""
+    return math.sqrt((1.0 - k) * (1.0 + k))
+
+
+def inverse_dn(y: float, k: float) -> float:
+    """dn^{-1}(y; k) on [0, K(k)]: inverse_am of the gaps sn : cn = sqrt(1 - y^2) : sqrt(y^2 - k'^2).
+
+    The common factor 1/k is dropped; this is how the package inverts dn
+    (wave._orbit's shift a = dn^{-1}(Phi/eta1; k)).  At k = 1, k' = 0.
+    """
+    kp = complement(k)
+    return elliptic.inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), k)
+
+
 def agm_K(k: float) -> float:
     """K(k) = pi / (2 * AGM(1, k'))."""
     a, b = 1.0, math.sqrt(1.0 - k * k)
@@ -45,7 +60,7 @@ class TestCompleteIntegrals:
     @settings(max_examples=25, deadline=None)
     def test_legendre_relation(self, k):
         # E(k)K(k') + E(k')K(k) - K(k)K(k') = pi/2 for all moduli.
-        kp = elliptic.complement(k)
+        kp = complement(k)
         lhs = (
             elliptic.complete_E(k) * elliptic.complete_K(kp)
             + elliptic.complete_E(kp) * elliptic.complete_K(k)
@@ -56,7 +71,7 @@ class TestCompleteIntegrals:
     def test_K_descending_landen(self):
         # K(k) = (1 + k1) K(k1) with k1 = (1 - k')/(1 + k').
         for k in (0.2, 0.5, 0.9):
-            kp = elliptic.complement(k)
+            kp = complement(k)
             k1 = (1.0 - kp) / (1.0 + kp)
             assert elliptic.complete_K(k) == pytest.approx(
                 (1.0 + k1) * elliptic.complete_K(k1), rel=1e-13
@@ -152,7 +167,7 @@ class TestJacobiFunctions:
             sn, cn, dn = elliptic.jacobi_sn_cn_dn(K, k)
             assert sn == pytest.approx(1.0, abs=1e-12)
             assert cn == pytest.approx(0.0, abs=1e-12)
-            assert dn == pytest.approx(elliptic.complement(k), rel=1e-12)
+            assert dn == pytest.approx(complement(k), rel=1e-12)
 
     def test_vectorized(self):
         u = np.linspace(-2, 2, 11)
@@ -161,32 +176,25 @@ class TestJacobiFunctions:
 
 
 class TestInverseDn:
+    """dn inverted through inverse_am from the gaps of y (see inverse_dn above)."""
+
     @given(k=MODULI, frac=st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, k, frac):
-        kp = elliptic.complement(k)
+        kp = complement(k)
         y = kp + frac * (1.0 - kp)
-        u = elliptic.inverse_dn(y, k)
+        u = inverse_dn(y, k)
         assert 0.0 <= u <= elliptic.complete_K(k)
         assert elliptic.jacobi_dn(u, k) == pytest.approx(y, abs=1e-11)
 
     def test_endpoints(self):
         k = 0.7
-        # dn(u) rounds to 1.0 for u below ~1e-8, so the preimage of 1.0
-        # is resolved only to that scale
-        assert elliptic.inverse_dn(1.0, k) == pytest.approx(0.0, abs=1e-7)
-        assert elliptic.inverse_dn(elliptic.complement(k), k) == pytest.approx(
-            elliptic.complete_K(k), abs=1e-10
-        )
+        assert inverse_dn(1.0, k) == 0.0
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(k)
 
     def test_hyperbolic_closed_form(self):
-        assert elliptic.inverse_dn(0.5, 1.0) == pytest.approx(math.acosh(2.0))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            elliptic.inverse_dn(0.1, 0.5)
-        with pytest.raises(ValueError):
-            elliptic.inverse_dn(1.1, 0.5)
+        # dn(u; 1) = sech u
+        assert inverse_dn(0.5, 1.0) == pytest.approx(math.acosh(2.0), rel=1e-15)
 
 
 class TestInverseDnClosedForm:
@@ -194,29 +202,29 @@ class TestInverseDnClosedForm:
         # root u ~ 11.4 close to K, where float spacing exceeds 1e-15;
         # an absolute-tolerance bisection on u never terminates here
         k = 1.0 - 1e-9
-        y = elliptic.complement(k) * (1.0 + 1e-7)
-        u = elliptic.inverse_dn(y, k)
+        y = complement(k) * (1.0 + 1e-7)
+        u = inverse_dn(y, k)
         assert 8.0 <= u <= elliptic.complete_K(k)
         assert elliptic.jacobi_dn(u, k) == pytest.approx(y, abs=1e-11)
 
     @pytest.mark.parametrize("k", [1e-4, 1e-9, 0.0])
     def test_preimage_of_one_is_exactly_zero(self, k):
         # for k < ~1e-8 k' rounds to 1, so y = 1 is both endpoints
-        assert elliptic.inverse_dn(1.0, k) == 0.0
+        assert inverse_dn(1.0, k) == 0.0
 
     @pytest.mark.parametrize("k", [0.7, 0.99, 1.0 - 1e-7, 1.0 - 1e-9])
     def test_lower_endpoint_is_exactly_K(self, k):
-        assert elliptic.inverse_dn(elliptic.complement(k), k) == elliptic.complete_K(k)
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(k)
 
 
 class TestInverseAm:
     @pytest.mark.parametrize("k", [0.3, 0.9, 1.0 - 1e-7])
     def test_scale_free_and_consistent_with_inverse_dn(self, k):
-        kp = elliptic.complement(k)
+        kp = complement(k)
         y = 0.5 * (1.0 + kp)
         s, c = math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp))
         u = elliptic.inverse_am(s, c, k)
-        assert u == elliptic.inverse_dn(y, k)
+        assert elliptic.jacobi_dn(u, k) == pytest.approx(y, rel=1e-12)
         assert elliptic.inverse_am(1e-200 * s, 1e-200 * c, k) == pytest.approx(u, rel=1e-15)
 
     def test_endpoints(self):

@@ -121,6 +121,59 @@ class TestPeriodMapsAndThresholds:
         assert w0 == pytest.approx(5.1226, abs=1e-3)
 
 
+def _threshold_oracle(omega, z):
+    """T0 (Z > 0) or T1 (Z < 0) at 50 digits from the lambda/k0/a0 closed form.
+
+    sin^2 am(a0) = (sqrt2 R + |Z|/2)/(2 sqrt2 R), R = sqrt(omega - Z^2/8), is
+    (1 - dn^2(a0))/k0^2 with its cancellation done by hand.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        omega, az = mpmath.mpf(omega), abs(mpmath.mpf(z))
+        root = mpmath.sqrt(omega - az**2 / 8)
+        lam = mpmath.sqrt(2) * az / 4 + root
+        m0 = mpmath.sqrt(2) * az * root / lam**2
+        sin_sq = (mpmath.sqrt(2) * root + az / 2) / (2 * mpmath.sqrt(2) * root)
+        a0 = mpmath.ellipf(mpmath.asin(mpmath.sqrt(sin_sq)), m0)
+        return float(2 * mpmath.sqrt(2) / lam * (mpmath.ellipk(m0) - math.copysign(1, z) * a0))
+
+
+THRESHOLD_GRID = [
+    (omega, sign * abs_z)
+    for omega in (0.3, 5.2, 20.0, 100.0, 1e4)
+    for abs_z in (1e-300, 1e-12, 1e-8, 1e-4, 0.5, 2.0)
+    for sign in (1.0, -1.0)
+    if omega >= 0.3 * abs_z**2
+]
+
+
+class TestThresholdIsThePeriodAtTheta:
+    @pytest.mark.parametrize("omega, z", THRESHOLD_GRID)
+    def test_against_mpmath(self, omega, z):
+        # the separate lambda/k0/a0 body took 1 - y^2 of a rounded y -> 1: relative
+        # error 1.0 at |Z| = 1e-300 (the classical value) and 1e-3 at (100, 1e-12)
+        assert wave.period_threshold(omega, z) == pytest.approx(_threshold_oracle(omega, z),
+                                                                rel=1e-13)
+
+    @pytest.mark.parametrize("omega, z", [(5.2, 1e-300), (20.0, 1e-8), (20.0, 1.0), (0.3, 1.0)])
+    def test_bit_for_bit_continuity_at_theta(self, omega, z):
+        theta = wave.theta_admissible(omega, z)
+        assert wave.period_minus(theta, omega, z) == wave.threshold_T0(omega, z)
+        assert wave.period_plus(theta, omega, -z) == wave.threshold_T1(omega, z)
+        if z >= 1.0:  # T_- falls to T0 like sqrt(theta - eta2) over a layer of width ~ |Z|
+            t0 = wave.threshold_T0(omega, z)
+            gaps = [wave.period_minus(theta * (1.0 - e), omega, z) - t0 for e in (1e-4, 1e-8, 1e-12)]
+            assert gaps[0] > gaps[1] > gaps[2] > 0.0
+            assert gaps[2] < 1e-5 * t0
+
+    def test_slope_at_theta_is_a_typed_failure(self):
+        theta = wave.theta_admissible(20.0, 1.0)
+        with pytest.raises(NumericsError, match="infinite"):
+            wave._period_and_slope(theta, 20.0, 1.0)
+        with pytest.raises(AdmissibilityError):
+            wave.period_minus(math.nextafter(theta, math.inf), 20.0, 1.0)
+
+
 class TestSolveEta2:
     @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
     def test_period_residual(self, omega, z, L):
