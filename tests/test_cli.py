@@ -440,8 +440,8 @@ class TestFuzzedWaveArguments:
     @example(command="build-wave", omega=1.0, z=1e200, half_period=1.0)
     @example(command="classify", omega=1.0, z=1e200, half_period=1.0)
     @example(command="spectrum", omega=1.0, z=1e200, half_period=1.0)
-    # modulus at theta within K_ONE_CUTOFF of 1, s = 0 at the bracket top, and a
-    # discriminant that rounded below zero inside (0, theta): untyped or false before
+    # omega just above Z^2/4 (modulus at theta within K_ONE_CUTOFF of 1, s near 0 at the
+    # bracket top, a discriminant near 0 inside (0, theta)), then the extremes of scale
     @example(command="build-wave", omega=0.25000025, z=1.0, half_period=1.0)
     @example(command="build-wave", omega=0.250125, z=1.0, half_period=10.0)
     @example(command="build-wave", omega=0.25075, z=1.0, half_period=10.0)
