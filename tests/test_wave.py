@@ -166,6 +166,11 @@ class TestThresholdIsThePeriodAtTheta:
             assert gaps[0] > gaps[1] > gaps[2] > 0.0
             assert gaps[2] < 1e-5 * t0
 
+    def test_subnormal_defect_is_a_typed_failure(self):
+        # r/|Z| overflows the gap upper at theta, which would put psi at pi/2 and T0 at 0
+        with pytest.raises(NumericsError, match="overflowed"):
+            wave.period_threshold(28.0, 1.6e-319)
+
     def test_slope_at_theta_is_a_typed_failure(self):
         theta = wave.theta_admissible(20.0, 1.0)
         with pytest.raises(NumericsError, match="infinite"):
