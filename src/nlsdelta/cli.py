@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evolve import DEFAULT_SEED, run_experiment
 from .stability import Verdict, classify
-from .wave import WaveParams, build_profile, period_residual
+from .wave import WaveParams, build_profile
 
 __all__ = ["main"]
 
@@ -149,7 +149,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     idx = report.index
     numerics = {
         "eta2": report.eta2,
-        "period_residual": period_residual(report.params, report.eta2),
+        "period_residual": report.period_residual,
+        "dT_deta2": report.dT_deta2,
+        "deta2_domega": report.deta2_domega,
         "band": idx.band,
         "expected_kernel": idx.expected_kernel,
         "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},

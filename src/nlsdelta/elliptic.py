@@ -51,16 +51,17 @@ def _check_modulus(k: float, allow_one: bool = True) -> float:
     return k
 
 
-def complete_K(k: float) -> float:
+def complete_K(k: float, kp: float | None = None) -> float:
     """Complete elliptic integral of the first kind K(k).
 
-    Diverges logarithmically as k -> 1; raises for k within
-    ``K_ONE_CUTOFF`` of 1 rather than returning a huge finite value.
+    Diverges logarithmically as k -> 1; raises for k within ``K_ONE_CUTOFF`` of 1
+    rather than returning a huge finite value.  Given kp = sqrt(1 - k^2), reads K
+    from kp^2 (ellipkm1), which a double k near 1 cannot hold.
     """
     k = _check_modulus(k)
     if k >= 1.0 - K_ONE_CUTOFF:
         raise ValueError(f"K(k) diverges as k -> 1 (got k={k!r})")
-    return float(special.ellipk(k * k))
+    return float(special.ellipk(k * k) if kp is None else special.ellipkm1(kp * kp))
 
 
 def complete_E(k: float) -> float:

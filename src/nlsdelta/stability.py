@@ -11,10 +11,10 @@ and for the trough waves (Z < 0, n = 2) the instability direction is
 odd, so restricting to even perturbations removes it: the even-subspace
 count is 1 = p and the wave is stable against even data.
 
-The omega-derivative is taken by central differences over the *full*
-construction pipeline (each stencil point re-solves eta2), with one
-Richardson level; the closed-form norm's oracle is trapezoid quadrature
-of the profile samples (norm_squared_quadrature), read only by tests.
+classify takes d/domega ||phi||^2 in closed form at its one eta2 solve
+(wave._norm_slope).  Its oracles, read by tests: ``slope``, central
+differences over the full pipeline (each stencil point re-solves eta2) with
+one Richardson level, and trapezoid quadrature (norm_squared_quadrature).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import elliptic
 from .errors import AdmissibilityError
 from .linops import Index, Which, assemble, index
-from .wave import WaveParams, WaveProfile, build_profile
+from .wave import WaveParams, WaveProfile, _norm_slope, build_profile
 
 __all__ = [
     "Verdict",
@@ -58,7 +58,8 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it: eta2 and the L1 index."""
+    """Classification outcome with the raw quantities that produced it: eta2 with the
+    period residual, dT/deta2 and deta2/domega of the solve there, and the L1 index."""
 
     params: WaveParams
     eta2: float
@@ -66,6 +67,9 @@ class StabilityReport:
     p_index: int
     slope: float
     verdict: Verdict
+    period_residual: float
+    dT_deta2: float
+    deta2_domega: float
     kernel_caveat: bool = False
 
     @property
@@ -157,7 +161,7 @@ def verdict_from_counts(n_negative: int, p_index: int, n_negative_even: int) -> 
 def classify(params: WaveParams) -> StabilityReport:
     """Full index classification at one parameter point.
 
-    Computes the slope, the L1 negative count (total and even-restricted),
+    Computes the closed-form slope, the L1 negative count (total and even-restricted),
     and applies ``verdict_from_counts``.  A non-positive or numerically
     zero slope short-circuits to inconclusive with the measured value
     attached, and so does an eigenvalue inside the zero band beyond the
@@ -167,8 +171,9 @@ def classify(params: WaveParams) -> StabilityReport:
     the Z != 0 theory).
     """
     profile = build_profile(params)
-    s = slope(params)
-    scale = norm_squared(profile) / params.omega
+    norm = norm_squared(profile)
+    s, dt_deta2, deta2_domega = _norm_slope(profile, norm)
+    scale = norm / params.omega
     idx = index(assemble(profile, Which.L1, N_EIGEN))
     p = 0 if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale else 1
     if p == 0 or idx.surplus > 0:
@@ -182,5 +187,8 @@ def classify(params: WaveParams) -> StabilityReport:
         p_index=p,
         slope=s,
         verdict=verdict,
+        period_residual=profile.root[1],
+        dT_deta2=dt_deta2,
+        deta2_domega=deta2_domega,
         kernel_caveat=(params.z == 0.0),
     )

@@ -36,7 +36,7 @@ construction: profiles at moderate Z exist well below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 
@@ -186,16 +186,23 @@ def _period(eta2: float, omega: float, z: float) -> tuple[float, float, tuple[fl
         raise NumericsError(
             f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so the period "
             f"map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})")
-    big_k = elliptic.complete_K(k)
+    big_k = elliptic.complete_K(k, eta2 / eta1)  # k' holds what a double k near 1 cannot
     return (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z)), big_k, orbit
 
 
 def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float]:
-    """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form.
+    """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form."""
+    period, big_k, orbit = _period(eta2, omega, z)
+    return period, _slope_terms(eta2, omega, z, period, big_k, orbit)[0]
 
-    T is _period's.  dk/deta2 = -2 eta2 omega/(k eta1^4), dK/dk (DLMF
-    19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k) give
-    with c = -2 omega/(spread eta2):
+
+def _slope_terms(eta2: float, omega: float, z: float, period: float, big_k: float,
+                 orbit: tuple[float, ...]) -> tuple[float, ...]:
+    """(dT/deta2, d_k, psi', sc, E(k), E(psi; k)) at fixed omega from _period's (T, K, orbit).
+
+    d_k is the k-part of d[K - copysign(a, Z)]/deta2.  dk/deta2 = -2 eta2 omega/(k eta1^4),
+    dK/dk (DLMF 19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k) give with
+    c = -2 omega/(spread eta2):
 
         dK/deta2 = c [E - k'^2 K],
         da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
@@ -203,22 +210,50 @@ def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float
 
     free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
     """
-    period, big_k, (eta1, k, phi, a, psi, spread, s, upper, lower) = _period(eta2, omega, z)
+    eta1, k, phi, a, psi, spread, s, upper, lower = orbit
     c = -2.0 * omega / (spread * eta2)
     if c == 0.0:  # spread eta2 ~ eta1^3
         raise NumericsError(f"eta1^3 overflowed in double precision at omega={omega!r}")
     sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
     kp_sq = (eta2 / eta1) ** 2
-    d_sum = c * (elliptic.complete_E(k) - kp_sq * big_k)
+    big_e = elliptic.complete_E(k)
+    d_k = c * (big_e - kp_sq * big_k)
+    sc = d_psi = e_psi = 0.0
     if z != 0.0:
         if s == 0.0:
             raise NumericsError(f"dT/deta2 is infinite at eta2=theta={eta2!r}, omega={omega!r}")
         sc = abs(z) * math.sqrt(upper) * math.sqrt(lower) / spread
         d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
         e_psi = elliptic.incomplete_E(psi, k)
-        d_a = c * (e_psi - kp_sq * a) + (sc * 2.0 * omega / (eta2 * eta1) + eta1 * d_psi) / phi
-        d_sum += sigma * d_a
-    return period, period * eta2 / eta1**2 + 2.0 * _SQRT2 * d_sum / eta1
+        d_k += sigma * (c * (e_psi - kp_sq * a) + sc * 2.0 * omega / (eta2 * eta1 * phi))
+    d_t = period * eta2 / eta1**2 + 2.0 * _SQRT2 * (d_k + sigma * eta1 * d_psi / phi) / eta1
+    return d_t, d_k, d_psi, sc, big_e, e_psi
+
+
+def _norm_slope(profile: WaveProfile, norm: float) -> tuple[float, float, float]:
+    """(dN/domega, T_2, deta2/domega = -T_w/T_2) along T(eta2, omega) = 2L at build_profile's root.
+
+    dN/domega = N_w + N_2 deta2/domega for N = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)] =
+    norm; _2 and _w are partials at fixed omega and fixed eta2.  A k-term's _w is -eta2/(2 omega)
+    times its _2, eta1's is -1/eta2 times; dE/dk = (E - K)/k, dE(psi; k)/dk = (E(psi; k) - a)/k,
+    dE(psi; k)/dpsi = Phi/eta1 and, on _orbit's gaps with r^2 = 2 omega - Z^2/4,
+    psi_w = -(sc/s) [1 + eta2^2 r^2/((s + spread)(lower + 2 eta2^2) upper)].
+    """
+    omega, z = profile.params.omega, profile.params.z
+    eta2, _, period, big_k, orbit = profile.root
+    eta1, _, phi, a, _, spread, s, upper, lower = orbit
+    d_t, d_k, d_psi, sc, big_e, e_psi = _slope_terms(eta2, omega, z, period, big_k, orbit)
+    if d_t == 0.0:
+        raise NumericsError(f"dT/deta2 vanished at the root eta2={eta2!r}, omega={omega!r}")
+    sigma, w = -math.copysign(1.0, z), -0.5 * eta2 / omega
+    d_psi_w = 0.0 if z == 0.0 else -(sc / s) * (1.0 + eta2**2 * (2.0 * omega - 0.25 * z * z)
+                                                / ((s + spread) * (lower + 2.0 * eta2**2) * upper))
+    t_w = -period / eta1**2 + 2.0 * _SQRT2 * (w * d_k + sigma * eta1 * d_psi_w / phi) / eta1
+    n_k = -4.0 * _SQRT2 * omega * eta2 * (big_e - big_k + sigma * (e_psi - a)) / (spread * eta1)
+    n_2 = -norm * eta2 / eta1**2 + n_k + 2.0 * _SQRT2 * sigma * phi * d_psi
+    n_w = norm / eta1**2 + w * n_k + 2.0 * _SQRT2 * sigma * phi * d_psi_w
+    deta2 = -t_w / d_t
+    return n_w + n_2 * deta2, d_t, deta2
 
 
 def period_minus(eta2: float, omega: float, z: float) -> float:
@@ -290,6 +325,11 @@ def solve_eta2(params: WaveParams) -> float:
     (reporting the threshold) when 2L does not exceed T0, resp. T1 (see
     period_plus: rising-branch trough waves are deliberately not constructed).
     """
+    return _solve(params)[0]
+
+
+def _solve(params: WaveParams) -> tuple:
+    """solve_eta2's root and what its residual check formed there: (eta2, |T-2L|, T, K, orbit)."""
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
     thresh = period_threshold(omega, z)
@@ -323,12 +363,13 @@ def solve_eta2(params: WaveParams) -> float:
     while fdf(math.log(lo))[0] <= 0.0:
         lo *= 0.5
     eta2 = math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12))
-    resid = period_residual(params, eta2)
+    period, big_k, orbit = _period(eta2, omega, z)
+    resid = abs(period - target)
     if resid > PERIOD_RESIDUAL_TOL:
         raise NumericsError(
             f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at eta2={eta2!r}"
         )
-    return eta2
+    return eta2, resid, period, big_k, orbit
 
 
 def _dnoidal(xs, eta1: float, k: float, shift: float) -> NDArray[np.float64]:
@@ -354,6 +395,7 @@ class WaveProfile:
     a: float
     psi: float
     n: int
+    root: tuple = field(default=(), repr=False, compare=False)  # build_profile's _solve
 
     @property
     def shift(self) -> float:
@@ -448,9 +490,9 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     if n < 128 or n & (n - 1) != 0:
         raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
     omega, z = params.omega, params.z
-    eta2 = solve_eta2(params)
-    eta1, k, _, a, psi = _orbit(eta2, omega, z)[:5]
-    profile = WaveProfile(params, eta1, eta2, k, a, psi, n)
+    root = _solve(params)
+    eta2, _, _, big_k, (eta1, k, _, a, psi, *_) = root
+    profile = WaveProfile(params, eta1, eta2, k, a, psi, n, root)
     if abs(eta1**2 + eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
         raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
     if not eta1 - eta2 > abs(z) / _SQRT2:
@@ -458,7 +500,7 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     # a > 0 is the computed gap eta1^2 - Phi^2 > 0, also where phi0 rounds to eta1.
     if z != 0.0 and not (eta2 < profile.phi0 <= eta1 and a > 0.0):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
-    if not 0.0 <= a <= elliptic.complete_K(k):
+    if not 0.0 <= a <= big_k:
         raise NumericsError("shift a escaped [0, K(k)]")
     return profile
 

@@ -18,8 +18,10 @@ from nlsdelta.stability import classify
 from nlsdelta.wave import (
     PERIOD_RESIDUAL_TOL,
     WaveParams,
+    _period_and_slope,
     period_minus,
     period_plus,
+    solve_eta2,
     theta_admissible,
 )
 
@@ -162,6 +164,21 @@ class TestClassify:
         # written by the sidecar code, so the result records how it was produced
         assert rep["config"]["command"] == "classify"
         assert (rep["config"]["omega"], rep["config"]["z"]) == (omega, z)
+
+
+    @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
+    def test_numerics_report_the_slope_terms(self, tmp_path, wave):
+        # dT/deta2 at the root (how steep the solve was) and deta2/domega (the slope's
+        # implicit-function factor) come with the closed-form slope, no extra solve
+        assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
+        rep = json.loads((tmp_path / "point_classification.json").read_text())
+        omega, z, half_period = (float(v) for v in wave[1::2])
+        numerics = rep["numerics"]
+        assert numerics["dT_deta2"] == _period_and_slope(numerics["eta2"], omega, z)[1] < 0.0
+        h = 1e-6 * omega
+        difference = (solve_eta2(WaveParams(omega + h, z, half_period))
+                      - solve_eta2(WaveParams(omega - h, z, half_period))) / (2.0 * h)
+        assert numerics["deta2_domega"] == pytest.approx(difference, rel=1e-5)
 
 
 class TestParser:

@@ -82,6 +82,16 @@ class TestCompleteIntegrals:
         assert elliptic.complete_E(0.0) == pytest.approx(math.pi / 2.0)
         assert elliptic.complete_E(1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kp", [0.5, 1e-2, 1e-4, 2e-6])
+    def test_K_from_the_complementary_modulus(self, kp):
+        # near k = 1 only kp holds k'^2: K read from k drifts by ~eps/kp^2 (1e-6 relative
+        # at kp = 2e-6), K read from kp keeps full accuracy
+        mpmath = pytest.importorskip("mpmath")
+        k = math.sqrt((1.0 - kp) * (1.0 + kp))
+        with mpmath.workdps(40):
+            expected = float(mpmath.ellipk(1 - mpmath.mpf(kp) ** 2))
+        assert elliptic.complete_K(k, kp) == pytest.approx(expected, rel=1e-15)
+
     def test_K_raises_at_one(self):
         with pytest.raises(ValueError):
             elliptic.complete_K(1.0)

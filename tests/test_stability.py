@@ -1,16 +1,21 @@
 """Tests for the slope condition and index-count classification.
 
 The closed-form norm is checked against quadrature on all three
-branches, the slope against plain (non-Richardson) step-halving, and
-the verdict arithmetic exhaustively over small index counts.
+branches, the finite-difference slope against plain (non-Richardson)
+step-halving, classify's closed-form slope against that slope and a
+30-digit mpmath difference, and the verdict arithmetic exhaustively
+over small index counts.
 """
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlsdelta import elliptic, linops, stability
+from nlsdelta import elliptic, linops, stability, wave
 from nlsdelta.stability import Verdict, classify, norm_squared, slope, verdict_from_counts
 from nlsdelta.wave import WaveParams, build_profile
 
@@ -151,3 +156,143 @@ class TestClassify:
         rep = classify(params)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.p_index == 1
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, whose ``lattice`` draws the classify-lattice inputs."""
+    name = "_perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _slope_oracle(omega, z, L, eta2, rel_step="1e-9"):
+    """d/domega ||phi||^2 by a central difference at the working precision.
+
+    Each side solves T(eta2; omega +- h) = 2L with mpmath's bracketed Illinois
+    solver near the double-precision root and takes the norm
+    2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] on the rationalised gap of test_wave._period_oracle.
+    """
+    import mpmath
+
+    omega, z, L = (mpmath.mpf(v) for v in (omega, z, L))
+
+    def orbit(e, w):
+        eta1_sq = 2 * w - e**2
+        m = (eta1_sq - e**2) / eta1_sq
+        b = 2 * w - z**2 / 2
+        disc = max(b * b - 4 * e**2 * eta1_sq, 0)  # rounds below 0 at theta
+        gap = eta1_sq * z**2 / 2 / (eta1_sq - b / 2 + mpmath.sqrt(disc) / 2)
+        return mpmath.sqrt(eta1_sq), m, mpmath.asin(mpmath.sqrt(gap / (eta1_sq - e**2)))
+
+    def norm(w):
+        def excess(e):
+            eta1, m, psi = orbit(e, w)
+            return 2 * mpmath.sqrt(2) / eta1 * (mpmath.ellipk(m) - mpmath.sign(z) * mpmath.ellipf(psi, m)) - 2 * L
+
+        theta = mpmath.sqrt(w - z * z / 8) - mpmath.sqrt(2) * abs(z) / 4
+        guess = mpmath.mpf(eta2)
+        root = mpmath.findroot(excess, (guess * (1 - mpmath.mpf("1e-5")),
+                                        min(theta, guess * (1 + mpmath.mpf("1e-5")))), solver="illinois")
+        eta1, m, psi = orbit(root, w)
+        return 2 * mpmath.sqrt(2) * eta1 * (mpmath.ellipe(m) - mpmath.sign(z) * mpmath.ellipe(psi, m))
+
+    h = mpmath.mpf(rel_step) * omega
+    return (norm(omega + h) - norm(omega - h)) / (2 * h)
+
+
+def _closed_form(profile):
+    return wave._norm_slope(profile, norm_squared(profile))
+
+
+# the points of TestClassify's lattices
+CLASSIFY_POINTS = BRANCH_POINTS + [(20.0, -0.01, 1.0), (20.0, 1e-8, 0.5)]
+
+
+class TestClosedFormSlope:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_classify_lattice(self, seed, monkeypatch):
+        # per operation of the benchmark: one period solve, the verdict the benchmark
+        # expects, and the closed form within 1e-6 of the finite-difference oracle
+        workloads = _benchmark_workloads()
+        solves = []
+        solve = wave._solve
+        monkeypatch.setattr(wave, "_solve", lambda params: solves.append(params) or solve(params))
+        for p in workloads.lattice(workloads._rng(seed, "classify-lattice"), workloads.INPUTS_PER_RUN):
+            params = WaveParams(p.omega, p.z, p.half_period)
+            solves.clear()
+            rep = classify(params)
+            assert solves == [params]
+            assert rep.verdict.value == p.expected_verdict and rep.p_index == 1
+            assert rep.slope == pytest.approx(slope(params), rel=1e-6)
+
+    @pytest.mark.parametrize("omega,z,L", CLASSIFY_POINTS)
+    def test_agrees_with_the_difference_oracle(self, omega, z, L):
+        params = WaveParams(omega, z, L)
+        s, dt_deta2, deta2_domega = _closed_form(build_profile(params))
+        assert s == pytest.approx(slope(params), rel=1e-6)
+        assert dt_deta2 < 0.0
+        h = 1e-6 * omega
+        difference = (wave.solve_eta2(WaveParams(omega + h, z, L))
+                      - wave.solve_eta2(WaveParams(omega - h, z, L))) / (2.0 * h)
+        assert deta2_domega == pytest.approx(difference, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "omega,z,L",
+        [
+            (20.0, 1.0, 0.5),
+            (20.0, -1.0, 1.0),  # no trough at L = 0.5: 2L is below T1 = 1.49
+            (20.0, 1e-8, 0.5),
+            (20.0, -1e-8, 1.0),
+            (8.0, 0.0, 1.0),
+            # near the fold of T_+: the slope's omega-stencil reads +0.0052
+            (1838.7674435299375, -84.06364029366871, 0.18608225155945318),
+        ],
+    )
+    def test_against_mpmath_difference(self, omega, z, L):
+        mpmath = pytest.importorskip("mpmath")
+        profile = build_profile(WaveParams(omega, z, L))
+        with mpmath.workdps(30):
+            expected = float(_slope_oracle(omega, z, L, profile.eta2))
+        assert _closed_form(profile)[0] == pytest.approx(expected, rel=1e-11)
+
+    def test_against_mpmath_difference_near_theta(self):
+        # a peak whose root lies within 1e-6 theta of theta, where dT/deta2 grows like
+        # 1/sqrt(theta - eta2) and the psi-terms dominate
+        mpmath = pytest.importorskip("mpmath")
+        theta = wave.theta_admissible(20.0, 1.0)
+        L = 0.5 * wave.period_minus(theta * (1.0 - 5e-7), 20.0, 1.0)
+        profile = build_profile(WaveParams(20.0, 1.0, L))
+        assert 0.0 < 1.0 - profile.eta2 / theta <= 1e-6
+        with mpmath.workdps(30):
+            expected = float(_slope_oracle(20.0, 1.0, L, profile.eta2, rel_step="1e-12"))
+        assert _closed_form(profile)[0] == pytest.approx(expected, rel=1e-11)
+
+    def test_classify_solves_once(self, monkeypatch):
+        # the residual check's orbit feeds the profile and the slope: after the Newton
+        # loop the orbit is formed once, and the public solve is not called at all
+        newton, orbit = wave.newton, wave._orbit
+        events = []
+
+        def traced_newton(*args, **kwargs):
+            root = newton(*args, **kwargs)
+            events.append("newton")
+            return root
+
+        monkeypatch.setattr(wave, "newton", traced_newton)
+        monkeypatch.setattr(wave, "_orbit", lambda *a: events.append("orbit") or orbit(*a))
+        monkeypatch.setattr(wave, "solve_eta2", None)
+        for point in BRANCH_POINTS:
+            events.clear()
+            classify(WaveParams(*point))
+            assert events.count("newton") == 1
+            assert events[events.index("newton"):].count("orbit") == 1
+
+    def test_report_carries_the_solve(self):
+        rep = classify(WaveParams(20.0, -1.0, 1.0))
+        assert rep.period_residual == wave.period_residual(rep.params, rep.eta2)
+        assert rep.dT_deta2 == wave._period_and_slope(rep.eta2, 20.0, -1.0)[1]
+        assert rep.deta2_domega < 0.0

@@ -363,6 +363,42 @@ class TestNearSolitaryCell:
         assert "exist" not in str(info.value)
 
 
+class TestLongCells:
+    # K(k) is read from k' = eta2/eta1: from k, a double near 1, T carried noise of order
+    # eps/k'^2 (1e-10 relative at eta2 = 1e-3 theta) and the residual check failed at random
+
+    @pytest.mark.parametrize("fraction", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("omega,z", [(0.375, 1.0), (1.25, 2.0), (20.0, 1.0), (20.0, 1e-8)])
+    def test_period_against_mpmath(self, omega, z, fraction):
+        mpmath = pytest.importorskip("mpmath")
+        eta2 = fraction * wave.theta_admissible(omega, z)
+        for sign, period in ((-1.0, wave.period_minus), (1.0, wave.period_plus)):
+            with mpmath.workdps(50):
+                expected = float(_period_oracle(eta2, omega, z, sign))
+            assert period(eta2, omega, z) == pytest.approx(expected, rel=1e-14)
+
+    def test_random_long_cells_pass_the_residual_check(self):
+        # 259 of these 600 solves failed the 5e-12 residual check with K read from k;
+        # the near-solitary K_ONE_CUTOFF refusals (156) and the trough refusals stay
+        rng = random.Random(5)
+        outcomes = Counter()
+        for _ in range(600):
+            omega = rng.uniform(2.0, 40.0)
+            z = rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0)
+            params = WaveParams(omega, z, rng.uniform(1.0, 4.0))
+            try:
+                eta2 = wave.solve_eta2(params)
+            except NumericsError as exc:
+                assert "K_ONE_CUTOFF" in str(exc)
+                outcomes["cutoff"] += 1
+            except AdmissibilityError:
+                outcomes["refused"] += 1
+            else:
+                assert wave.period_residual(params, eta2) <= wave.PERIOD_RESIDUAL_TOL
+                outcomes["solved"] += 1
+        assert outcomes["solved"] > 400
+
+
 class TestLazySamples:
     def test_only_the_read_grid_is_sampled(self, monkeypatch):
         sizes = []
