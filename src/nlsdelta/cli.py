@@ -99,6 +99,7 @@ def cmd_build_wave(args: argparse.Namespace) -> int:
                 "eta1": profile.eta1,
                 "eta2": profile.eta2,
                 "k": profile.k,
+                "kp": profile.kp,
                 "a": profile.a,
                 "phi0": profile.phi0,
                 "sign_branch": profile.sign_branch.value,
@@ -149,6 +150,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     idx = report.index
     numerics = {
         "eta2": report.eta2,
+        "kp": report.kp,
         "period_residual": report.period_residual,
         "dT_deta2": report.dT_deta2,
         "deta2_domega": report.deta2_domega,

@@ -58,11 +58,12 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it: eta2 with the
-    period residual, dT/deta2 and deta2/domega of the solve there, and the L1 index."""
+    """Classification outcome with the raw quantities that produced it: eta2, k' = eta2/eta1,
+    the period residual, dT/deta2 and deta2/domega of the solve there, and the L1 index."""
 
     params: WaveParams
     eta2: float
+    kp: float
     index: Index
     p_index: int
     slope: float
@@ -183,6 +184,7 @@ def classify(params: WaveParams) -> StabilityReport:
     return StabilityReport(
         params=params,
         eta2=profile.eta2,
+        kp=profile.kp,
         index=idx,
         p_index=p,
         slope=s,

@@ -36,6 +36,7 @@ construction: profiles at moderate Z exist well below it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
@@ -154,7 +155,7 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
     if not 0.0 < spread < math.inf:  # also where 2 omega overflows
         raise NumericsError(f"eta1^2 - eta2^2 = {spread!r} over- or underflowed at omega={omega!r}")
     eta1 = math.sqrt(eta1_sq)
-    k = math.sqrt(spread / eta1_sq)
+    k = math.sqrt(min(spread / eta1_sq, 1.0))  # k^2 = 1 - k'^2 may round above 1
     if z == 0.0:
         return eta1, k, eta1, 0.0, 0.0, spread, 0.0, 0.0, 0.0
     s = math.sqrt(2.0 * gap) * math.sqrt(spread + zr)
@@ -163,7 +164,7 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
     sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
     if not sin_psi + cos_psi < math.inf:
         raise NumericsError(f"phi(0) gaps overflowed at omega={omega!r}, Z={z!r}")
-    a = elliptic.inverse_am(sin_psi, cos_psi, k)
+    a = elliptic.inverse_am(sin_psi, cos_psi, eta2 / eta1)  # k' holds what a double k near 1 cannot
     psi = math.atan2(sin_psi, cos_psi)
     return eta1, k, math.sqrt(eta1_sq - z * z * upper), a, psi, spread, s, upper, lower
 
@@ -182,11 +183,11 @@ def _period(eta2: float, omega: float, z: float) -> tuple[float, float, tuple[fl
     T_- for Z > 0 (and +0.0), T_+ for Z < 0; the orbit depends on |Z| only."""
     orbit = _orbit(eta2, omega, z)
     eta1, k, _, a = orbit[:4]
-    if k >= 1.0 - elliptic.K_ONE_CUTOFF:
-        raise NumericsError(
-            f"modulus k={k!r} is within K_ONE_CUTOFF={elliptic.K_ONE_CUTOFF} of 1, so the period "
-            f"map cannot be evaluated at eta2={eta2!r} (omega={omega!r}, Z={z!r})")
-    big_k = elliptic.complete_K(k, eta2 / eta1)  # k' holds what a double k near 1 cannot
+    kp = eta2 / eta1
+    if not kp * kp >= sys.float_info.min:  # the least normal double
+        raise NumericsError(f"k'^2 = (eta2/eta1)^2 = {kp * kp!r} underflows at eta2={eta2!r} (omega="
+                            f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
+    big_k = elliptic.complete_K(k, kp)
     return (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z)), big_k, orbit
 
 
@@ -293,19 +294,16 @@ def period_threshold(omega: float, z: float) -> float:
 def threshold_T0(omega: float, z: float) -> float:
     """Existence threshold T0(omega, Z) = T_-(theta), read from the period body at theta.
 
-        T0 = 2 sqrt2/lambda * [K(k0) - a0],   lambda = eta1(theta),
-        k0^2 = sqrt2 |Z| sqrt(omega - Z^2/8) / lambda^2,
-        dn(a0; k0) = sqrt(omega - Z^2/4) / lambda.
-
-    Decreasing in omega.  Discontinuous at Z = 0: sin^2 am(a0) -> 1/2 as
-    Z -> 0, i.e. a0 -> pi/4, so T0 -> sqrt2 pi/(2 sqrt omega), *half* the
-    classical dnoidal threshold sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
+    There dn^2(a0; k0) = (omega - Z^2/4)/lambda^2 = theta/lambda = k0' (lambda = eta1(theta)),
+    so a0 = K(k0)/2 and T0 = sqrt2 K(k0)/lambda.  Decreasing in omega.  Discontinuous at
+    Z = 0: k0 -> 0, so T0 -> sqrt2 pi/(2 sqrt omega), *half* the classical threshold
+    sqrt2 pi/sqrt(omega) returned at Z = 0 exactly.
     """
     return period_threshold(omega, abs(z))
 
 
 def threshold_T1(omega: float, z: float) -> float:
-    """Trough-branch threshold T1 = T_+(theta) = T0 + 4 sqrt2 a0 / lambda.
+    """Trough-branch threshold T1 = T_+(theta) = 3 T0, since a0 = K(k0)/2 (see threshold_T0).
 
     Discontinuous at Z = 0 like T0: T1 -> (3/2) sqrt2 pi/sqrt(omega) as Z -> 0.
     """
@@ -358,7 +356,7 @@ def _solve(params: WaveParams) -> tuple:
             f"falls from there to {'T0' if z >= 0.0 else 'T1'}(omega,Z)={thresh!r} within a "
             f"relative {_ETA2_BRACKET_EPS} of theta={upper!r}, below the eta2 solve's resolution")
     # Walk the lower end down geometrically until the period exceeds the target; where it
-    # never does, the K_ONE_CUTOFF refusal (eta2/eta1 ~ 1.4e-6) ends the walk.
+    # never does, _period's k'^2 underflow refusal ends the walk.
     lo = 0.5 * upper
     while fdf(math.log(lo))[0] <= 0.0:
         lo *= 0.5
@@ -372,10 +370,20 @@ def _solve(params: WaveParams) -> tuple:
     return eta2, resid, period, big_k, orbit
 
 
-def _dnoidal(xs, eta1: float, k: float, shift: float) -> NDArray[np.float64]:
-    """The closed form eta1 * dn(eta1 |x|/sqrt2 + shift; k), shift = +a, -a or 0."""
-    u = eta1 * np.abs(np.asarray(xs, dtype=float)) / _SQRT2 + shift
-    return eta1 * np.asarray(elliptic.jacobi_dn(u, k))
+def _dnoidal(xs, profile: WaveProfile) -> tuple[NDArray[np.float64], ...]:
+    """(sn cn, dn)(u; k) at the profile's argument u = eta1 |x|/sqrt2 + shift.
+
+    |u| > K/2 is read at v = K - |u| through dn(K - v) = k'/dn v, sn(K - v) = cn v/dn v and
+    cn(K - v) = k' sn v/dn v (DLMF Table 22.4.3), K the orbit's and not L's, so dn keeps its
+    relative accuracy up to the cell edge, where dn = k' lies below the rounding of k^2.
+    """
+    big_k = elliptic.complete_K(profile.k, profile.kp)
+    u = (profile.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
+    w = np.abs(u)
+    far = w > 0.5 * big_k
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, big_k - w, w), profile.k)
+    reflect = np.where(far, profile.kp / (dn * dn), 1.0)  # dn(K - v)/dn(v); sn cn is odd in u
+    return np.copysign(sn * cn * reflect, u), dn * reflect
 
 
 @dataclass(frozen=True)
@@ -408,6 +416,11 @@ class WaveProfile:
             return SignBranch.CLASSIC
         return SignBranch.PLUS_SHIFT if self.params.z > 0.0 else SignBranch.MINUS_SHIFT
 
+    @property
+    def kp(self) -> float:
+        """k' = eta2/eta1, which a double k near 1 cannot hold; 0 is the solitary limit."""
+        return self.eta2 / self.eta1
+
     @cached_property
     def x(self) -> NDArray[np.float64]:
         return np.linspace(-self.params.halfperiod, self.params.halfperiod, self.n + 1)
@@ -423,7 +436,7 @@ class WaveProfile:
 
     def evaluate(self, xs) -> NDArray[np.float64]:
         """The closed form at xs; raises if a value escapes the band [eta2, eta1]."""
-        phi = _dnoidal(xs, self.eta1, self.k, self.shift)
+        phi = self.eta1 * _dnoidal(xs, self)[1]
         lo, hi = self.eta2 - 1e-9 * self.eta1, self.eta1 * (1.0 + 1e-12)
         if not np.all((phi >= lo) & (phi <= hi)):
             raise NumericsError("profile escaped the band [eta2, eta1]")
@@ -431,11 +444,8 @@ class WaveProfile:
 
     def derivative(self, xs) -> NDArray[np.float64]:
         """Closed-form phi'(x); uses dn' = -k^2 sn cn and the |x| chain rule."""
-        xs = np.asarray(xs, dtype=float)
-        u = self.eta1 * np.abs(xs) / _SQRT2 + self.shift
-        sn, cn, _ = elliptic.jacobi_sn_cn_dn(u, self.k)
-        sgn = np.where(xs >= 0.0, 1.0, -1.0)
-        return -(self.eta1**2 / _SQRT2) * self.k**2 * np.asarray(sn) * np.asarray(cn) * sgn
+        sgn = np.where(np.asarray(xs) >= 0.0, 1.0, -1.0)
+        return -(self.eta1**2 / _SQRT2) * self.k**2 * _dnoidal(xs, self)[0] * sgn
 
     def diagnostics(self) -> dict:
         """Residuals of the defining identities, computed numerically.

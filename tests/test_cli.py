@@ -154,6 +154,8 @@ class TestClassify:
         omega, z, half_period = (float(v) for v in wave[1::2])
         eta2, resid = rep["numerics"]["eta2"], rep["numerics"]["period_residual"]
         assert 0.0 < eta2 < theta_admissible(omega, z)
+        # k' = eta2/eta1: how near the solitary limit k' -> 0 the cell is
+        assert rep["numerics"]["kp"] == eta2 / math.sqrt(2.0 * omega - eta2 * eta2)
         assert resid <= PERIOD_RESIDUAL_TOL
         period = period_minus if z >= 0.0 else period_plus
         assert resid == abs(period(eta2, omega, z) - 2.0 * half_period)
@@ -416,12 +418,42 @@ class TestSmallDefectAndEdges:
 
     @pytest.mark.parametrize("z, half_period", [("0", "20"), ("1", "20"), ("-1", "20"),
                                                 ("1", "100"), ("-1", "100")])
-    def test_modulus_at_cutoff_exits_3(self, tmp_path, capsys, z, half_period):
+    def test_near_solitary_cell_builds(self, tmp_path, z, half_period):
+        # k' = eta2/eta1 is ~1e-8 at L = 20 and ~1e-43 at L = 100; a modulus cutoff
+        # (k >= 1 - 1e-12) refused all five with exit 3
         rc = main(["--output-dir", str(tmp_path), "build-wave", "--omega", "1",
                    f"--z={z}", "--half-period", half_period])
+        assert rc == 0
+        solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
+        eta2, kp = solved["eta2"], solved["kp"]
+        assert kp == eta2 / solved["eta1"] and 0.0 < kp < 1e-7
+        params = WaveParams(1.0, float(z), float(half_period))
+        period = period_minus if params.z >= 0.0 else period_plus
+        assert abs(period(eta2, 1.0, params.z) - 2.0 * params.halfperiod) <= PERIOD_RESIDUAL_TOL
+        _, rows = read_csv(tmp_path / "wave_profile.csv")
+        edges = [float(rows[0][1]), float(rows[-1][1])]
+        assert edges == pytest.approx([eta2, eta2], rel=1e-15, abs=0.0)
+
+    def test_underflow_of_kp_squared_exits_3(self, tmp_path, capsys):
+        # past L ~ 355 at omega = 1 the period 2L needs k'^2 below the normal doubles
+        rc = main(["--output-dir", str(tmp_path), "build-wave", "--omega", "1",
+                   "--z", "1", "--half-period", "1000"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "K_ONE_CUTOFF" in err and "exist" not in err
+        assert "k'^2" in err and "underflows" in err and "solitary limit" in err
+        assert "exist" not in err and "no wave" not in err
+
+    @pytest.mark.parametrize("z", ["71.9842860371776", "-71.9842860371776"])
+    def test_threshold_near_k_one_is_named(self, tmp_path, capsys, z):
+        # 2L = 0.02 lies below T0 = 0.118638 (T1 = 0.35591); ellipkinc's failure at
+        # psi = am(K/2) made T0 read -4.7e-17, and the solve went on to exit 3
+        rc = main(["--output-dir", str(tmp_path), "build-wave", "--omega",
+                   "1425.3607590205768", f"--z={z}", "--half-period", "0.01"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        name, value = ("T0", 0.118638) if z[0] != "-" else ("T1", 0.35591)
+        quoted = float(err.split(f"{name}(omega,Z)=")[1].split(",")[0].split()[0])
+        assert quoted == pytest.approx(value, rel=1e-5)
 
     def test_infinite_delta_half_period(self, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
@@ -457,8 +489,9 @@ class TestFuzzedWaveArguments:
     @example(command="build-wave", omega=1.0, z=1e200, half_period=1.0)
     @example(command="classify", omega=1.0, z=1e200, half_period=1.0)
     @example(command="spectrum", omega=1.0, z=1e200, half_period=1.0)
-    # omega just above Z^2/4 (modulus at theta within K_ONE_CUTOFF of 1, s near 0 at the
-    # bracket top, a discriminant near 0 inside (0, theta)), then the extremes of scale
+    # omega just above Z^2/4 (modulus at theta within 1e-12 of 1, where k' keeps what k
+    # cannot; s near 0 at the bracket top, a discriminant near 0 inside (0, theta)), then
+    # the extremes of scale
     @example(command="build-wave", omega=0.25000025, z=1.0, half_period=1.0)
     @example(command="build-wave", omega=0.250125, z=1.0, half_period=10.0)
     @example(command="build-wave", omega=0.25075, z=1.0, half_period=10.0)

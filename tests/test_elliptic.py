@@ -31,7 +31,7 @@ def inverse_dn(y: float, k: float) -> float:
     (wave._orbit's shift a = dn^{-1}(Phi/eta1; k)).  At k = 1, k' = 0.
     """
     kp = complement(k)
-    return elliptic.inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), k)
+    return elliptic.inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), kp)
 
 
 def agm_K(k: float) -> float:
@@ -194,13 +194,13 @@ class TestInverseDn:
         kp = complement(k)
         y = kp + frac * (1.0 - kp)
         u = inverse_dn(y, k)
-        assert 0.0 <= u <= elliptic.complete_K(k)
+        assert 0.0 <= u <= elliptic.complete_K(k, complement(k))
         assert elliptic.jacobi_dn(u, k) == pytest.approx(y, abs=1e-11)
 
     def test_endpoints(self):
         k = 0.7
         assert inverse_dn(1.0, k) == 0.0
-        assert inverse_dn(complement(k), k) == elliptic.complete_K(k)
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(k, complement(k))
 
     def test_hyperbolic_closed_form(self):
         # dn(u; 1) = sech u
@@ -214,7 +214,7 @@ class TestInverseDnClosedForm:
         k = 1.0 - 1e-9
         y = complement(k) * (1.0 + 1e-7)
         u = inverse_dn(y, k)
-        assert 8.0 <= u <= elliptic.complete_K(k)
+        assert 8.0 <= u <= elliptic.complete_K(k, complement(k))
         assert elliptic.jacobi_dn(u, k) == pytest.approx(y, abs=1e-11)
 
     @pytest.mark.parametrize("k", [1e-4, 1e-9, 0.0])
@@ -224,7 +224,8 @@ class TestInverseDnClosedForm:
 
     @pytest.mark.parametrize("k", [0.7, 0.99, 1.0 - 1e-7, 1.0 - 1e-9])
     def test_lower_endpoint_is_exactly_K(self, k):
-        assert inverse_dn(complement(k), k) == elliptic.complete_K(k)
+        # both are R_F(0, k'^2, 1), with no special case at the amplitude pi/2
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(k, complement(k))
 
 
 class TestInverseAm:
@@ -233,13 +234,13 @@ class TestInverseAm:
         kp = complement(k)
         y = 0.5 * (1.0 + kp)
         s, c = math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp))
-        u = elliptic.inverse_am(s, c, k)
+        u = elliptic.inverse_am(s, c, kp)
         assert elliptic.jacobi_dn(u, k) == pytest.approx(y, rel=1e-12)
-        assert elliptic.inverse_am(1e-200 * s, 1e-200 * c, k) == pytest.approx(u, rel=1e-15)
+        assert elliptic.inverse_am(1e-200 * s, 1e-200 * c, kp) == pytest.approx(u, rel=1e-15)
 
     def test_endpoints(self):
-        assert elliptic.inverse_am(0.0, 1.0, 0.8) == 0.0
-        assert elliptic.inverse_am(1.0, 0.0, 0.8) == elliptic.complete_K(0.8)
+        assert elliptic.inverse_am(0.0, 1.0, 0.6) == 0.0
+        assert elliptic.inverse_am(1.0, 0.0, 0.6) == elliptic.complete_K(0.8, 0.6)
 
     @pytest.mark.parametrize("s, c", [(-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0)])
     def test_negative_or_nan_rejected(self, s, c):

@@ -356,11 +356,57 @@ class TestSmallDefect:
 
 
 class TestNearSolitaryCell:
+    # k' = eta2/eta1 ~ 1e-8 here: a modulus cutoff k >= 1 - 1e-12 (k' <= 1.4e-6) refused these
     @pytest.mark.parametrize("z", [0.0, 1.0, -1.0])
-    def test_modulus_cutoff_is_numerics_error(self, z):
-        with pytest.raises(NumericsError, match="K_ONE_CUTOFF") as info:
-            build_profile(WaveParams(1.0, z, 20.0))
+    def test_builds_at_the_former_cutoff(self, z):
+        params = WaveParams(1.0, z, 20.0)
+        p = build_profile(params)
+        assert 0.0 < p.kp < 1e-7
+        assert wave.period_residual(params, p.eta2) <= wave.PERIOD_RESIDUAL_TOL
+        assert p.evaluate(np.array([-20.0, 20.0])) == pytest.approx(p.eta2, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, -1.0])
+    def test_underflow_of_kp_squared_is_numerics_error(self, z):
+        # k'^2 leaves the normal range near L = 355 at omega = 1; L = 300 still builds
+        assert build_profile(WaveParams(1.0, z, 300.0)).kp < 1e-129
+        with pytest.raises(NumericsError, match="underflows") as info:
+            build_profile(WaveParams(1.0, z, 600.0))
         assert "exist" not in str(info.value)
+
+    @pytest.mark.parametrize("half_period", [12.0, 14.0, 16.0, 19.0, 21.0, 26.0, 40.0])
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_profile_against_mpmath(self, z, half_period):
+        # k' runs from 1e-5 (L = 12) to 1e-17 (L = 40).  Without the quarter-period
+        # reflection dn(u; k) from the rounded k^2 was 5.0e-6 off at the cell edge of
+        # L = 14; what is left is m = k^2 rounding in ellipj below K/2, worst near k' = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        p = build_profile(WaveParams(1.0, z, half_period), n=128)
+        xs = np.linspace(-half_period, half_period, 41)
+        sign = -math.copysign(1.0, z)  # T = 2 sqrt2/eta1 [K + sign a]; the shift is -sign a
+        with mpmath.workdps(50):
+            t = mpmath.findroot(
+                lambda t: _period_oracle(mpmath.exp(t), 1.0, z, sign) - 2 * half_period,
+                mpmath.log(p.eta2), tol=1e-30)
+            eta1, m, a = _orbit_oracle(mpmath.exp(t), 1.0, z)
+            expected = [float(eta1 * mpmath.ellipfun("dn", eta1 * abs(x) / mpmath.sqrt(2) - sign * a,
+                                                     m=m)) for x in xs]
+        assert p.evaluate(xs) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("omega, z, expected", [
+        (1425.3607590205768, 71.9842860371776, 0.118638),
+        (1425.3607590205768, -71.9842860371776, 0.35591),
+        (0.2500000025, 1.0, None),
+        (0.2500000025, -1.0, None),
+    ])
+    def test_threshold_near_k_one_against_mpmath(self, omega, z, expected):
+        # ellipkinc returned K, not K/2, at the amplitude of the first orbit (T0 came out as
+        # -4.7e-17); at omega = 1.00000001 Z^2/4 k0 is within 1e-12 of 1, where a cutoff
+        # refused and F(psi; k) from k was 1.2e-10 off
+        oracle = _threshold_oracle(omega, z)
+        if expected is not None:
+            assert oracle == pytest.approx(expected, rel=1e-5)
+        rel = 1e-13 if expected is not None else 1e-14
+        assert wave.period_threshold(omega, z) == pytest.approx(oracle, rel=rel)
 
 
 class TestLongCells:
@@ -378,8 +424,9 @@ class TestLongCells:
             assert period(eta2, omega, z) == pytest.approx(expected, rel=1e-14)
 
     def test_random_long_cells_pass_the_residual_check(self):
-        # 259 of these 600 solves failed the 5e-12 residual check with K read from k;
-        # the near-solitary K_ONE_CUTOFF refusals (156) and the trough refusals stay
+        # 259 of these 600 solves failed the 5e-12 residual check with K read from k, and
+        # a modulus cutoff (k >= 1 - 1e-12) refused 156 near-solitary cells; only the
+        # 13 trough refusals (2L <= T1) stay
         rng = random.Random(5)
         outcomes = Counter()
         for _ in range(600):
@@ -387,16 +434,15 @@ class TestLongCells:
             z = rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0)
             params = WaveParams(omega, z, rng.uniform(1.0, 4.0))
             try:
-                eta2 = wave.solve_eta2(params)
-            except NumericsError as exc:
-                assert "K_ONE_CUTOFF" in str(exc)
-                outcomes["cutoff"] += 1
+                p = build_profile(params, n=128)
             except AdmissibilityError:
                 outcomes["refused"] += 1
-            else:
-                assert wave.period_residual(params, eta2) <= wave.PERIOD_RESIDUAL_TOL
-                outcomes["solved"] += 1
-        assert outcomes["solved"] > 400
+                continue
+            assert wave.period_residual(params, p.eta2) <= wave.PERIOD_RESIDUAL_TOL
+            edges = p.evaluate(np.array([-params.halfperiod, params.halfperiod]))
+            assert edges == pytest.approx(p.eta2, rel=1e-15, abs=0.0)
+            outcomes["solved" if p.kp >= 1.4e-6 else "near_solitary"] += 1  # k < 1 - 1e-12
+        assert outcomes == {"solved": 440, "near_solitary": 147, "refused": 13}
 
 
 class TestLazySamples:
@@ -449,13 +495,21 @@ def _period_oracle(eta2, omega, z, sign):
     """
     import mpmath
 
+    eta1, m, a = _orbit_oracle(eta2, omega, z)
+    return 2 * mpmath.sqrt(2) / eta1 * (mpmath.ellipk(m) + sign * a)
+
+
+def _orbit_oracle(eta2, omega, z):
+    """(eta1, m = k^2, a) at the working precision; see _period_oracle."""
+    import mpmath
+
     eta2, omega, z = (mpmath.mpf(v) for v in (eta2, omega, z))
     eta1_sq = 2 * omega - eta2**2
     m = (eta1_sq - eta2**2) / eta1_sq
     b = 2 * omega - z**2 / 2
     gap = eta1_sq * z**2 / 2 / (eta1_sq - b / 2 + mpmath.sqrt(b * b - 4 * eta2**2 * eta1_sq) / 2)
     a = mpmath.ellipf(mpmath.asin(mpmath.sqrt(gap / (eta1_sq - eta2**2))), m)
-    return 2 * mpmath.sqrt(2) / mpmath.sqrt(eta1_sq) * (mpmath.ellipk(m) + sign * a)
+    return mpmath.sqrt(eta1_sq), m, a
 
 
 class TestPeriodSlope:
