@@ -6,8 +6,9 @@ file is reproducible from its sidecar alone.  Numeric output uses 17
 significant digits ('%.17g', '.' decimal separator) which round-trips
 IEEE doubles exactly.
 
-Exit codes: 0 ok, 2 admissibility violation, 3 numeric failure,
-4 inconclusive verdict under --strict-inconclusive.
+Exit codes: 0 ok, 2 admissibility violation, 3 numeric failure (an
+allocation the machine refuses included), 4 inconclusive verdict under
+--strict-inconclusive.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__, delta_op, linops
 from .errors import (
     EXIT_INCONCLUSIVE,
+    EXIT_NUMERICS,
     EXIT_OK,
     AdmissibilityError,
     NlsDeltaError,
@@ -95,12 +97,7 @@ def cmd_build_wave(args: argparse.Namespace) -> int:
         out,
         args,
         {
-            "solved": {
-                "eta1": profile.eta1,
-                "eta2": profile.eta2,
-                "k": profile.k,
-                "kp": profile.kp,
-                "a": profile.a,
+            "solved": profile.orbit._asdict() | {
                 "phi0": profile.phi0,
                 "sign_branch": profile.sign_branch.value,
             },
@@ -308,6 +305,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NlsDeltaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: {args.command} ran out of memory: {str(exc) or 'an allocation was refused'}",
+              file=sys.stderr)
+        return EXIT_NUMERICS
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ k' = sqrt(1 - k^2) and the value needs it: K(k) reads k' when given, and
 the inverse on the quarter period [0, K(k)], inverse_am, is keyed by it
 (both through Carlson's R_F).  inverse_am maps sn : cn to u = F(am u; k)
 (DLMF 22.15, 22.16); a caller that knows dn u forms sn : cn from its gaps
-1 - dn^2 and dn^2 - k'^2.
+1 - dn^2 and dn^2 - k'^2.  F(psi; k) is read only through inverse_am, and dn only
+together with sn and cn (jacobi_sn_cn_dn), as the profile needs all three.
 
 Conventions (scipy's own values at m = 0 and m = 1)
 ---------------------------------------------------
@@ -29,10 +30,8 @@ from scipy import special
 __all__ = [
     "complete_K",
     "complete_E",
-    "incomplete_F",
     "incomplete_E",
     "jacobi_sn_cn_dn",
-    "jacobi_dn",
     "inverse_am",
 ]
 
@@ -66,19 +65,6 @@ def complete_E(k: float) -> float:
     return float(special.ellipe(k * k))
 
 
-def incomplete_F(phi: ArrayLike, k: float) -> ArrayLike:
-    """Incomplete elliptic integral of the first kind F(phi; k).
-
-    For k = 1 this is the inverse Gudermannian atanh(sin phi), which raises
-    from |phi| = pi/2 on, where it diverges.
-    """
-    k = _check_modulus(k)
-    out = special.ellipkinc(phi, k * k)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"F(phi; k={k!r}) is not finite at phi={phi!r}")
-    return float(out) if np.isscalar(phi) else np.asarray(out)
-
-
 def incomplete_E(phi: ArrayLike, k: float) -> ArrayLike:
     """Incomplete elliptic integral of the second kind E(phi; k) = ∫_0^phi sqrt(1 - k^2 sin^2 t) dt."""
     k = _check_modulus(k)
@@ -93,11 +79,6 @@ def jacobi_sn_cn_dn(u: ArrayLike, k: float) -> tuple[ArrayLike, ArrayLike, Array
     if np.isscalar(u):
         return float(sn), float(cn), float(dn)
     return np.asarray(sn), np.asarray(cn), np.asarray(dn)
-
-
-def jacobi_dn(u: ArrayLike, k: float) -> ArrayLike:
-    """Jacobi dn alone; see jacobi_sn_cn_dn."""
-    return jacobi_sn_cn_dn(u, k)[2]
 
 
 def inverse_am(s: float, c: float, kp: float) -> float:

@@ -104,8 +104,9 @@ def norm_squared(profile: WaveProfile) -> float:
 
         ||phi||^2 = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)].
     """
-    e_inc = math.copysign(elliptic.incomplete_E(profile.psi, profile.k), profile.params.z)
-    return 2.0 * math.sqrt(2.0) * profile.eta1 * (elliptic.complete_E(profile.k) - e_inc)
+    o = profile.orbit
+    e_inc = math.copysign(elliptic.incomplete_E(o.psi, o.k), profile.params.z)
+    return 2.0 * math.sqrt(2.0) * o.eta1 * (elliptic.complete_E(o.k) - e_inc)
 
 
 def norm_squared_quadrature(profile: WaveProfile) -> float:
@@ -184,12 +185,12 @@ def classify(params: WaveParams) -> StabilityReport:
     return StabilityReport(
         params=params,
         eta2=profile.eta2,
-        kp=profile.kp,
+        kp=profile.orbit.kp,
         index=idx,
         p_index=p,
         slope=s,
         verdict=verdict,
-        period_residual=profile.root[1],
+        period_residual=abs(profile.orbit.period - 2.0 * params.halfperiod),
         dT_deta2=dt_deta2,
         deta2_domega=deta2_domega,
         kernel_caveat=(params.z == 0.0),

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,14 +53,13 @@ __all__ = [
     "SignBranch",
     "WaveParams",
     "WaveProfile",
+    "Orbit",
     "theta_admissible",
-    "phi_at_zero",
     "period_minus",
     "period_plus",
     "threshold_T0",
     "threshold_T1",
     "period_threshold",
-    "period_residual",
     "solve_eta2",
     "build_profile",
     "solitary_profile",
@@ -128,14 +128,38 @@ def _check_eta2(eta2: float, omega: float, z: float) -> float:
     return th
 
 
-def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
-    """The orbit fixed by eta2 in (0, theta]: (eta1, k, Phi, a, psi, spread, s, upper, lower).
+class Orbit(NamedTuple):
+    """The dnoidal orbit fixed by eta2 in (0, theta] on the branch of the sign of Z (see _orbit).
 
-    eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi is
-    phi_at_zero's root and the shift a = F(psi; k) = dn^{-1}(Phi/eta1; k) lies
-    in [0, K(k)].  On g = theta^2 - eta2^2 = (theta - eta2)(theta + eta2) and
-    r = sqrt(2 omega - Z^2/4), the discriminant s^2 and the gaps eta1^2 - Phi^2 =
-    Z^2 upper and Phi^2 - eta2^2 = lower are sums of non-negative terms,
+    k' = eta2/eta1 holds what a double k near 1 cannot, big_k = K(k), phi = Phi = phi(0),
+    a = F(psi; k) the unsigned shift with amplitude psi, spread = eta1^2 - eta2^2, and s,
+    upper, lower the discriminant and gaps; period = 2 sqrt2/eta1 [K(k) - copysign(a, Z)].
+    """
+
+    eta1: float
+    eta2: float
+    k: float
+    kp: float
+    big_k: float
+    phi: float
+    a: float
+    psi: float
+    spread: float
+    s: float
+    upper: float
+    lower: float
+    period: float
+
+
+def _orbit(eta2: float, omega: float, z: float) -> Orbit:
+    """The orbit fixed by eta2 in (0, theta]: T_- for Z > 0 (and +0.0), T_+ for Z < 0.
+
+    eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi^2 is the
+    larger root of (Z^2/4) Phi^2 = (eta1^2 - Phi^2)(Phi^2 - eta2^2)/2, and the shift
+    a = F(psi; k) = dn^{-1}(Phi/eta1; k) lies in [0, K(k)].  On g = theta^2 - eta2^2 =
+    (theta - eta2)(theta + eta2) and r = sqrt(2 omega - Z^2/4), the discriminant s^2 and
+    the gaps eta1^2 - Phi^2 = Z^2 upper and Phi^2 - eta2^2 = lower are sums of
+    non-negative terms,
 
         spread = 2g + |Z| r,  s^2 = spread^2 - Z^2 r^2 = 2g (spread + |Z| r),
         upper = [1/2 + r^2/(s + spread)]/2,
@@ -143,8 +167,7 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
 
     so s > 0 inside (0, theta), s = 0 at theta (the threshold), and a and
     psi = am(a; k), sin psi : cos psi = |Z| sqrt(upper) : sqrt(lower), keep
-    full relative accuracy as Z -> 0.  Z = 0 stops after k: Phi = eta1 and
-    a = psi = s = upper = lower = 0.
+    full relative accuracy as Z -> 0; at Z = 0 they give Phi = eta1 and a = psi = 0.
     """
     th = _check_eta2(eta2, omega, z)
     eta1_sq = 2.0 * omega - eta2 * eta2
@@ -156,50 +179,31 @@ def _orbit(eta2: float, omega: float, z: float) -> tuple[float, ...]:
         raise NumericsError(f"eta1^2 - eta2^2 = {spread!r} over- or underflowed at omega={omega!r}")
     eta1 = math.sqrt(eta1_sq)
     k = math.sqrt(min(spread / eta1_sq, 1.0))  # k^2 = 1 - k'^2 may round above 1
-    if z == 0.0:
-        return eta1, k, eta1, 0.0, 0.0, spread, 0.0, 0.0, 0.0
     s = math.sqrt(2.0 * gap) * math.sqrt(spread + zr)
     upper = 0.5 * (0.5 + r * r / (s + spread))
     lower = gap + abs(z) * ((omega - 0.25 * z * z) / (r + 0.5 * abs(z))) + 0.5 * s
     sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
     if not sin_psi + cos_psi < math.inf:
         raise NumericsError(f"phi(0) gaps overflowed at omega={omega!r}, Z={z!r}")
-    a = elliptic.inverse_am(sin_psi, cos_psi, eta2 / eta1)  # k' holds what a double k near 1 cannot
-    psi = math.atan2(sin_psi, cos_psi)
-    return eta1, k, math.sqrt(eta1_sq - z * z * upper), a, psi, spread, s, upper, lower
-
-
-def phi_at_zero(eta2: float, omega: float, z: float) -> float:
-    """Defect value Phi(eta2, omega, Z) = phi(0) on the physical branch (see _orbit).
-
-    The larger root of (Z^2/4) Phi^2 = (eta1^2 - Phi^2)(Phi^2 - eta2^2)/2,
-    the one compatible with the peak/trough geometry.
-    """
-    return _orbit(eta2, omega, z)[2]
-
-
-def _period(eta2: float, omega: float, z: float) -> tuple[float, float, tuple[float, ...]]:
-    """(T, K(k), orbit) at eta2 in (0, theta]: T = 2 sqrt2/eta1 [K(k) - copysign(a, Z)],
-    T_- for Z > 0 (and +0.0), T_+ for Z < 0; the orbit depends on |Z| only."""
-    orbit = _orbit(eta2, omega, z)
-    eta1, k, _, a = orbit[:4]
     kp = eta2 / eta1
+    a = elliptic.inverse_am(sin_psi, cos_psi, kp)
     if not kp * kp >= sys.float_info.min:  # the least normal double
         raise NumericsError(f"k'^2 = (eta2/eta1)^2 = {kp * kp!r} underflows at eta2={eta2!r} (omega="
                             f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
     big_k = elliptic.complete_K(k, kp)
-    return (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z)), big_k, orbit
+    period = (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z))
+    return Orbit(eta1, eta2, k, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
+                 math.atan2(sin_psi, cos_psi), spread, s, upper, lower, period)
 
 
 def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float]:
     """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form."""
-    period, big_k, orbit = _period(eta2, omega, z)
-    return period, _slope_terms(eta2, omega, z, period, big_k, orbit)[0]
+    orbit = _orbit(eta2, omega, z)
+    return orbit.period, _slope_terms(omega, z, orbit)[0]
 
 
-def _slope_terms(eta2: float, omega: float, z: float, period: float, big_k: float,
-                 orbit: tuple[float, ...]) -> tuple[float, ...]:
-    """(dT/deta2, d_k, psi', sc, E(k), E(psi; k)) at fixed omega from _period's (T, K, orbit).
+def _slope_terms(omega: float, z: float, o: Orbit) -> tuple[float, ...]:
+    """(dT/deta2, d_k, psi', sc, E(k), E(psi; k)) at fixed omega on the orbit o.
 
     d_k is the k-part of d[K - copysign(a, Z)]/deta2.  dk/deta2 = -2 eta2 omega/(k eta1^4),
     dK/dk (DLMF 19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k) give with
@@ -209,25 +213,23 @@ def _slope_terms(eta2: float, omega: float, z: float, period: float, big_k: floa
         da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
         psi' = sc (eta2/s) [2 - 1/(2 upper) + (spread + s)/lower],  sc = sin psi cos psi,
 
-    free of 1/sin psi, so the a-terms vanish with Z instead of underflowing.
+    free of 1/sin psi, so the a-terms vanish with Z instead of underflowing (at Z = 0 only
+    dK/deta2 is left).
     """
-    eta1, k, phi, a, psi, spread, s, upper, lower = orbit
-    c = -2.0 * omega / (spread * eta2)
+    c = -2.0 * omega / (o.spread * o.eta2)
     if c == 0.0:  # spread eta2 ~ eta1^3
         raise NumericsError(f"eta1^3 overflowed in double precision at omega={omega!r}")
+    if o.s == 0.0:
+        raise NumericsError(f"dT/deta2 is infinite at eta2=theta={o.eta2!r}, omega={omega!r}")
     sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
-    kp_sq = (eta2 / eta1) ** 2
-    big_e = elliptic.complete_E(k)
-    d_k = c * (big_e - kp_sq * big_k)
-    sc = d_psi = e_psi = 0.0
-    if z != 0.0:
-        if s == 0.0:
-            raise NumericsError(f"dT/deta2 is infinite at eta2=theta={eta2!r}, omega={omega!r}")
-        sc = abs(z) * math.sqrt(upper) * math.sqrt(lower) / spread
-        d_psi = sc * (eta2 / s) * (2.0 - 0.5 / upper + (spread + s) / lower)
-        e_psi = elliptic.incomplete_E(psi, k)
-        d_k += sigma * (c * (e_psi - kp_sq * a) + sc * 2.0 * omega / (eta2 * eta1 * phi))
-    d_t = period * eta2 / eta1**2 + 2.0 * _SQRT2 * (d_k + sigma * eta1 * d_psi / phi) / eta1
+    kp_sq = o.kp**2
+    big_e, e_psi = elliptic.complete_E(o.k), elliptic.incomplete_E(o.psi, o.k)
+    sc = abs(z) * math.sqrt(o.upper) * math.sqrt(o.lower) / o.spread
+    d_psi = sc * (o.eta2 / o.s) * (2.0 - 0.5 / o.upper + (o.spread + o.s) / o.lower)
+    d_k = c * (big_e - kp_sq * o.big_k) + sigma * (
+        c * (e_psi - kp_sq * o.a) + sc * 2.0 * omega / (o.eta2 * o.eta1 * o.phi))
+    d_t = (o.period * o.eta2 / o.eta1**2
+           + 2.0 * _SQRT2 * (d_k + sigma * o.eta1 * d_psi / o.phi) / o.eta1)
     return d_t, d_k, d_psi, sc, big_e, e_psi
 
 
@@ -240,19 +242,19 @@ def _norm_slope(profile: WaveProfile, norm: float) -> tuple[float, float, float]
     dE(psi; k)/dpsi = Phi/eta1 and, on _orbit's gaps with r^2 = 2 omega - Z^2/4,
     psi_w = -(sc/s) [1 + eta2^2 r^2/((s + spread)(lower + 2 eta2^2) upper)].
     """
-    omega, z = profile.params.omega, profile.params.z
-    eta2, _, period, big_k, orbit = profile.root
-    eta1, _, phi, a, _, spread, s, upper, lower = orbit
-    d_t, d_k, d_psi, sc, big_e, e_psi = _slope_terms(eta2, omega, z, period, big_k, orbit)
+    omega, z, o = profile.params.omega, profile.params.z, profile.orbit
+    d_t, d_k, d_psi, sc, big_e, e_psi = _slope_terms(omega, z, o)
     if d_t == 0.0:
-        raise NumericsError(f"dT/deta2 vanished at the root eta2={eta2!r}, omega={omega!r}")
-    sigma, w = -math.copysign(1.0, z), -0.5 * eta2 / omega
-    d_psi_w = 0.0 if z == 0.0 else -(sc / s) * (1.0 + eta2**2 * (2.0 * omega - 0.25 * z * z)
-                                                / ((s + spread) * (lower + 2.0 * eta2**2) * upper))
-    t_w = -period / eta1**2 + 2.0 * _SQRT2 * (w * d_k + sigma * eta1 * d_psi_w / phi) / eta1
-    n_k = -4.0 * _SQRT2 * omega * eta2 * (big_e - big_k + sigma * (e_psi - a)) / (spread * eta1)
-    n_2 = -norm * eta2 / eta1**2 + n_k + 2.0 * _SQRT2 * sigma * phi * d_psi
-    n_w = norm / eta1**2 + w * n_k + 2.0 * _SQRT2 * sigma * phi * d_psi_w
+        raise NumericsError(f"dT/deta2 vanished at the root eta2={o.eta2!r}, omega={omega!r}")
+    sigma, w = -math.copysign(1.0, z), -0.5 * o.eta2 / omega
+    d_psi_w = -(sc / o.s) * (1.0 + o.eta2**2 * (2.0 * omega - 0.25 * z * z)
+                             / ((o.s + o.spread) * (o.lower + 2.0 * o.eta2**2) * o.upper))
+    t_w = (-o.period / o.eta1**2
+           + 2.0 * _SQRT2 * (w * d_k + sigma * o.eta1 * d_psi_w / o.phi) / o.eta1)
+    n_k = (-4.0 * _SQRT2 * omega * o.eta2 * (big_e - o.big_k + sigma * (e_psi - o.a))
+           / (o.spread * o.eta1))
+    n_2 = -norm * o.eta2 / o.eta1**2 + n_k + 2.0 * _SQRT2 * sigma * o.phi * d_psi
+    n_w = norm / o.eta1**2 + w * n_k + 2.0 * _SQRT2 * sigma * o.phi * d_psi_w
     deta2 = -t_w / d_t
     return n_w + n_2 * deta2, d_t, deta2
 
@@ -263,7 +265,7 @@ def period_minus(eta2: float, omega: float, z: float) -> float:
     Strictly decreasing in eta2, diverging as eta2 -> 0 and equal to the
     threshold T0(omega, Z) at eta2 = theta(omega, Z).
     """
-    return _period(eta2, omega, abs(z))[0]
+    return _orbit(eta2, omega, abs(z)).period
 
 
 def period_plus(eta2: float, omega: float, z: float) -> float:
@@ -275,7 +277,7 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
     integration of the profile equation).  Only the initial decreasing
     branch is used by solve_eta2.
     """
-    return _period(eta2, omega, -abs(z))[0]
+    return _orbit(eta2, omega, -abs(z)).period
 
 
 def period_threshold(omega: float, z: float) -> float:
@@ -288,7 +290,7 @@ def period_threshold(omega: float, z: float) -> float:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
         return _SQRT2 * math.pi / math.sqrt(omega)
-    return _period(theta_admissible(omega, z), omega, z)[0]
+    return _orbit(theta_admissible(omega, z), omega, z).period
 
 
 def threshold_T0(omega: float, z: float) -> float:
@@ -310,24 +312,15 @@ def threshold_T1(omega: float, z: float) -> float:
     return period_threshold(omega, -abs(z))
 
 
-def period_residual(params: WaveParams, eta2: float) -> float:
-    """|T(eta2) - 2L| on the branch of the sign of Z (see _period)."""
-    return abs(_period(eta2, params.omega, params.z)[0] - 2.0 * params.halfperiod)
-
-
-def solve_eta2(params: WaveParams) -> float:
-    """The eta2 with minimal period equal to the cell length 2L.
+def solve_eta2(params: WaveParams) -> Orbit:
+    """The orbit whose minimal period equals the cell length 2L.
 
     Bracketed Newton in log eta2 on the initial decreasing branch of the
     period map, where the root is unique; raises an admissibility error
     (reporting the threshold) when 2L does not exceed T0, resp. T1 (see
-    period_plus: rising-branch trough waves are deliberately not constructed).
+    period_plus: rising-branch trough waves are deliberately not constructed),
+    and a numerics error when |T - 2L| at the root exceeds PERIOD_RESIDUAL_TOL.
     """
-    return _solve(params)[0]
-
-
-def _solve(params: WaveParams) -> tuple:
-    """solve_eta2's root and what its residual check formed there: (eta2, |T-2L|, T, K, orbit)."""
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
     thresh = period_threshold(omega, z)
@@ -356,18 +349,17 @@ def _solve(params: WaveParams) -> tuple:
             f"falls from there to {'T0' if z >= 0.0 else 'T1'}(omega,Z)={thresh!r} within a "
             f"relative {_ETA2_BRACKET_EPS} of theta={upper!r}, below the eta2 solve's resolution")
     # Walk the lower end down geometrically until the period exceeds the target; where it
-    # never does, _period's k'^2 underflow refusal ends the walk.
+    # never does, _orbit's k'^2 underflow refusal ends the walk.
     lo = 0.5 * upper
     while fdf(math.log(lo))[0] <= 0.0:
         lo *= 0.5
-    eta2 = math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12))
-    period, big_k, orbit = _period(eta2, omega, z)
-    resid = abs(period - target)
+    orbit = _orbit(math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12)), omega, z)
+    resid = abs(orbit.period - target)
     if resid > PERIOD_RESIDUAL_TOL:
         raise NumericsError(
-            f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at eta2={eta2!r}"
+            f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at eta2={orbit.eta2!r}"
         )
-    return eta2, resid, period, big_k, orbit
+    return orbit
 
 
 def _dnoidal(xs, profile: WaveProfile) -> tuple[NDArray[np.float64], ...]:
@@ -377,49 +369,43 @@ def _dnoidal(xs, profile: WaveProfile) -> tuple[NDArray[np.float64], ...]:
     cn(K - v) = k' sn v/dn v (DLMF Table 22.4.3), K the orbit's and not L's, so dn keeps its
     relative accuracy up to the cell edge, where dn = k' lies below the rounding of k^2.
     """
-    big_k = elliptic.complete_K(profile.k, profile.kp)
-    u = (profile.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
+    o = profile.orbit
+    u = (o.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
     w = np.abs(u)
-    far = w > 0.5 * big_k
-    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, big_k - w, w), profile.k)
-    reflect = np.where(far, profile.kp / (dn * dn), 1.0)  # dn(K - v)/dn(v); sn cn is odd in u
+    far = w > 0.5 * o.big_k
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, o.big_k - w, w), o.k)
+    reflect = np.where(far, o.kp / (dn * dn), 1.0)  # dn(K - v)/dn(v); sn cn is odd in u
     return np.copysign(sn * cn * reflect, u), dn * reflect
 
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """A standing-wave profile: its orbit, the sign of Z and a grid size n.
+    """A standing-wave profile: its parameters, its solved orbit and a grid size n.
 
-    The orbit is (eta1, eta2, k, a, psi), psi = am(a; k) the shift's amplitude.
     ``evaluate``/``derivative`` give the closed form anywhere (phi'(0) is
     right-sided); ``x``/``samples`` sample it on first read on the (n+1)-point
     grid over [-L, L], nodes at 0 and +-L.
     """
 
     params: WaveParams
-    eta1: float
-    eta2: float
-    k: float
-    a: float
-    psi: float
+    orbit: Orbit
     n: int
-    root: tuple = field(default=(), repr=False, compare=False)  # build_profile's _solve
+
+    @property
+    def eta2(self) -> float:
+        """The orbit's eta2 = phi(+-L), the trough value at the cell edge."""
+        return self.orbit.eta2
 
     @property
     def shift(self) -> float:
         """The signed shift: +a on the peak branch (Z > 0), -a on the trough branch."""
-        return math.copysign(self.a, self.params.z)
+        return math.copysign(self.orbit.a, self.params.z)
 
     @property
     def sign_branch(self) -> SignBranch:
         if self.params.z == 0.0:
             return SignBranch.CLASSIC
         return SignBranch.PLUS_SHIFT if self.params.z > 0.0 else SignBranch.MINUS_SHIFT
-
-    @property
-    def kp(self) -> float:
-        """k' = eta2/eta1, which a double k near 1 cannot hold; 0 is the solitary limit."""
-        return self.eta2 / self.eta1
 
     @cached_property
     def x(self) -> NDArray[np.float64]:
@@ -436,8 +422,9 @@ class WaveProfile:
 
     def evaluate(self, xs) -> NDArray[np.float64]:
         """The closed form at xs; raises if a value escapes the band [eta2, eta1]."""
-        phi = self.eta1 * _dnoidal(xs, self)[1]
-        lo, hi = self.eta2 - 1e-9 * self.eta1, self.eta1 * (1.0 + 1e-12)
+        eta1 = self.orbit.eta1
+        phi = eta1 * _dnoidal(xs, self)[1]
+        lo, hi = self.eta2 - 1e-9 * eta1, eta1 * (1.0 + 1e-12)
         if not np.all((phi >= lo) & (phi <= hi)):
             raise NumericsError("profile escaped the band [eta2, eta1]")
         return phi
@@ -445,7 +432,7 @@ class WaveProfile:
     def derivative(self, xs) -> NDArray[np.float64]:
         """Closed-form phi'(x); uses dn' = -k^2 sn cn and the |x| chain rule."""
         sgn = np.where(np.asarray(xs) >= 0.0, 1.0, -1.0)
-        return -(self.eta1**2 / _SQRT2) * self.k**2 * _dnoidal(xs, self)[0] * sgn
+        return -(self.orbit.eta1**2 / _SQRT2) * self.orbit.k**2 * _dnoidal(xs, self)[0] * sgn
 
     def diagnostics(self) -> dict:
         """Residuals of the defining identities, computed numerically.
@@ -477,7 +464,7 @@ class WaveProfile:
         dplus = float(fwd @ phi[n0 : n0 + 5])
         dminus = -float(fwd @ phi[n0 : n0 - 5 : -1])
         dphi = self.derivative(x)
-        quad = dphi**2 - 0.5 * (self.eta1**2 - phi**2) * (phi**2 - self.eta2**2)
+        quad = dphi**2 - 0.5 * (self.orbit.eta1**2 - phi**2) * (phi**2 - self.eta2**2)
         return {
             "pde_residual": float(np.max(np.abs(pde[interior]))),
             "jump_residual": float(abs(dplus + 0.5 * z * self.phi0)),
@@ -500,9 +487,9 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     if n < 128 or n & (n - 1) != 0:
         raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
     omega, z = params.omega, params.z
-    root = _solve(params)
-    eta2, _, _, big_k, (eta1, k, _, a, psi, *_) = root
-    profile = WaveProfile(params, eta1, eta2, k, a, psi, n, root)
+    orbit = solve_eta2(params)
+    profile = WaveProfile(params, orbit, n)
+    eta1, eta2, a = orbit.eta1, orbit.eta2, orbit.a
     if abs(eta1**2 + eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
         raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
     if not eta1 - eta2 > abs(z) / _SQRT2:
@@ -510,7 +497,7 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     # a > 0 is the computed gap eta1^2 - Phi^2 > 0, also where phi0 rounds to eta1.
     if z != 0.0 and not (eta2 < profile.phi0 <= eta1 and a > 0.0):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
-    if not 0.0 <= a <= big_k:
+    if not 0.0 <= a <= orbit.big_k:
         raise NumericsError("shift a escaped [0, K(k)]")
     return profile
 
@@ -546,8 +533,7 @@ def solitary_limit_check(
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        eta1, k, _, a, psi = _orbit(eta2, omega, z)[:5]
-        profile = WaveProfile(view, eta1, eta2, k, a, psi, n)
+        profile = WaveProfile(view, _orbit(eta2, omega, z), n)
         shifts.append(profile.shift)
         target = solitary_profile(omega, z, profile.x)
         sups.append(float(np.max(np.abs(profile.samples - target))))

@@ -65,6 +65,19 @@ class TestBuildWave:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"],
+                                      ["--omega", "8", "--z", "0", "--half-period", "1"]])
+    def test_sidecar_writes_the_orbit(self, tmp_path, wave):
+        # the whole solved orbit, read back: its period is 2L and its shift lies in [0, K]
+        assert main(["--output-dir", str(tmp_path), "build-wave", *wave, "--n", "256"]) == 0
+        solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
+        assert set(solved) == {"eta1", "eta2", "k", "kp", "big_k", "phi", "a", "psi", "spread",
+                               "s", "upper", "lower", "period", "phi0", "sign_branch"}
+        assert abs(solved["period"] - 2.0 * float(wave[-1])) <= PERIOD_RESIDUAL_TOL
+        assert 0.0 <= solved["a"] <= solved["big_k"]
+        assert solved["kp"] == solved["eta2"] / solved["eta1"]
+
+
 class TestSpectrum:
     def test_l1_spectrum_file(self, tmp_path):
         rc = main(
@@ -178,8 +191,8 @@ class TestClassify:
         numerics = rep["numerics"]
         assert numerics["dT_deta2"] == _period_and_slope(numerics["eta2"], omega, z)[1] < 0.0
         h = 1e-6 * omega
-        difference = (solve_eta2(WaveParams(omega + h, z, half_period))
-                      - solve_eta2(WaveParams(omega - h, z, half_period))) / (2.0 * h)
+        difference = (solve_eta2(WaveParams(omega + h, z, half_period)).eta2
+                      - solve_eta2(WaveParams(omega - h, z, half_period)).eta2) / (2.0 * h)
         assert numerics["deta2_domega"] == pytest.approx(difference, rel=1e-5)
 
 
@@ -296,6 +309,25 @@ class TestTypedFailures:
         err = capsys.readouterr().err
         assert flag in err and shown in err
         assert not (tmp_path / "lattice_sweep.csv").exists()
+
+
+    @pytest.mark.parametrize("command, builder", [("build-wave", "nlsdelta.cli.build_profile"),
+                                                  ("spectrum", "nlsdelta.linops.assemble")])
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 8.00 TiB for an array with shape (1099511627777,) and data type float64",
+        "",
+    ])
+    def test_refused_allocation_exits_3(self, tmp_path, capsys, monkeypatch, command, builder,
+                                        message):
+        # --n 2^40 asks numpy for 8 TiB, which it refuses at once with a MemoryError; the
+        # builder raises that error itself here, so nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(builder, refuse)
+        assert main(["--output-dir", str(tmp_path), command, *WAVE]) == 3
+        shown = message or "an allocation was refused"
+        assert capsys.readouterr().err == f"error: {command} ran out of memory: {shown}\n"
 
 
 class TestOutputDirPrecedence:

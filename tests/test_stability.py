@@ -219,8 +219,8 @@ class TestClosedFormSlope:
         # expects, and the closed form within 1e-6 of the finite-difference oracle
         workloads = _benchmark_workloads()
         solves = []
-        solve = wave._solve
-        monkeypatch.setattr(wave, "_solve", lambda params: solves.append(params) or solve(params))
+        solve = wave.solve_eta2
+        monkeypatch.setattr(wave, "solve_eta2", lambda params: solves.append(params) or solve(params))
         for p in workloads.lattice(workloads._rng(seed, "classify-lattice"), workloads.INPUTS_PER_RUN):
             params = WaveParams(p.omega, p.z, p.half_period)
             solves.clear()
@@ -236,8 +236,8 @@ class TestClosedFormSlope:
         assert s == pytest.approx(slope(params), rel=1e-6)
         assert dt_deta2 < 0.0
         h = 1e-6 * omega
-        difference = (wave.solve_eta2(WaveParams(omega + h, z, L))
-                      - wave.solve_eta2(WaveParams(omega - h, z, L))) / (2.0 * h)
+        difference = (wave.solve_eta2(WaveParams(omega + h, z, L)).eta2
+                      - wave.solve_eta2(WaveParams(omega - h, z, L)).eta2) / (2.0 * h)
         assert deta2_domega == pytest.approx(difference, rel=1e-5)
 
     @pytest.mark.parametrize(
@@ -273,7 +273,7 @@ class TestClosedFormSlope:
 
     def test_classify_solves_once(self, monkeypatch):
         # the residual check's orbit feeds the profile and the slope: after the Newton
-        # loop the orbit is formed once, and the public solve is not called at all
+        # loop the orbit is formed once
         newton, orbit = wave.newton, wave._orbit
         events = []
 
@@ -284,7 +284,6 @@ class TestClosedFormSlope:
 
         monkeypatch.setattr(wave, "newton", traced_newton)
         monkeypatch.setattr(wave, "_orbit", lambda *a: events.append("orbit") or orbit(*a))
-        monkeypatch.setattr(wave, "solve_eta2", None)
         for point in BRANCH_POINTS:
             events.clear()
             classify(WaveParams(*point))
@@ -293,6 +292,7 @@ class TestClosedFormSlope:
 
     def test_report_carries_the_solve(self):
         rep = classify(WaveParams(20.0, -1.0, 1.0))
-        assert rep.period_residual == wave.period_residual(rep.params, rep.eta2)
+        assert rep.period_residual == abs(wave.solve_eta2(rep.params).period
+                                          - 2.0 * rep.params.halfperiod)
         assert rep.dT_deta2 == wave._period_and_slope(rep.eta2, 20.0, -1.0)[1]
         assert rep.deta2_domega < 0.0

@@ -52,7 +52,7 @@ class TestParams:
         omega, z = 20.0, 1.5
         theta = wave.theta_admissible(omega, z)
         for eta2 in (0.3 * theta, 0.8 * theta):
-            phi2 = wave.phi_at_zero(eta2, omega, z) ** 2
+            phi2 = wave._orbit(eta2, omega, z).phi ** 2
             b = 2.0 * omega - z**2 / 2.0
             c = eta2**2 * (2.0 * omega - eta2**2)
             assert phi2**2 - b * phi2 + c == pytest.approx(0.0, abs=1e-8 * phi2**2)
@@ -183,14 +183,14 @@ class TestSolveEta2:
     @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
     def test_period_residual(self, omega, z, L):
         params = WaveParams(omega, z, L)
-        eta2 = wave.solve_eta2(params)
+        orbit = wave.solve_eta2(params)
         period = wave.period_minus if z >= 0.0 else wave.period_plus
-        assert period(eta2, omega, z) == pytest.approx(2.0 * L, abs=1e-12)
+        assert period(orbit.eta2, omega, z) == orbit.period == pytest.approx(2.0 * L, abs=1e-12)
 
     @pytest.mark.parametrize("omega,L", [(8.0, 1.0), (20.0, 0.5)])
     def test_negative_zero_defect_is_classical(self, omega, L):
-        eta2 = wave.solve_eta2(WaveParams(omega, 0.0, L))
-        assert wave.solve_eta2(WaveParams(omega, -0.0, L)) == eta2
+        orbit = wave.solve_eta2(WaveParams(omega, 0.0, L))
+        assert wave.solve_eta2(WaveParams(omega, -0.0, L)) == orbit
 
     def test_inadmissible_reports_threshold(self):
         with pytest.raises(AdmissibilityError, match="T1"):
@@ -203,9 +203,10 @@ class TestProfile:
     @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
     def test_invariants_and_residuals(self, omega, z, L):
         p = build_profile(WaveParams(omega, z, L), n=8192)
-        assert p.eta1**2 + p.eta2**2 == pytest.approx(2.0 * omega, rel=1e-12)
-        assert p.eta1 - p.eta2 > abs(z) / SQRT2
-        assert p.eta2 < p.phi0 < p.eta1 or z == 0.0
+        eta1 = p.orbit.eta1
+        assert eta1**2 + p.eta2**2 == pytest.approx(2.0 * omega, rel=1e-12)
+        assert eta1 - p.eta2 > abs(z) / SQRT2
+        assert p.eta2 < p.phi0 < eta1 or z == 0.0
         d = p.diagnostics()
         # residual scales like (h * omega)^2; the tight absolute bound
         # lives in the acceptance harness at its own resolution
@@ -223,7 +224,7 @@ class TestProfile:
         # peak waves decrease away from the defect, trough waves increase
         assert peak.samples.max() == pytest.approx(peak.phi0, rel=1e-12)
         assert trough.samples.max() > trough.phi0
-        assert classic.a == 0.0
+        assert classic.orbit.a == 0.0
 
     def test_power_of_two_grid_enforced(self):
         with pytest.raises(AdmissibilityError):
@@ -263,15 +264,15 @@ class TestParameterMonotonicity:
         z, L = 1.0, 0.5
         profiles = [build_profile(WaveParams(w, z, L), n=256) for w in (16.0, 20.0, 25.0, 30.0)]
         eta2s = [p.eta2 for p in profiles]
-        ks = [p.k for p in profiles]
-        shifts = [p.a for p in profiles]
+        ks = [p.orbit.k for p in profiles]
+        shifts = [p.orbit.a for p in profiles]
         assert all(a > b for a, b in zip(eta2s, eta2s[1:]))
         assert all(a < b for a, b in zip(ks, ks[1:]))
         assert all(a > b for a, b in zip(shifts, shifts[1:]))
 
     def test_shift_vanishes_at_large_omega(self):
         z, L = 1.0, 0.5
-        shifts = [build_profile(WaveParams(w, z, L), n=256).a for w in (10.0, 40.0, 160.0)]
+        shifts = [build_profile(WaveParams(w, z, L), n=256).orbit.a for w in (10.0, 40.0, 160.0)]
         assert shifts[0] > shifts[1] > shifts[2]
         assert shifts[2] < 0.05
 
@@ -335,14 +336,14 @@ class TestSmallDefect:
     def test_shift_against_mpmath(self, z):
         # the difference eta1^2 - Phi^2 of rounded squares left a with
         # 9e-3 relative error at Z = 1e-6 and no value at all below 1e-8
-        a = wave._orbit(3.9, 20.0, z)[3]
+        a = wave._orbit(3.9, 20.0, z).a
         assert a == pytest.approx(_shift_oracle(3.9, 20.0, z), rel=1e-13)
 
     @pytest.mark.parametrize("z", [1e-8, -1e-8, 1e-300])
     def test_profile_builds_at_tiny_z(self, z):
         params = WaveParams(20.0, z, 0.5 if z > 0.0 else 1.0)
         p = build_profile(params, n=512)
-        assert p.a > 0.0
+        assert p.orbit.a > 0.0
         assert p.phi0 == p.samples[256]
         period = wave.period_minus if z > 0.0 else wave.period_plus
         assert abs(period(p.eta2, 20.0, z) - 2.0 * params.halfperiod) <= wave.PERIOD_RESIDUAL_TOL
@@ -355,20 +356,63 @@ class TestSmallDefect:
         assert len(calls) == 1
 
 
+class TestOrbitRecord:
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    def test_zero_defect_runs_the_general_path(self, z):
+        # no Z = 0 fork: the general gaps give sin psi = 0, so a = psi = 0 and Phi = eta1
+        orbit = wave._orbit(2.0, 8.0, z)
+        assert orbit.a == 0.0 and orbit.psi == 0.0
+        assert orbit.phi == orbit.eta1
+        assert orbit.period == (2.0 * SQRT2 / orbit.eta1) * orbit.big_k
+
+    def test_zero_defect_slopes_are_the_classical_closed_forms(self):
+        # at Z = 0 the a- and psi-terms vanish and only dK/deta2 = c [E - k'^2 K] is left:
+        # T = 2 sqrt2 K/eta1 and N = 2 sqrt2 eta1 E, with c = -2 omega/(spread eta2)
+        omega = 8.0
+        profile = build_profile(WaveParams(omega, 0.0, 1.0), n=256)
+        o = profile.orbit
+        norm = stability.norm_squared(profile)
+        assert norm == 2.0 * SQRT2 * o.eta1 * elliptic.complete_E(o.k)
+        big_e, w = elliptic.complete_E(o.k), -0.5 * o.eta2 / omega
+        d_k = -2.0 * omega / (o.spread * o.eta2) * (big_e - o.kp**2 * o.big_k)
+        d_t = o.period * o.eta2 / o.eta1**2 + 2.0 * SQRT2 * d_k / o.eta1
+        t_w = -o.period / o.eta1**2 + 2.0 * SQRT2 * (w * d_k) / o.eta1
+        n_k = -4.0 * SQRT2 * omega * o.eta2 * (big_e - o.big_k) / (o.spread * o.eta1)
+        deta2 = -t_w / d_t
+        slope = norm / o.eta1**2 + w * n_k + (-norm * o.eta2 / o.eta1**2 + n_k) * deta2
+        assert wave._period_and_slope(o.eta2, omega, 0.0) == (o.period, d_t)
+        assert wave._norm_slope(profile, norm) == (slope, d_t, deta2)
+        assert stability.classify(profile.params).kernel_caveat
+
+    @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
+    def test_profile_reads_k_from_the_orbit(self, monkeypatch, z, L):
+        p = build_profile(WaveParams(20.0, z, L), n=256)
+        xs = np.linspace(-L, L, 9)
+        expected = p.evaluate(xs), p.derivative(xs)
+
+        def refuse(*args):
+            raise AssertionError("complete_K called")
+
+        monkeypatch.setattr(elliptic, "complete_K", refuse)
+        assert np.array_equal(p.evaluate(xs), expected[0])
+        assert np.array_equal(p.derivative(xs), expected[1])
+        assert p.samples.shape == (257,)
+
+
 class TestNearSolitaryCell:
     # k' = eta2/eta1 ~ 1e-8 here: a modulus cutoff k >= 1 - 1e-12 (k' <= 1.4e-6) refused these
     @pytest.mark.parametrize("z", [0.0, 1.0, -1.0])
     def test_builds_at_the_former_cutoff(self, z):
         params = WaveParams(1.0, z, 20.0)
         p = build_profile(params)
-        assert 0.0 < p.kp < 1e-7
-        assert wave.period_residual(params, p.eta2) <= wave.PERIOD_RESIDUAL_TOL
+        assert 0.0 < p.orbit.kp < 1e-7
+        assert abs(wave.solve_eta2(params).period - 2.0 * params.halfperiod) <= wave.PERIOD_RESIDUAL_TOL
         assert p.evaluate(np.array([-20.0, 20.0])) == pytest.approx(p.eta2, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.0, 1.0, -1.0])
     def test_underflow_of_kp_squared_is_numerics_error(self, z):
         # k'^2 leaves the normal range near L = 355 at omega = 1; L = 300 still builds
-        assert build_profile(WaveParams(1.0, z, 300.0)).kp < 1e-129
+        assert build_profile(WaveParams(1.0, z, 300.0)).orbit.kp < 1e-129
         with pytest.raises(NumericsError, match="underflows") as info:
             build_profile(WaveParams(1.0, z, 600.0))
         assert "exist" not in str(info.value)
@@ -438,10 +482,10 @@ class TestLongCells:
             except AdmissibilityError:
                 outcomes["refused"] += 1
                 continue
-            assert wave.period_residual(params, p.eta2) <= wave.PERIOD_RESIDUAL_TOL
+            assert abs(p.orbit.period - 2.0 * params.halfperiod) <= wave.PERIOD_RESIDUAL_TOL
             edges = p.evaluate(np.array([-params.halfperiod, params.halfperiod]))
             assert edges == pytest.approx(p.eta2, rel=1e-15, abs=0.0)
-            outcomes["solved" if p.kp >= 1.4e-6 else "near_solitary"] += 1  # k < 1 - 1e-12
+            outcomes["solved" if p.orbit.kp >= 1.4e-6 else "near_solitary"] += 1  # k < 1 - 1e-12
         assert outcomes == {"solved": 440, "near_solitary": 147, "refused": 13}
 
 
@@ -472,7 +516,7 @@ class TestLazySamples:
     def test_signed_shift_and_branch_follow_z(self, z, L, branch):
         p = build_profile(WaveParams(20.0, z, L))
         assert p.sign_branch.value == branch
-        assert p.a >= 0.0 and p.shift == math.copysign(p.a, z)
+        assert p.orbit.a >= 0.0 and p.shift == math.copysign(p.orbit.a, z)
 
     def test_band_check_guards_every_read(self, monkeypatch):
         p = build_profile(WaveParams(20.0, 1.0, 0.5), n=256)
@@ -562,9 +606,9 @@ class TestNewtonSolve:
             for omega, abs_z in _latin_hypercube(rng, 20):
                 calls.clear()
                 params = WaveParams(omega, sign * abs_z, L)
-                eta2 = wave.solve_eta2(params)
+                orbit = wave.solve_eta2(params)
                 counts.append(len(calls))
-                assert wave.period_residual(params, eta2) <= wave.PERIOD_RESIDUAL_TOL
+                assert abs(orbit.period - 2.0 * L) <= wave.PERIOD_RESIDUAL_TOL
         assert max(counts) <= 24
         assert sum(counts) / len(counts) <= 14.0
 
@@ -579,7 +623,7 @@ class TestNewtonSolve:
         for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
             for omega, abs_z in _latin_hypercube(rng, 20):
                 seen.clear()
-                eta2 = wave.solve_eta2(WaveParams(omega, sign * abs_z, L))
+                eta2 = wave.solve_eta2(WaveParams(omega, sign * abs_z, L)).eta2
                 repeated = {e: n for e, n in Counter(seen).items() if n > 1}
                 assert repeated in ({}, {eta2: 2}), (omega, sign * abs_z, L)
 
@@ -589,4 +633,4 @@ class TestNewtonSolve:
         theta = wave.theta_admissible(omega, z)
         lo = 1e-3 * theta  # every ADMISSIBLE period is above 2L there
         root = bisect(lambda e: period(e, omega, z) - 2.0 * L, lo, theta * (1.0 - 1e-12))
-        assert wave.solve_eta2(WaveParams(omega, z, L)) == pytest.approx(root, rel=1e-12)
+        assert wave.solve_eta2(WaveParams(omega, z, L)).eta2 == pytest.approx(root, rel=1e-12)
