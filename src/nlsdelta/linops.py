@@ -263,9 +263,7 @@ def beta_closed_form(omega: float, halfperiod: float, n: int = 8192) -> float:
     """
     profile = build_profile(WaveParams(omega, 0.0, halfperiod), n=n)
     phi0 = profile.phi0
-    xs = profile.x
-    dphi = profile.derivative(xs)
-    norm_dphi_sq = float(np.trapezoid(dphi**2, xs))
+    norm_dphi_sq = float(np.trapezoid(profile.derivative_samples**2, profile.x))
     return (phi0**4 - omega * phi0**2) / norm_dphi_sq
 
 

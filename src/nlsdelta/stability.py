@@ -120,6 +120,13 @@ def slope(params: WaveParams, h_omega: float | None = None) -> float:
     Each stencil point re-runs the full eta2 solve and closed-form norm.
     If a stencil point falls outside admissibility the stencil degrades
     to one-sided with a warning (no Richardson level in that case).
+
+    Near the fold of T_+ that fallback can get the sign wrong.  At
+    (omega, Z, L) = (1838.7674435299375, -84.06364029366871,
+    0.18608225155945318), 2L exceeds T1 by 3.7e-5 of itself, so the solve
+    refuses omega - h, and (N(omega + h) - N(omega))/h gives +0.00518 where
+    the closed form (wave._norm_slope, classify's) gives -0.00143: the norm
+    is far from linear across h = 1e-3 omega there.
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     if h_omega is None:

@@ -20,14 +20,16 @@ a peak at 0 for Z > 0 and a trough for Z < 0, with modulus k^2 =
 profile, the period and its threshold only through s.  The free parameter
 eta2 is pinned down by requiring the minimal period to equal the cell
 length 2L.  The peak map T_-(eta2) (Z>0) is strictly decreasing; the trough
-map T_+(eta2) (Z<0) is observed numerically to dip below its endpoint limit
-T1 before rising back to it, so the solve targets the decreasing branch
-where the root is unique (see solve_eta2).
+map T_+(eta2) (Z<0) is observed numerically to fall to a minimum Tmin below
+its endpoint limit T1 before rising back to it, so for Tmin < 2L <= T1
+trough waves exist on both branches, the one on the falling branch being the
+continuation of the Z = 0 dnoidal.
 
 Existence thresholds: T0 = T_-(theta) and T1 = T_+(theta) are the same
 period body at the closed end eta2 = theta (see _orbit), so a peak wave of
-period 2L exists iff 2L > T0 (with omega > Z^2/4), and the trough solve asks
-2L > T1 to stay on the decreasing branch of T_+.  The separate
+period 2L exists iff 2L > T0 (with omega > Z^2/4).  The trough solve brackets
+its root against T1, not Tmin: it builds the falling-branch wave, unique
+there, where 2L > T1, and neither branch below (see solve_eta2).  The separate
 small-defect continuation condition omega > pi^2/(2 L^2) is computed and
 reported as a diagnostic flag, but deliberately does not veto
 construction: profiles at moderate Z exist well below it.
@@ -274,8 +276,9 @@ def period_plus(eta2: float, omega: float, z: float) -> float:
     Diverges as eta2 -> 0 and equals T1(omega, Z) at eta2 = theta,
     but is *not* monotone: it passes through an interior minimum below
     T1 before climbing back (cross-checked against direct ODE
-    integration of the profile equation).  Only the initial decreasing
-    branch is used by solve_eta2.
+    integration of the profile equation).  solve_eta2 brackets the
+    initial decreasing branch against T1, so it builds no root of the
+    rising branch, nor one of the falling branch with 2L <= T1.
     """
     return _orbit(eta2, omega, -abs(z)).period
 
@@ -316,10 +319,12 @@ def solve_eta2(params: WaveParams) -> Orbit:
     """The orbit whose minimal period equals the cell length 2L.
 
     Bracketed Newton in log eta2 on the initial decreasing branch of the
-    period map, where the root is unique; raises an admissibility error
-    (reporting the threshold) when 2L does not exceed T0, resp. T1 (see
-    period_plus: rising-branch trough waves are deliberately not constructed),
-    and a numerics error when |T - 2L| at the root exceeds PERIOD_RESIDUAL_TOL.
+    period map, bracketed against its value T0, resp. T1, at theta, where the
+    root is unique.  Raises an admissibility error reporting that threshold when
+    2L does not exceed it: no peak wave exists there, while trough waves exist on
+    both branches of T_+ for Tmin < 2L <= T1 (see period_plus) but this bracket
+    holds neither.  Raises a numerics error when |T - 2L| at the root exceeds
+    PERIOD_RESIDUAL_TOL.
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
@@ -329,8 +334,10 @@ def solve_eta2(params: WaveParams) -> Orbit:
             f"no wave of period 2L={target!r}: requires 2L > T0(omega,Z)={thresh!r}")
     if not target > thresh:
         raise AdmissibilityError(
-            f"2L={target!r} does not exceed T1(omega,Z)={thresh!r}, which the trough solve "
-            f"requires to stay on the decreasing branch of T_+ (rising-branch waves are not built)")
+            f"2L={target!r} does not exceed T1(omega,Z)={thresh!r}, against which the trough "
+            f"solve brackets its root on the decreasing branch of T_+, so it builds neither branch "
+            f"here, though T_+ dips below T1 to a minimum Tmin and waves of both branches "
+            f"exist for Tmin < 2L <= T1")
     # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
     # an error of order its square, far below the noise of T that a smaller xtol chases.
     # Memoised, so the bracket ends found below are not evaluated again by newton.
@@ -383,13 +390,22 @@ class WaveProfile:
     """A standing-wave profile: its parameters, its solved orbit and a grid size n.
 
     ``evaluate``/``derivative`` give the closed form anywhere (phi'(0) is
-    right-sided); ``x``/``samples`` sample it on first read on the (n+1)-point
-    grid over [-L, L], nodes at 0 and +-L.
+    right-sided).  The grid ``x`` = h (j - n/2), h = 2L/n, j = 0..n, has nodes at
+    0 and +-L and is exactly antisymmetric, x[n - j] == -x[j], so phi is exactly
+    even on it and phi' exactly odd away from 0.  One evaluation of the closed
+    form on the half grid |x| = 0..L, made on first read, serves every grid read:
+    ``samples`` and ``derivative_samples`` mirror it and are bit for bit
+    ``evaluate(x)`` and ``derivative(x)``.  n is a power of two >= 128, so h (n/2) = L
+    exactly.
     """
 
     params: WaveParams
     orbit: Orbit
     n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 128 or self.n & (self.n - 1) != 0:
+            raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={self.n}")
 
     @property
     def eta2(self) -> float:
@@ -409,30 +425,49 @@ class WaveProfile:
 
     @cached_property
     def x(self) -> NDArray[np.float64]:
-        return np.linspace(-self.params.halfperiod, self.params.halfperiod, self.n + 1)
+        return (2.0 * self.params.halfperiod / self.n) * (np.arange(self.n + 1) - self.n // 2)
+
+    @cached_property
+    def _half_grid(self) -> tuple[NDArray[np.float64], ...]:
+        """_dnoidal at the nodes n/2..n, the half grid that mirrors to the whole of ``x``."""
+        return _dnoidal(self.x[self.n // 2 :], self)
 
     @cached_property
     def samples(self) -> NDArray[np.float64]:
-        return self.evaluate(self.x)
+        phi = self._in_band(self.orbit.eta1 * self._half_grid[1])
+        return np.concatenate((phi[:0:-1], phi))
+
+    @cached_property
+    def derivative_samples(self) -> NDArray[np.float64]:
+        """``derivative(x)``: odd in x, right-sided at the node x = 0."""
+        dphi = self._dphi_scale * self._half_grid[0]
+        return np.concatenate((-dphi[:0:-1], dphi))
 
     @cached_property
     def phi0(self) -> float:
         """phi(0), bit for bit the sample at the node x = 0 the profile file holds."""
         return float(self.evaluate(0.0))
 
-    def evaluate(self, xs) -> NDArray[np.float64]:
-        """The closed form at xs; raises if a value escapes the band [eta2, eta1]."""
+    @property
+    def _dphi_scale(self) -> float:
+        """phi'/(sn cn) for x >= 0: dn' = -k^2 sn cn times the chain-rule factor eta1/sqrt2."""
+        return -(self.orbit.eta1**2 / _SQRT2) * self.orbit.k**2
+
+    def _in_band(self, phi: NDArray[np.float64]) -> NDArray[np.float64]:
         eta1 = self.orbit.eta1
-        phi = eta1 * _dnoidal(xs, self)[1]
         lo, hi = self.eta2 - 1e-9 * eta1, eta1 * (1.0 + 1e-12)
         if not np.all((phi >= lo) & (phi <= hi)):
             raise NumericsError("profile escaped the band [eta2, eta1]")
         return phi
 
+    def evaluate(self, xs) -> NDArray[np.float64]:
+        """The closed form at xs; raises if a value escapes the band [eta2, eta1]."""
+        return self._in_band(self.orbit.eta1 * _dnoidal(xs, self)[1])
+
     def derivative(self, xs) -> NDArray[np.float64]:
         """Closed-form phi'(x); uses dn' = -k^2 sn cn and the |x| chain rule."""
         sgn = np.where(np.asarray(xs) >= 0.0, 1.0, -1.0)
-        return -(self.orbit.eta1**2 / _SQRT2) * self.orbit.k**2 * _dnoidal(xs, self)[0] * sgn
+        return self._dphi_scale * _dnoidal(xs, self)[0] * sgn
 
     def diagnostics(self) -> dict:
         """Residuals of the defining identities, computed numerically.
@@ -450,10 +485,10 @@ class WaveProfile:
           closed-form derivative;
         - derivative_symmetry: |phi'(0+) + phi'(0-)| (stencil).
         """
-        x, phi = self.x, self.samples
-        h = x[1] - x[0]
+        phi = self.samples
+        h = 2.0 * self.params.halfperiod / self.n
         omega, z = self.params.omega, self.params.z
-        n0 = len(x) // 2  # defect node
+        n0 = self.n // 2  # defect node
         second = (
             -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
         ) / (12.0 * h**2)
@@ -463,11 +498,11 @@ class WaveProfile:
         fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
         dplus = float(fwd @ phi[n0 : n0 + 5])
         dminus = -float(fwd @ phi[n0 : n0 - 5 : -1])
-        dphi = self.derivative(x)
+        dphi = self.derivative_samples
         quad = dphi**2 - 0.5 * (self.orbit.eta1**2 - phi**2) * (phi**2 - self.eta2**2)
         return {
             "pde_residual": float(np.max(np.abs(pde[interior]))),
-            "jump_residual": float(abs(dplus + 0.5 * z * self.phi0)),
+            "jump_residual": float(abs(dplus + 0.5 * z * phi[n0])),
             "endpoint_residual": float(
                 max(abs(phi[0] - self.eta2), abs(phi[-1] - self.eta2))
             ),
@@ -484,8 +519,6 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     invariants of the orbit before returning; n (a power of two >= 128)
     sets the grid of ``x``/``samples``, which are sampled only if read.
     """
-    if n < 128 or n & (n - 1) != 0:
-        raise AdmissibilityError(f"grid size must be a power of two >= 128, got n={n}")
     omega, z = params.omega, params.z
     orbit = solve_eta2(params)
     profile = WaveProfile(params, orbit, n)

@@ -416,8 +416,9 @@ class TestSmallDefectAndEdges:
 
     @pytest.mark.parametrize("z, half_period", [("-1", "0.5"), ("-1e-300", "0.6")])
     def test_trough_refusal_is_not_a_nonexistence_claim(self, tmp_path, capsys, z, half_period):
-        # waves with Tmin < 2L <= T1 exist on the rising branch of T_+; the refusal
-        # names the branch the solve keeps to (T1 = 1.4902 at Z = -1e-300, not 0.9935)
+        # waves with Tmin < 2L <= T1 exist on both branches of T_+, the falling-branch one
+        # continuing from Z = 0; the solve brackets against T1 and builds neither, and the
+        # refusal names that bracket (T1 = 1.4902 at Z = -1e-300, not 0.9935)
         rc = main(["--output-dir", str(tmp_path), "classify",
                    "--omega", "20", f"--z={z}", "--half-period", half_period])
         assert rc == 2

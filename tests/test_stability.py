@@ -259,6 +259,12 @@ class TestClosedFormSlope:
             expected = float(_slope_oracle(omega, z, L, profile.eta2))
         assert _closed_form(profile)[0] == pytest.approx(expected, rel=1e-11)
 
+    def test_sign_near_the_fold(self):
+        # the one-sided fallback of the slope oracle reads +0.00518 here (see slope)
+        rep = classify(WaveParams(1838.7674435299375, -84.06364029366871, 0.18608225155945318))
+        assert rep.slope == pytest.approx(-0.0014264253509066183, rel=1e-6)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+
     def test_against_mpmath_difference_near_theta(self):
         # a peak whose root lies within 1e-6 theta of theta, where dT/deta2 grows like
         # 1/sqrt(theta - eta2) and the psi-terms dominate

@@ -231,6 +231,10 @@ class TestProfile:
             build_profile(WaveParams(8.0, 1.0, 0.5), n=300)
         with pytest.raises(AdmissibilityError):
             build_profile(WaveParams(8.0, 1.0, 0.5), n=64)
+        p = build_profile(WaveParams(8.0, 1.0, 0.5), n=128)
+        for n in (255, 300, 64):  # the half-grid mirror needs h n/2 == L
+            with pytest.raises(AdmissibilityError, match="power of two"):
+                wave.WaveProfile(p.params, p.orbit, n)
 
     def test_jump_sign_follows_defect_sign(self):
         for z in (1.0, -1.0):
@@ -509,6 +513,32 @@ class TestLazySamples:
         assert "samples" not in vars(p) and "x" not in vars(p)
         assert p.samples.shape == p.x.shape == (4097,)
         assert "samples" in vars(p)
+
+    @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
+    def test_one_half_grid_evaluation_serves_every_grid_read(self, monkeypatch, z, L):
+        p = build_profile(WaveParams(20.0, z, L), n=512)
+        sizes = []
+        dnoidal = wave._dnoidal
+        monkeypatch.setattr(
+            wave, "_dnoidal", lambda xs, *args: sizes.append(np.size(xs)) or dnoidal(xs, *args)
+        )
+        p.derivative_samples
+        p.diagnostics()
+        p.samples
+        assert sizes == [512 // 2 + 1]
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("z, L", [(1.0, 0.5), (1.0, 0.7), (-1.0, 1.0), (-2.0, 1.3), (0.0, 1.0)])
+    def test_grid_reads_mirror_the_half_grid(self, z, L, n):
+        p = build_profile(WaveParams(20.0, z, L), n=n)
+        x, phi, dphi = p.x, p.samples, p.derivative_samples
+        assert (x[0], x[n // 2], x[n]) == (-L, 0.0, L)
+        assert np.array_equal(x[::-1], -x)
+        assert np.array_equal(phi[::-1], phi)
+        assert np.array_equal(dphi[: n // 2], -dphi[: n // 2 : -1])  # odd away from x = 0
+        assert np.array_equal(phi, p.evaluate(x))
+        assert np.array_equal(dphi, p.derivative(x))
+        assert p.phi0 == phi[n // 2]
 
     @pytest.mark.parametrize(
         "z, L, branch", [(1.0, 0.5, "plus_shift"), (-1.0, 1.0, "minus_shift"), (0.0, 1.0, "classic")]
