@@ -145,12 +145,8 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     report = classify(_wave_params(args))
     idx = report.index
-    numerics = {
-        "eta2": report.eta2,
-        "kp": report.kp,
-        "period_residual": report.period_residual,
-        "dT_deta2": report.dT_deta2,
-        "deta2_domega": report.deta2_domega,
+    solve = ("eta2", "gap", "kp", "period_residual", "dT_deta2", "deta2_domega")
+    numerics = {name: getattr(report, name) for name in solve} | {
         "band": idx.band,
         "expected_kernel": idx.expected_kernel,
         "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},

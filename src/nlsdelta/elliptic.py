@@ -4,10 +4,11 @@ Thin, validated wrappers around scipy.special.  The *modulus* k (not
 m = k^2) is the argument, except where a double k near 1 cannot hold
 k' = sqrt(1 - k^2) and the value needs it: K(k) reads k' when given, and
 the inverse on the quarter period [0, K(k)], inverse_am, is keyed by it
-(both through Carlson's R_F).  inverse_am maps sn : cn to u = F(am u; k)
-(DLMF 22.15, 22.16); a caller that knows dn u forms sn : cn from its gaps
-1 - dn^2 and dn^2 - k'^2.  F(psi; k) is read only through inverse_am, and dn only
-together with sn and cn (jacobi_sn_cn_dn), as the profile needs all three.
+(both through Carlson's R_F), as is D = (F - E)/k^2 (incomplete_D, through
+R_D).  inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16); a
+caller that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.
+F(psi; k) is read only through inverse_am, and dn only together with sn and
+cn (jacobi_sn_cn_dn), as the profile needs all three.
 
 Conventions (scipy's own values at m = 0 and m = 1)
 ---------------------------------------------------
@@ -33,6 +34,7 @@ __all__ = [
     "incomplete_E",
     "jacobi_sn_cn_dn",
     "inverse_am",
+    "incomplete_D",
 ]
 
 ArrayLike = Union[float, NDArray[np.float64]]
@@ -102,3 +104,14 @@ def inverse_am(s: float, c: float, kp: float) -> float:
     if not math.isfinite(u):  # F(pi/2; 1) = K(1), or a nan kp
         raise ValueError(f"F(psi; k) is not finite at sn : cn = {s!r} : {c!r}, kp={kp!r}")
     return u
+
+
+def incomplete_D(s: float, c: float, kp: float) -> float:
+    """D(psi; k) = [F(psi; k) - E(psi; k)]/k^2 at psi = atan2(s, c), s and c as for inverse_am.
+
+    sin^3 psi R_D(cos^2 psi, cos^2 psi + k'^2 sin^2 psi, 1)/3 (DLMF 19.2.6, 19.25.9) keeps full
+    accuracy as k -> 0, where F - E leaves nothing; s = 1, c = 0 give D(k) = (K - E)/k^2.
+    """
+    norm = math.hypot(s, c)
+    s, c = s / norm, c / norm
+    return s**3 * float(special.elliprd(c * c, c * c + (kp * s) ** 2, 1.0)) / 3.0

@@ -1,7 +1,7 @@
 """Bracketed root finding: one Newton loop that never leaves its bracket.
 
-The period equation T(eta2) = 2L (with the closed-form slope of
-wave._period_and_slope) and the defect operator's bound-state and
+The period equation T = 2L in u = log(g/eta2^2) (with the closed-form
+slope dT/du of wave._tangent) and the defect operator's bound-state and
 interior-root equations (through ``bisect``, whose NaN slope makes every
 step a midpoint) are solved on intervals where a unique root is known
 analytically.  Every solve keeps a sign-change bracket, and failures

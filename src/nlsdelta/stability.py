@@ -58,11 +58,12 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it: eta2, k' = eta2/eta1,
-    the period residual, dT/deta2 and deta2/domega of the solve there, and the L1 index."""
+    """Classification outcome with the raw quantities that produced it: eta2, its gap theta^2 -
+    eta2^2, k' = eta2/eta1, the period residual, dT/deta2 and deta2/domega there, the L1 index."""
 
     params: WaveParams
     eta2: float
+    gap: float
     kp: float
     index: Index
     p_index: int
@@ -181,7 +182,7 @@ def classify(params: WaveParams) -> StabilityReport:
     """
     profile = build_profile(params)
     norm = norm_squared(profile)
-    s, dt_deta2, deta2_domega = _norm_slope(profile, norm)
+    s, dt_deta2, deta2_domega = _norm_slope(profile)
     scale = norm / params.omega
     idx = index(assemble(profile, Which.L1, N_EIGEN))
     p = 0 if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale else 1
@@ -192,6 +193,7 @@ def classify(params: WaveParams) -> StabilityReport:
     return StabilityReport(
         params=params,
         eta2=profile.eta2,
+        gap=profile.orbit.gap,
         kp=profile.orbit.kp,
         index=idx,
         p_index=p,

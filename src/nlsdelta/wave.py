@@ -4,35 +4,30 @@ A standing wave u(x,t) = e^{i omega t} phi(x) of
 
     i u_t + u_xx + Z delta(x) u + |u|^2 u = 0,   x in [-L, L] periodic,
 
-has a real profile solving -phi'' + omega phi - phi^3 = 0 away from 0
-together with the corner condition phi'(0+) - phi'(0-) = -Z phi(0).
-Away from the defect the profile rides the classical dnoidal orbit
-
-    2 (phi')^2 = (eta1^2 - phi^2)(phi^2 - eta2^2),
-    eta1^2 + eta2^2 = 2 omega,
-
-and the defect is absorbed by the signed shift s = copysign(a, Z):
+has a real profile solving -phi'' + omega phi - phi^3 = 0 away from 0 with the
+corner condition phi'(0+) - phi'(0-) = -Z phi(0).  Away from the defect it rides
+the classical dnoidal orbit 2 (phi')^2 = (eta1^2 - phi^2)(phi^2 - eta2^2),
+eta1^2 + eta2^2 = 2 omega, and the defect is absorbed by the signed shift
+s = copysign(a, Z):
 
     phi(x) = eta1 * dn(eta1 |x|/sqrt2 + s; k),   T = 2 sqrt2/eta1 * [K(k) - s],
 
-a peak at 0 for Z > 0 and a trough for Z < 0, with modulus k^2 =
-(eta1^2 - eta2^2)/eta1^2 and a >= 0 set by |Z|: the sign of Z enters the
-profile, the period and its threshold only through s.  The free parameter
-eta2 is pinned down by requiring the minimal period to equal the cell
-length 2L.  The peak map T_-(eta2) (Z>0) is strictly decreasing; the trough
-map T_+(eta2) (Z<0) is observed numerically to fall to a minimum Tmin below
-its endpoint limit T1 before rising back to it, so for Tmin < 2L <= T1
-trough waves exist on both branches, the one on the falling branch being the
-continuation of the Z = 0 dnoidal.
+a peak at 0 for Z > 0 and a trough for Z < 0, with k^2 = (eta1^2 - eta2^2)/eta1^2
+and a >= 0 set by |Z|: the sign of Z enters the profile, the period and its
+threshold only through s.  eta2 is pinned down by T = 2L, solved in
+u = log(g/eta2^2) with g = theta^2 - eta2^2 (see _chart).  The peak map T_-(eta2)
+(Z > 0) is strictly decreasing; the trough map T_+(eta2) (Z < 0) is observed
+numerically to fall to a minimum Tmin below its endpoint limit T1 before rising
+back to it, so for Tmin < 2L <= T1 trough waves exist on both branches, the one
+on the falling branch being the continuation of the Z = 0 dnoidal.
 
-Existence thresholds: T0 = T_-(theta) and T1 = T_+(theta) are the same
-period body at the closed end eta2 = theta (see _orbit), so a peak wave of
-period 2L exists iff 2L > T0 (with omega > Z^2/4).  The trough solve brackets
-its root against T1, not Tmin: it builds the falling-branch wave, unique
-there, where 2L > T1, and neither branch below (see solve_eta2).  The separate
-small-defect continuation condition omega > pi^2/(2 L^2) is computed and
-reported as a diagnostic flag, but deliberately does not veto
-construction: profiles at moderate Z exist well below it.
+Existence thresholds: T0 = T_-(theta) and T1 = T_+(theta) are the same period
+body at the closed end eta2 = theta, g = 0 (see _orbit), so a peak wave of period
+2L exists iff 2L > T0 (with omega > Z^2/4).  The trough solve brackets its root
+against T1, not Tmin: it builds the falling-branch wave, unique there, where
+2L > T1, and neither branch below (see solve_eta2).  The small-defect
+continuation condition omega > pi^2/(2 L^2) is reported as a diagnostic flag but
+does not veto construction: profiles at moderate Z exist well below it.
 """
 
 from __future__ import annotations
@@ -70,11 +65,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Bracket shrink factor for the eta2 solve, relative to theta(omega, Z).
-_ETA2_BRACKET_EPS = 1e-12
-
 # Maximum allowed |T - 2L| after the period solve.  Newton stops at
-# xtol 1e-12 in log eta2; this guard only has to sit above the
+# xtol 1e-12 in u = log(g/eta2^2); this guard only has to sit above the
 # evaluation noise of the period map near its root.
 PERIOD_RESIDUAL_TOL = 5e-12
 
@@ -123,23 +115,36 @@ def theta_admissible(omega: float, z: float) -> float:
 
 
 def _check_eta2(eta2: float, omega: float, z: float) -> float:
+    """The gap g = theta^2 - eta2^2 = (theta - eta2)(theta + eta2) of an eta2 in (0, theta]."""
     th = theta_admissible(omega, z)
     if not 0.0 < eta2 <= th:
         raise AdmissibilityError(f"eta2={eta2!r} outside the admissible interval (0, {th!r}] "
                                  f"for omega={omega!r}, Z={z!r}")
-    return th
+    return (th - eta2) * (th + eta2)
+
+
+def _chart(u: float, th: float) -> tuple[float, float]:
+    """(eta2, g) at u = log(g/eta2^2): eta2^2 = theta^2/(1 + e^u) and g = theta^2/(1 + e^-u) from
+    e^-|u| <= 1, each to full relative accuracy; g underflows to 0 as u -> -inf, and eta2 =
+    theta e^(-u/2)/sqrt(1 + e^-u) stays normal well past the k'^2 underflow _orbit refuses."""
+    e = math.exp(-abs(u))
+    if u < 0.0:
+        return th / math.sqrt(1.0 + e), th * th * e / (1.0 + e)
+    return th * math.exp(-0.5 * u) / math.sqrt(1.0 + e), th * th / (1.0 + e)
 
 
 class Orbit(NamedTuple):
-    """The dnoidal orbit fixed by eta2 in (0, theta] on the branch of the sign of Z (see _orbit).
+    """The dnoidal orbit fixed by eta2 in (0, theta] and its gap on the branch of the sign of Z (see _orbit).
 
-    k' = eta2/eta1 holds what a double k near 1 cannot, big_k = K(k), phi = Phi = phi(0),
-    a = F(psi; k) the unsigned shift with amplitude psi, spread = eta1^2 - eta2^2, and s,
-    upper, lower the discriminant and gaps; period = 2 sqrt2/eta1 [K(k) - copysign(a, Z)].
+    gap = theta^2 - eta2^2 holds what eta2 near theta cannot, k' = eta2/eta1 what a double k
+    near 1 cannot, big_k = K(k), phi = Phi = phi(0), a = F(psi; k) the unsigned shift with
+    amplitude psi, spread = eta1^2 - eta2^2, and s, upper, lower the discriminant and the gaps
+    of Phi; period = 2 sqrt2/eta1 [K(k) - copysign(a, Z)].
     """
 
     eta1: float
     eta2: float
+    gap: float
     k: float
     kp: float
     big_k: float
@@ -153,15 +158,14 @@ class Orbit(NamedTuple):
     period: float
 
 
-def _orbit(eta2: float, omega: float, z: float) -> Orbit:
-    """The orbit fixed by eta2 in (0, theta]: T_- for Z > 0 (and +0.0), T_+ for Z < 0.
+def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
+    """The orbit of eta2 in (0, theta] and g = theta^2 - eta2^2: T_- for Z > 0 (and +0.0), T_+ for Z < 0.
 
-    eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi^2 is the
-    larger root of (Z^2/4) Phi^2 = (eta1^2 - Phi^2)(Phi^2 - eta2^2)/2, and the shift
-    a = F(psi; k) = dn^{-1}(Phi/eta1; k) lies in [0, K(k)].  On g = theta^2 - eta2^2 =
-    (theta - eta2)(theta + eta2) and r = sqrt(2 omega - Z^2/4), the discriminant s^2 and
-    the gaps eta1^2 - Phi^2 = Z^2 upper and Phi^2 - eta2^2 = lower are sums of
-    non-negative terms,
+    eta1^2 = 2 omega - eta2^2, spread = eta1^2 - eta2^2 = k^2 eta1^2, Phi^2 is the larger root
+    of (Z^2/4) Phi^2 = (eta1^2 - Phi^2)(Phi^2 - eta2^2)/2, and the shift a = F(psi; k) =
+    dn^{-1}(Phi/eta1; k) lies in [0, K(k)].  On g and r = sqrt(2 omega - Z^2/4), the
+    discriminant s^2 and the gaps eta1^2 - Phi^2 = Z^2 upper and Phi^2 - eta2^2 = lower are
+    sums of non-negative terms,
 
         spread = 2g + |Z| r,  s^2 = spread^2 - Z^2 r^2 = 2g (spread + |Z| r),
         upper = [1/2 + r^2/(s + spread)]/2,
@@ -171,9 +175,7 @@ def _orbit(eta2: float, omega: float, z: float) -> Orbit:
     psi = am(a; k), sin psi : cos psi = |Z| sqrt(upper) : sqrt(lower), keep
     full relative accuracy as Z -> 0; at Z = 0 they give Phi = eta1 and a = psi = 0.
     """
-    th = _check_eta2(eta2, omega, z)
     eta1_sq = 2.0 * omega - eta2 * eta2
-    gap = (th - eta2) * (th + eta2)
     r = math.sqrt(2.0 * omega - 0.25 * z * z)
     zr = abs(z) * r
     spread = 2.0 * gap + zr
@@ -194,106 +196,101 @@ def _orbit(eta2: float, omega: float, z: float) -> Orbit:
                             f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
     big_k = elliptic.complete_K(k, kp)
     period = (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z))
-    return Orbit(eta1, eta2, k, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
+    return Orbit(eta1, eta2, gap, k, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
                  math.atan2(sin_psi, cos_psi), spread, s, upper, lower, period)
 
 
-def _period_and_slope(eta2: float, omega: float, z: float) -> tuple[float, float]:
-    """(T, dT/deta2) of the period map on the branch of the sign of Z, both in closed form."""
-    orbit = _orbit(eta2, omega, z)
-    return orbit.period, _slope_terms(omega, z, orbit)[0]
+def _tangent(o: Orbit, omega: float, z: float,
+             *directions: tuple[float, float, float]) -> list[tuple[float, float]]:
+    """(dT, dN) of the orbit body o along each direction (d eta2, dlog g, d omega), where
+    N = 2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] is the norm (stability.norm_squared).
 
+    The elliptic terms are keyed by dlog k' = d eta2/eta2 - d eta1/eta1 (DLMF 19.4, with
+    dn = Phi/eta1, sc = sin psi cos psi and elliptic.incomplete_D's D = D(pi/2; k), D_psi):
 
-def _slope_terms(omega: float, z: float, o: Orbit) -> tuple[float, ...]:
-    """(dT/deta2, d_k, psi', sc, E(k), E(psi; k)) at fixed omega on the orbit o.
+        dK = -(K - D) dlog k',   da = -(a - D_psi) dlog k' + (sc dlog k' + dpsi)/dn,
+        dE = k'^2 D dlog k',     dE(psi; k) = k'^2 D_psi dlog k' + dn dpsi,
 
-    d_k is the k-part of d[K - copysign(a, Z)]/deta2.  dk/deta2 = -2 eta2 omega/(k eta1^4),
-    dK/dk (DLMF 19.4.1), dF/dk (19.4.2) and dF/dpsi = eta1/Phi for a = F(psi; k) give with
-    c = -2 omega/(spread eta2):
-
-        dK/deta2 = c [E - k'^2 K],
-        da/deta2 = c [E(psi; k) - k'^2 a] + (sc 2 omega/(eta2 eta1) + eta1 psi')/Phi,
-        psi' = sc (eta2/s) [2 - 1/(2 upper) + (spread + s)/lower],  sc = sin psi cos psi,
-
-    free of 1/sin psi, so the a-terms vanish with Z instead of underflowing (at Z = 0 only
-    dK/deta2 is left).
+    free of 1/k^2 and 1/k'^2, and dpsi = (sc/2)(dlog upper - dlog lower) on _orbit's gaps.  The
+    discriminant enters only as ds = 2 (g/s)(spread dlog g + |Z| dr), g/s = sqrt(g/2)/sqrt(spread
+    + |Z| r), so every 1/s carries g and vanishes at theta.  E(k) = K - k^2 D and E(psi; k) =
+    a - k^2 D_psi are formed once for all the directions.
     """
-    c = -2.0 * omega / (o.spread * o.eta2)
-    if c == 0.0:  # spread eta2 ~ eta1^3
-        raise NumericsError(f"eta1^3 overflowed in double precision at omega={omega!r}")
-    if o.s == 0.0:
-        raise NumericsError(f"dT/deta2 is infinite at eta2=theta={o.eta2!r}, omega={omega!r}")
-    sigma = -math.copysign(1.0, z)  # multiplies a and da/deta2 alike
-    kp_sq = o.kp**2
-    big_e, e_psi = elliptic.complete_E(o.k), elliptic.incomplete_E(o.psi, o.k)
-    sc = abs(z) * math.sqrt(o.upper) * math.sqrt(o.lower) / o.spread
-    d_psi = sc * (o.eta2 / o.s) * (2.0 - 0.5 / o.upper + (o.spread + o.s) / o.lower)
-    d_k = c * (big_e - kp_sq * o.big_k) + sigma * (
-        c * (e_psi - kp_sq * o.a) + sc * 2.0 * omega / (o.eta2 * o.eta1 * o.phi))
-    d_t = (o.period * o.eta2 / o.eta1**2
-           + 2.0 * _SQRT2 * (d_k + sigma * o.eta1 * d_psi / o.phi) / o.eta1)
-    return d_t, d_k, d_psi, sc, big_e, e_psi
+    sigma, az = math.copysign(1.0, z), abs(z)
+    r = math.sqrt(2.0 * omega - 0.25 * z * z)
+    g_s = math.sqrt(0.5 * o.gap) / math.sqrt(o.spread + az * r)
+    sin_psi, cos_psi = az * math.sqrt(o.upper), math.sqrt(o.lower)  # as in _orbit
+    sc = sin_psi * cos_psi / o.spread
+    big_d = elliptic.incomplete_D(1.0, 0.0, o.kp)
+    d_psi_k = elliptic.incomplete_D(sin_psi, cos_psi, o.kp)
+    k_sq, dn = o.spread / o.eta1**2, o.phi / o.eta1
+    e_diff = (o.big_k - k_sq * big_d) - sigma * (o.a - k_sq * d_psi_k)  # E(k) - sigma E(psi; k)
+    k_t, k_n = (o.big_k - big_d) - sigma * (o.a - d_psi_k), o.kp**2 * (big_d - sigma * d_psi_k)
+    out = []
+    for d_eta2, d_log_g, d_omega in directions:
+        d_eta1 = (d_omega - o.eta2 * d_eta2) / o.eta1
+        d_log_kp = d_eta2 / o.eta2 - d_eta1 / o.eta1
+        d_r, d_g = d_omega / r, o.gap * d_log_g
+        d_s = 2.0 * g_s * (o.spread * d_log_g + az * d_r)
+        d_log_upper = (1.0 - 0.25 / o.upper) * (2.0 * d_omega / (r * r)
+                                                 - (d_s + 2.0 * d_g + az * d_r) / (o.s + o.spread))
+        d_psi = 0.5 * sc * (d_log_upper - (d_g + 0.5 * (az * d_r + d_s)) / o.lower)
+        d_kt = k_t * d_log_kp + sigma * (sc * d_log_kp + d_psi) / dn  # sign(Z) da - dK
+        d_t = -(o.period * d_eta1 + 2.0 * _SQRT2 * d_kt) / o.eta1
+        d_n = 2.0 * _SQRT2 * (d_eta1 * e_diff + o.eta1 * (k_n * d_log_kp - sigma * dn * d_psi))
+        out.append((d_t, d_n))
+    return out
 
 
-def _norm_slope(profile: WaveProfile, norm: float) -> tuple[float, float, float]:
-    """(dN/domega, T_2, deta2/domega = -T_w/T_2) along T(eta2, omega) = 2L at build_profile's root.
+def _along_u(o: Orbit, th: float) -> tuple[float, float, float]:
+    """d/du at fixed omega (see _chart): d eta2 = -eta2 g/(2 theta^2), dlog g = eta2^2/theta^2."""
+    return -0.5 * o.eta2 * (o.gap / (th * th)), (o.eta2 / th) ** 2, 0.0
 
-    dN/domega = N_w + N_2 deta2/domega for N = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)] =
-    norm; _2 and _w are partials at fixed omega and fixed eta2.  A k-term's _w is -eta2/(2 omega)
-    times its _2, eta1's is -1/eta2 times; dE/dk = (E - K)/k, dE(psi; k)/dk = (E(psi; k) - a)/k,
-    dE(psi; k)/dpsi = Phi/eta1 and, on _orbit's gaps with r^2 = 2 omega - Z^2/4,
-    psi_w = -(sc/s) [1 + eta2^2 r^2/((s + spread)(lower + 2 eta2^2) upper)].
+
+def _norm_slope(profile: WaveProfile) -> tuple[float, float, float]:
+    """(dN/domega, dT/deta2, deta2/domega) along T = 2L at build_profile's root.
+
+    In solve_eta2's chart, dN/domega = N_w - N_u T_w/T_u: _u is the tangent along u at fixed
+    omega (_along_u), _w along omega at fixed u, where eta2 and g scale with theta (d eta2 =
+    eta2 theta_w/theta, dlog g = 2 theta_w/theta, theta_w = 1/(2 sqrt(omega - Z^2/8))).
+    dT/deta2 = T_u/(d eta2/du) says how steep the solve was; it diverges at theta.
     """
     omega, z, o = profile.params.omega, profile.params.z, profile.orbit
-    d_t, d_k, d_psi, sc, big_e, e_psi = _slope_terms(omega, z, o)
-    if d_t == 0.0:
-        raise NumericsError(f"dT/deta2 vanished at the root eta2={o.eta2!r}, omega={omega!r}")
-    sigma, w = -math.copysign(1.0, z), -0.5 * o.eta2 / omega
-    d_psi_w = -(sc / o.s) * (1.0 + o.eta2**2 * (2.0 * omega - 0.25 * z * z)
-                             / ((o.s + o.spread) * (o.lower + 2.0 * o.eta2**2) * o.upper))
-    t_w = (-o.period / o.eta1**2
-           + 2.0 * _SQRT2 * (w * d_k + sigma * o.eta1 * d_psi_w / o.phi) / o.eta1)
-    n_k = (-4.0 * _SQRT2 * omega * o.eta2 * (big_e - o.big_k + sigma * (e_psi - o.a))
-           / (o.spread * o.eta1))
-    n_2 = -norm * o.eta2 / o.eta1**2 + n_k + 2.0 * _SQRT2 * sigma * o.phi * d_psi
-    n_w = norm / o.eta1**2 + w * n_k + 2.0 * _SQRT2 * sigma * o.phi * d_psi_w
-    deta2 = -t_w / d_t
-    return n_w + n_2 * deta2, d_t, deta2
+    th = theta_admissible(omega, z)
+    w = 0.5 / (math.sqrt(omega - 0.125 * z * z) * th)
+    along_u = _along_u(o, th)
+    (t_u, n_u), (t_w, n_w) = _tangent(o, omega, z, along_u, (o.eta2 * w, 2.0 * w, 1.0))
+    if t_u == 0.0:
+        raise NumericsError(f"dT/du vanished at the root eta2={o.eta2!r}, omega={omega!r}")
+    du_domega = -t_w / t_u
+    return n_w + n_u * du_domega, t_u / along_u[0], o.eta2 * w + along_u[0] * du_domega
 
 
 def period_minus(eta2: float, omega: float, z: float) -> float:
-    """Minimal period T_- = 2 sqrt2/eta1 * [K(k) - a] of the Z > 0 peak profile.
-
-    Strictly decreasing in eta2, diverging as eta2 -> 0 and equal to the
-    threshold T0(omega, Z) at eta2 = theta(omega, Z).
-    """
-    return _orbit(eta2, omega, abs(z)).period
+    """Minimal period T_- = 2 sqrt2/eta1 * [K(k) - a] of the Z > 0 peak profile: strictly
+    decreasing in eta2, diverging as eta2 -> 0 and equal to T0(omega, Z) at eta2 = theta."""
+    return _orbit(eta2, omega, abs(z), _check_eta2(eta2, omega, z)).period
 
 
 def period_plus(eta2: float, omega: float, z: float) -> float:
     """Minimal period T_+ = 2 sqrt2/eta1 * [K(k) + a] of the Z < 0 trough profile.
 
-    Diverges as eta2 -> 0 and equals T1(omega, Z) at eta2 = theta,
-    but is *not* monotone: it passes through an interior minimum below
-    T1 before climbing back (cross-checked against direct ODE
-    integration of the profile equation).  solve_eta2 brackets the
-    initial decreasing branch against T1, so it builds no root of the
-    rising branch, nor one of the falling branch with 2L <= T1.
+    Diverges as eta2 -> 0 and equals T1(omega, Z) at eta2 = theta, but is *not* monotone:
+    it passes through an interior minimum below T1 before climbing back (cross-checked
+    against direct ODE integration).  solve_eta2 brackets the initial decreasing branch
+    against T1, so it builds no root of the rising branch, nor one with 2L <= T1.
     """
-    return _orbit(eta2, omega, -abs(z)).period
+    return _orbit(eta2, omega, -abs(z), _check_eta2(eta2, omega, z)).period
 
 
 def period_threshold(omega: float, z: float) -> float:
-    """T0 for Z >= 0, T1 for Z < 0: the period map of the sign of Z at eta2 = theta.
-
-    There _orbit's gap theta^2 - eta2^2 and s are 0 and the body is exact, so the
-    threshold costs one orbit and one K, no slope.  Z = 0 is classical: sqrt2 pi/sqrt(omega).
-    """
+    """T0 for Z >= 0, T1 for Z < 0: the period body at eta2 = theta, exact there (g = s = 0)
+    at the cost of one orbit and one K.  Z = 0 is classical: sqrt2 pi/sqrt(omega)."""
     if not omega > z * z / 4.0:
         raise AdmissibilityError(f"omega={omega!r} violates omega > Z^2/4")
     if z == 0.0:
         return _SQRT2 * math.pi / math.sqrt(omega)
-    return _orbit(theta_admissible(omega, z), omega, z).period
+    return _orbit(theta_admissible(omega, z), omega, z, 0.0).period
 
 
 def threshold_T0(omega: float, z: float) -> float:
@@ -308,23 +305,20 @@ def threshold_T0(omega: float, z: float) -> float:
 
 
 def threshold_T1(omega: float, z: float) -> float:
-    """Trough-branch threshold T1 = T_+(theta) = 3 T0, since a0 = K(k0)/2 (see threshold_T0).
-
-    Discontinuous at Z = 0 like T0: T1 -> (3/2) sqrt2 pi/sqrt(omega) as Z -> 0.
-    """
+    """Trough-branch threshold T1 = T_+(theta) = 3 T0, since a0 = K(k0)/2 (see threshold_T0);
+    discontinuous at Z = 0 like T0: T1 -> (3/2) sqrt2 pi/sqrt(omega) as Z -> 0."""
     return period_threshold(omega, -abs(z))
 
 
 def solve_eta2(params: WaveParams) -> Orbit:
     """The orbit whose minimal period equals the cell length 2L.
 
-    Bracketed Newton in log eta2 on the initial decreasing branch of the
-    period map, bracketed against its value T0, resp. T1, at theta, where the
-    root is unique.  Raises an admissibility error reporting that threshold when
-    2L does not exceed it: no peak wave exists there, while trough waves exist on
-    both branches of T_+ for Tmin < 2L <= T1 (see period_plus) but this bracket
-    holds neither.  Raises a numerics error when |T - 2L| at the root exceeds
-    PERIOD_RESIDUAL_TOL.
+    Bracketed Newton in u = log(g/eta2^2) (see _chart) on the initial decreasing branch
+    of the period map, bracketed against its value T0, resp. T1, at theta (g = 0), where
+    the root is unique.  Raises an admissibility error reporting that threshold when 2L
+    does not exceed it: no peak wave exists there, while trough waves exist on both
+    branches of T_+ for Tmin < 2L <= T1 (see period_plus) but this bracket holds neither.
+    Raises a numerics error when |T - 2L| at the root exceeds PERIOD_RESIDUAL_TOL.
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
@@ -338,34 +332,37 @@ def solve_eta2(params: WaveParams) -> Orbit:
             f"solve brackets its root on the decreasing branch of T_+, so it builds neither branch "
             f"here, though T_+ dips below T1 to a minimum Tmin and waves of both branches "
             f"exist for Tmin < 2L <= T1")
-    # t = log eta2, where T is nearly linear as eta2 -> 0; a last step below xtol leaves
-    # an error of order its square, far below the noise of T that a smaller xtol chases.
-    # Memoised, so the bracket ends found below are not evaluated again by newton.
-    @cache
-    def fdf(t: float) -> tuple[float, float]:
-        eta2 = math.exp(t)
-        period, slope = _period_and_slope(eta2, omega, z)
-        return period - target, eta2 * slope
+    # T - 2L < 0 where g underflows to 0 (T = T0 or T1 there), > 0 as eta2 -> 0.  Memoised,
+    # so newton does not evaluate the bracket ends the walk found again.
+    th = theta_admissible(omega, z)
 
-    upper = theta_admissible(omega, z)
-    # period decreasing: above the target near 0 (divergence), below it near theta.
-    hi = upper - _ETA2_BRACKET_EPS * upper
-    if fdf(math.log(hi))[0] > 0.0:
-        raise NumericsError(
-            f"period solve lost its bracket: T still exceeds 2L={target!r} at eta2={hi!r}, so it "
-            f"falls from there to {'T0' if z >= 0.0 else 'T1'}(omega,Z)={thresh!r} within a "
-            f"relative {_ETA2_BRACKET_EPS} of theta={upper!r}, below the eta2 solve's resolution")
-    # Walk the lower end down geometrically until the period exceeds the target; where it
-    # never does, _orbit's k'^2 underflow refusal ends the walk.
-    lo = 0.5 * upper
-    while fdf(math.log(lo))[0] <= 0.0:
-        lo *= 0.5
-    orbit = _orbit(math.exp(newton(fdf, math.log(lo), math.log(hi), xtol=1e-12)), omega, z)
+    @cache
+    def fdf(u: float) -> tuple[float, float]:
+        eta2, gap = _chart(u, th)
+        orbit = _orbit(eta2, omega, z, gap)
+        return orbit.period - target, _tangent(orbit, omega, z, _along_u(orbit, th))[0][0]
+
+    # The walk from u = 0 doubles its step until T - 2L changes sign; a step _orbit refuses
+    # (k'^2 underflows as u grows) is halved, and the refusal of a unit step stands.
+    inner, step = 0.0, math.copysign(1.0, -fdf(0.0)[0])
+    while True:
+        try:
+            f = fdf(inner + step)[0]
+        except NumericsError as exc:
+            if abs(step) <= 1.0:
+                raise NumericsError(f"{exc}; the eta2 solve's walk stopped at u={inner + step!r}") from exc
+            step *= 0.5
+            continue
+        if (f > 0.0) == (step > 0.0):  # T - 2L has changed sign
+            break
+        inner, step = inner + step, 2.0 * step
+    # a last Newton step below xtol leaves an error of order its square, below T's noise
+    eta2, gap = _chart(newton(fdf, min(inner, inner + step), max(inner, inner + step), xtol=1e-12), th)
+    orbit = _orbit(eta2, omega, z, gap)
     resid = abs(orbit.period - target)
     if resid > PERIOD_RESIDUAL_TOL:
-        raise NumericsError(
-            f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at eta2={orbit.eta2!r}"
-        )
+        raise NumericsError(f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at "
+                            f"eta2={orbit.eta2!r}, g={orbit.gap!r}")
     return orbit
 
 
@@ -472,17 +469,14 @@ class WaveProfile:
     def diagnostics(self) -> dict:
         """Residuals of the defining identities, computed numerically.
 
-        - pde_residual: max |-phi'' + omega phi - phi^3| on interior
-          nodes away from 0 and the endpoints, 5-point centered
-          differences (the 3-point stencil's roundoff floor
-          eps*phi/h^2 sits above 1e-5 at the frequencies of interest,
-          masking the construction error this residual measures);
-        - jump_residual: |phi'(0+) + (Z/2) phi(0)| from 5-point
-          one-sided stencils at the defect;
-        - endpoint_residual: |phi(+-L) - eta2| (trough value is attained
-          at the cell edge on both branches);
-        - quadrature_residual: max |(phi')^2 - F(phi)/2| with the
-          closed-form derivative;
+        - pde_residual: max |-phi'' + omega phi - phi^3| on interior nodes away from 0 and
+          the endpoints, 5-point centered differences (the 3-point stencil's roundoff floor
+          eps*phi/h^2 sits above 1e-5 at the frequencies of interest, masking the
+          construction error this residual measures);
+        - jump_residual: |phi'(0+) + (Z/2) phi(0)| from 5-point one-sided stencils at 0;
+        - endpoint_residual: |phi(+-L) - eta2| (trough value is attained at the cell edge
+          on both branches);
+        - quadrature_residual: max |(phi')^2 - F(phi)/2| with the closed-form derivative;
         - derivative_symmetry: |phi'(0+) + phi'(0-)| (stencil).
         """
         phi = self.samples
@@ -519,18 +513,16 @@ def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     invariants of the orbit before returning; n (a power of two >= 128)
     sets the grid of ``x``/``samples``, which are sampled only if read.
     """
-    omega, z = params.omega, params.z
     orbit = solve_eta2(params)
     profile = WaveProfile(params, orbit, n)
-    eta1, eta2, a = orbit.eta1, orbit.eta2, orbit.a
-    if abs(eta1**2 + eta2**2 - 2.0 * omega) > 1e-10 * (1.0 + 2.0 * omega):
-        raise NumericsError("eta1^2 + eta2^2 = 2 omega violated")
-    if not eta1 - eta2 > abs(z) / _SQRT2:
+    # on the record's gaps, not on differences of doubles: s > 0 is eta1 - eta2 > |Z|/sqrt2
+    # (g > 0), and lower > 0 and a > 0 are Phi^2 - eta2^2 > 0 and eta1^2 - Phi^2 > 0, also
+    # where phi0 rounds to eta2 or to eta1
+    if not orbit.s > 0.0:
         raise NumericsError("separation eta1 - eta2 > |Z|/sqrt2 violated")
-    # a > 0 is the computed gap eta1^2 - Phi^2 > 0, also where phi0 rounds to eta1.
-    if z != 0.0 and not (eta2 < profile.phi0 <= eta1 and a > 0.0):
+    if params.z != 0.0 and not (orbit.lower > 0.0 and orbit.a > 0.0 and profile.phi0 <= orbit.eta1):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
-    if not 0.0 <= a <= orbit.big_k:
+    if not 0.0 <= orbit.a <= orbit.big_k:
         raise NumericsError("shift a escaped [0, K(k)]")
     return profile
 
@@ -548,13 +540,9 @@ def solitary_profile(omega: float, z: float, xs) -> NDArray[np.float64]:
     return math.sqrt(2.0 * omega) / np.cosh(math.sqrt(omega) * np.abs(xs) + b)
 
 
-def solitary_limit_check(
-    omega: float,
-    z: float,
-    eta2_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
-    window: float = 1.0,
-    n: int = 2048,
-) -> dict:
+def solitary_limit_check(omega: float, z: float,
+                         eta2_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
+                         window: float = 1.0, n: int = 2048) -> dict:
     """Convergence report of the free-period profiles to the sech limit.
 
     For each eta2 in the (decreasing) ladder, views the orbit as a
@@ -566,7 +554,7 @@ def solitary_limit_check(
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        profile = WaveProfile(view, _orbit(eta2, omega, z), n)
+        profile = WaveProfile(view, _orbit(eta2, omega, z, _check_eta2(eta2, omega, z)), n)
         shifts.append(profile.shift)
         target = solitary_profile(omega, z, profile.x)
         sups.append(float(np.max(np.abs(profile.samples - target))))

@@ -6,6 +6,7 @@ re-read and checked for schema, determinism, and exit-code contract.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,15 +15,18 @@ from hypothesis import strategies as st
 
 from nlsdelta.cli import _SWEEP_HEADER, build_parser, main
 from nlsdelta.evolve import DEFAULT_SEED
-from nlsdelta.stability import classify
+from nlsdelta.stability import classify, slope
 from nlsdelta.wave import (
     PERIOD_RESIDUAL_TOL,
     WaveParams,
-    _period_and_slope,
+    _along_u,
+    _orbit,
+    _tangent,
     period_minus,
     period_plus,
     solve_eta2,
     theta_admissible,
+    threshold_T0,
 )
 
 WAVE = ["--omega", "20", "--z", "1", "--half-period", "0.5"]
@@ -71,8 +75,9 @@ class TestBuildWave:
         # the whole solved orbit, read back: its period is 2L and its shift lies in [0, K]
         assert main(["--output-dir", str(tmp_path), "build-wave", *wave, "--n", "256"]) == 0
         solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
-        assert set(solved) == {"eta1", "eta2", "k", "kp", "big_k", "phi", "a", "psi", "spread",
-                               "s", "upper", "lower", "period", "phi0", "sign_branch"}
+        assert set(solved) == {"eta1", "eta2", "gap", "k", "kp", "big_k", "phi", "a", "psi",
+                               "spread", "s", "upper", "lower", "period", "phi0", "sign_branch"}
+        assert solved["gap"] > 0.0
         assert abs(solved["period"] - 2.0 * float(wave[-1])) <= PERIOD_RESIDUAL_TOL
         assert 0.0 <= solved["a"] <= solved["big_k"]
         assert solved["kp"] == solved["eta2"] / solved["eta1"]
@@ -170,8 +175,10 @@ class TestClassify:
         # k' = eta2/eta1: how near the solitary limit k' -> 0 the cell is
         assert rep["numerics"]["kp"] == eta2 / math.sqrt(2.0 * omega - eta2 * eta2)
         assert resid <= PERIOD_RESIDUAL_TOL
+        # exact in the record's coordinates (eta2, g); the eta2 map forms g from eta2 alone
+        assert resid == abs(_orbit(eta2, omega, z, rep["numerics"]["gap"]).period - 2.0 * half_period)
         period = period_minus if z >= 0.0 else period_plus
-        assert resid == abs(period(eta2, omega, z) - 2.0 * half_period)
+        assert abs(period(eta2, omega, z) - 2.0 * half_period) <= PERIOD_RESIDUAL_TOL
         # the sweep-row keys are unchanged: eta2 lives only under numerics
         assert set(rep) == {"version", "config", "numerics", "omega", "z", "half_period",
                             "n_negative", "n_negative_even", "p_index", "slope", "verdict",
@@ -184,12 +191,16 @@ class TestClassify:
     @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
     def test_numerics_report_the_slope_terms(self, tmp_path, wave):
         # dT/deta2 at the root (how steep the solve was) and deta2/domega (the slope's
-        # implicit-function factor) come with the closed-form slope, no extra solve
+        # implicit-function factor) come with the closed-form slope, no extra solve: both
+        # are read from the tangent of the recorded orbit along u
         assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
         rep = json.loads((tmp_path / "point_classification.json").read_text())
         omega, z, half_period = (float(v) for v in wave[1::2])
         numerics = rep["numerics"]
-        assert numerics["dT_deta2"] == _period_and_slope(numerics["eta2"], omega, z)[1] < 0.0
+        orbit = _orbit(numerics["eta2"], omega, z, numerics["gap"])
+        along_u = _along_u(orbit, theta_admissible(omega, z))
+        t_u = _tangent(orbit, omega, z, along_u)[0][0]
+        assert numerics["dT_deta2"] == t_u / along_u[0] < 0.0
         h = 1e-6 * omega
         difference = (solve_eta2(WaveParams(omega + h, z, half_period)).eta2
                       - solve_eta2(WaveParams(omega - h, z, half_period)).eta2) / (2.0 * h)
@@ -371,13 +382,15 @@ class TestDegenerateArguments:
 
 class TestOverflowAndNonFinite:
     @pytest.mark.parametrize("z", ["1", "0"])
-    def test_overflowing_discriminant_is_numerics_error(self, tmp_path, capsys, z):
-        # Z = 0 forms no discriminant; eta1^3 in the period slope overflowed untyped there
+    def test_huge_frequency_is_numerics_error(self, tmp_path, capsys, z):
+        # 2L = 1 at omega = 1e300 needs k' = eta2/eta1 near exp(-1e150), so the solve's walk
+        # up in u ends in the k'^2 refusal (eta1^3 in the eta2-form slope overflowed here,
+        # untyped at Z = 0, before that slope gave way to the tangent)
         rc = main(["--output-dir", str(tmp_path), "build-wave",
                    "--omega", "1e300", "--z", z, "--half-period", "0.5"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "overflow" in err and "1e+300" in err
+        assert "underflows" in err and "1e+300" in err
         assert "exist" not in err  # no claim about the mathematics
         assert not (tmp_path / "wave_profile.csv").exists()
 
@@ -426,15 +439,24 @@ class TestSmallDefectAndEdges:
         assert "T1" in err and "decreasing branch" in err
         assert "no wave" not in err
 
-    def test_lost_bracket_names_the_resolution(self, tmp_path, capsys):
-        # 2L = 1.4 is far above T0 = 0.974, but at |Z| = 1e-300 the period falls
-        # to T0 only within a relative 1e-12 of theta
-        rc = main(["--output-dir", str(tmp_path), "build-wave",
-                   "--omega", "5.2", "--z=1e-300", "--half-period", "0.7"])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "lost its bracket" in err and "resolution" in err
-        assert "too close" not in err and "no wave" not in err
+    def test_near_threshold_cells_build_and_classify(self, tmp_path):
+        # T falls to T0 within a layer g = theta^2 - eta2^2 ~ |Z| r that a double eta2 cannot
+        # resolve (T0 = 0.974 at omega = 5.2): an eta2 solve refused the three omega = 5.2
+        # cells ("lost its bracket") and missed the residual check by 7e-11 at the first
+        cells = [(20.0, 1e-4, 0.505 * threshold_T0(20.0, 1e-4)), (5.2, 1e-12, 0.4871),
+                 (5.2, 1e-300, 0.7), (5.2, 1e-12, 0.7)]
+        for omega, z, half_period in cells:
+            wave = ["--omega", repr(omega), f"--z={z!r}", "--half-period", repr(half_period)]
+            assert main(["--output-dir", str(tmp_path), "build-wave", *wave, "--n", "256"]) == 0
+            solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
+            assert abs(solved["period"] - 2.0 * half_period) <= PERIOD_RESIDUAL_TOL
+            assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
+            rep = json.loads((tmp_path / "point_classification.json").read_text())
+            assert rep["p_index"] == 1
+            with warnings.catch_warnings():  # a central stencil, no one-sided fallback
+                warnings.simplefilter("error")
+                oracle = slope(WaveParams(omega, z, half_period), h_omega=1e-5 * omega)
+            assert rep["slope"] == pytest.approx(oracle, rel=1e-8)
 
     def test_band_hidden_eigenvalue_strict(self, tmp_path):
         rc = main(["--output-dir", str(tmp_path), "classify", "--omega", "20",

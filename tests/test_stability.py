@@ -9,7 +9,10 @@ over small index counts.
 
 import importlib.util
 import itertools
+import math
+import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +208,7 @@ def _slope_oracle(omega, z, L, eta2, rel_step="1e-9"):
 
 
 def _closed_form(profile):
-    return wave._norm_slope(profile, norm_squared(profile))
+    return wave._norm_slope(profile)
 
 
 # the points of TestClassify's lattices
@@ -259,6 +262,21 @@ class TestClosedFormSlope:
             expected = float(_slope_oracle(omega, z, L, profile.eta2))
         assert _closed_form(profile)[0] == pytest.approx(expected, rel=1e-11)
 
+    def test_tiny_defect_near_threshold_against_the_oracle(self):
+        # T0 < 2L < sqrt2 pi/sqrt(omega) at |Z| down to 1e-300 puts the root in the layer
+        # g ~ |Z| r at theta, where k ~ sqrt|Z|: (K - E)/k^2 from rounded E(k) read 0 or
+        # up to 1e252 at 83 of 300 such cells, and an eta2 solve lost its bracket at each
+        rng = random.Random(3)
+        for _ in range(12):
+            omega, z = rng.uniform(2.0, 40.0), 10.0 ** rng.uniform(-300.0, -6.0)
+            t0, classical = wave.threshold_T0(omega, z), math.sqrt(2.0) * math.pi / math.sqrt(omega)
+            params = WaveParams(omega, z, 0.5 * (t0 + rng.random() * (classical - t0)))
+            rep = classify(params)
+            with warnings.catch_warnings():  # a central stencil, no one-sided fallback
+                warnings.simplefilter("error")
+                oracle = slope(params, h_omega=1e-5 * omega)
+            assert rep.p_index == 1 and rep.slope == pytest.approx(oracle, rel=1e-8)
+
     def test_sign_near_the_fold(self):
         # the one-sided fallback of the slope oracle reads +0.00518 here (see slope)
         rep = classify(WaveParams(1838.7674435299375, -84.06364029366871, 0.18608225155945318))
@@ -300,5 +318,8 @@ class TestClosedFormSlope:
         rep = classify(WaveParams(20.0, -1.0, 1.0))
         assert rep.period_residual == abs(wave.solve_eta2(rep.params).period
                                           - 2.0 * rep.params.halfperiod)
-        assert rep.dT_deta2 == wave._period_and_slope(rep.eta2, 20.0, -1.0)[1]
+        orbit = wave.solve_eta2(rep.params)
+        along_u = wave._along_u(orbit, wave.theta_admissible(20.0, -1.0))
+        assert (rep.eta2, rep.gap) == (orbit.eta2, orbit.gap)
+        assert rep.dT_deta2 == wave._tangent(orbit, 20.0, -1.0, along_u)[0][0] / along_u[0]
         assert rep.deta2_domega < 0.0

@@ -52,7 +52,7 @@ class TestParams:
         omega, z = 20.0, 1.5
         theta = wave.theta_admissible(omega, z)
         for eta2 in (0.3 * theta, 0.8 * theta):
-            phi2 = wave._orbit(eta2, omega, z).phi ** 2
+            phi2 = wave._orbit(eta2, omega, z, wave._check_eta2(eta2, omega, z)).phi ** 2
             b = 2.0 * omega - z**2 / 2.0
             c = eta2**2 * (2.0 * omega - eta2**2)
             assert phi2**2 - b * phi2 + c == pytest.approx(0.0, abs=1e-8 * phi2**2)
@@ -172,9 +172,15 @@ class TestThresholdIsThePeriodAtTheta:
             wave.period_threshold(28.0, 1.6e-319)
 
     def test_slope_at_theta_is_a_typed_failure(self):
+        # dT/deta2 is infinite at theta, but in u = log(g/eta2^2) every term of the tangent
+        # carries g and the slope there is 0 (Newton takes the midpoint); a root at theta
+        # would leave dN/domega = N_w - N_u T_w/T_u undefined, and is refused
         theta = wave.theta_admissible(20.0, 1.0)
-        with pytest.raises(NumericsError, match="infinite"):
-            wave._period_and_slope(theta, 20.0, 1.0)
+        orbit = wave._orbit(theta, 20.0, 1.0, 0.0)
+        assert wave._tangent(orbit, 20.0, 1.0, wave._along_u(orbit, theta)) == [(0.0, 0.0)]
+        profile = wave.WaveProfile(WaveParams(20.0, 1.0, 0.5 * orbit.period), orbit, 128)
+        with pytest.raises(NumericsError, match="vanished"):
+            wave._norm_slope(profile)
         with pytest.raises(AdmissibilityError):
             wave.period_minus(math.nextafter(theta, math.inf), 20.0, 1.0)
 
@@ -184,8 +190,12 @@ class TestSolveEta2:
     def test_period_residual(self, omega, z, L):
         params = WaveParams(omega, z, L)
         orbit = wave.solve_eta2(params)
+        # exact in the record's own coordinates (eta2, g); the eta2 map forms g from eta2
+        # alone, which the root carries to within its last bits
+        assert wave._orbit(orbit.eta2, omega, z, orbit.gap).period == orbit.period
+        assert orbit.period == pytest.approx(2.0 * L, abs=1e-12)
         period = wave.period_minus if z >= 0.0 else wave.period_plus
-        assert period(orbit.eta2, omega, z) == orbit.period == pytest.approx(2.0 * L, abs=1e-12)
+        assert abs(period(orbit.eta2, omega, z) - 2.0 * L) <= wave.PERIOD_RESIDUAL_TOL
 
     @pytest.mark.parametrize("omega,L", [(8.0, 1.0), (20.0, 0.5)])
     def test_negative_zero_defect_is_classical(self, omega, L):
@@ -340,7 +350,7 @@ class TestSmallDefect:
     def test_shift_against_mpmath(self, z):
         # the difference eta1^2 - Phi^2 of rounded squares left a with
         # 9e-3 relative error at Z = 1e-6 and no value at all below 1e-8
-        a = wave._orbit(3.9, 20.0, z).a
+        a = wave._orbit(3.9, 20.0, z, wave._check_eta2(3.9, 20.0, z)).a
         assert a == pytest.approx(_shift_oracle(3.9, 20.0, z), rel=1e-13)
 
     @pytest.mark.parametrize("z", [1e-8, -1e-8, 1e-300])
@@ -364,14 +374,15 @@ class TestOrbitRecord:
     @pytest.mark.parametrize("z", [0.0, -0.0])
     def test_zero_defect_runs_the_general_path(self, z):
         # no Z = 0 fork: the general gaps give sin psi = 0, so a = psi = 0 and Phi = eta1
-        orbit = wave._orbit(2.0, 8.0, z)
+        orbit = wave._orbit(2.0, 8.0, z, wave._check_eta2(2.0, 8.0, z))
         assert orbit.a == 0.0 and orbit.psi == 0.0
         assert orbit.phi == orbit.eta1
         assert orbit.period == (2.0 * SQRT2 / orbit.eta1) * orbit.big_k
 
     def test_zero_defect_slopes_are_the_classical_closed_forms(self):
         # at Z = 0 the a- and psi-terms vanish and only dK/deta2 = c [E - k'^2 K] is left:
-        # T = 2 sqrt2 K/eta1 and N = 2 sqrt2 eta1 E, with c = -2 omega/(spread eta2)
+        # T = 2 sqrt2 K/eta1 and N = 2 sqrt2 eta1 E, with c = -2 omega/(spread eta2); the
+        # tangent reads them in u = log(g/eta2^2) and maps them back to eta2
         omega = 8.0
         profile = build_profile(WaveParams(omega, 0.0, 1.0), n=256)
         o = profile.orbit
@@ -384,8 +395,10 @@ class TestOrbitRecord:
         n_k = -4.0 * SQRT2 * omega * o.eta2 * (big_e - o.big_k) / (o.spread * o.eta1)
         deta2 = -t_w / d_t
         slope = norm / o.eta1**2 + w * n_k + (-norm * o.eta2 / o.eta1**2 + n_k) * deta2
-        assert wave._period_and_slope(o.eta2, omega, 0.0) == (o.period, d_t)
-        assert wave._norm_slope(profile, norm) == (slope, d_t, deta2)
+        along_u = wave._along_u(o, wave.theta_admissible(omega, 0.0))
+        t_u = wave._tangent(o, omega, 0.0, along_u)[0][0]
+        assert t_u / along_u[0] == pytest.approx(d_t, rel=1e-13)
+        assert wave._norm_slope(profile) == pytest.approx((slope, d_t, deta2), rel=1e-13)
         assert stability.classify(profile.params).kernel_caveat
 
     @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
@@ -435,7 +448,7 @@ class TestNearSolitaryCell:
             t = mpmath.findroot(
                 lambda t: _period_oracle(mpmath.exp(t), 1.0, z, sign) - 2 * half_period,
                 mpmath.log(p.eta2), tol=1e-30)
-            eta1, m, a = _orbit_oracle(mpmath.exp(t), 1.0, z)
+            eta1, m, a, _ = _orbit_oracle(mpmath.exp(t), 1.0, z)
             expected = [float(eta1 * mpmath.ellipfun("dn", eta1 * abs(x) / mpmath.sqrt(2) - sign * a,
                                                      m=m)) for x in xs]
         assert p.evaluate(xs) == pytest.approx(expected, rel=1e-8, abs=0.0)
@@ -569,12 +582,12 @@ def _period_oracle(eta2, omega, z, sign):
     """
     import mpmath
 
-    eta1, m, a = _orbit_oracle(eta2, omega, z)
+    eta1, m, a, _ = _orbit_oracle(eta2, omega, z)
     return 2 * mpmath.sqrt(2) / eta1 * (mpmath.ellipk(m) + sign * a)
 
 
 def _orbit_oracle(eta2, omega, z):
-    """(eta1, m = k^2, a) at the working precision; see _period_oracle."""
+    """(eta1, m = k^2, a, psi) at the working precision; see _period_oracle."""
     import mpmath
 
     eta2, omega, z = (mpmath.mpf(v) for v in (eta2, omega, z))
@@ -582,35 +595,57 @@ def _orbit_oracle(eta2, omega, z):
     m = (eta1_sq - eta2**2) / eta1_sq
     b = 2 * omega - z**2 / 2
     gap = eta1_sq * z**2 / 2 / (eta1_sq - b / 2 + mpmath.sqrt(b * b - 4 * eta2**2 * eta1_sq) / 2)
-    a = mpmath.ellipf(mpmath.asin(mpmath.sqrt(gap / (eta1_sq - eta2**2))), m)
-    return mpmath.sqrt(eta1_sq), m, a
+    psi = mpmath.asin(mpmath.sqrt(gap / (eta1_sq - eta2**2)))
+    return mpmath.sqrt(eta1_sq), m, mpmath.ellipf(psi, m), psi
+
+
+def _chart_oracle(u, omega, z, sign):
+    """(T, N) at the chart point (u, omega), eta2 = theta/sqrt(1 + e^u), at the working precision.
+
+    N = 2 sqrt2 eta1 [E(k) + sign E(psi; k)] is the norm, with T's sign (see _period_oracle).
+    """
+    import mpmath
+
+    u, omega, z = (mpmath.mpf(v) for v in (u, omega, z))
+    theta = mpmath.sqrt(omega - z**2 / 8) - mpmath.sqrt(2) * abs(z) / 4
+    eta1, m, a, psi = _orbit_oracle(theta / mpmath.sqrt(1 + mpmath.exp(u)), omega, z)
+    return (2 * mpmath.sqrt(2) / eta1 * (mpmath.ellipk(m) + sign * a),
+            2 * mpmath.sqrt(2) * eta1 * (mpmath.ellipe(m) + sign * mpmath.ellipe(psi, m)))
 
 
 class TestPeriodSlope:
-    @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.7, 0.95, 1.0 - 1e-11, 1.0 - 1e-13])
     @pytest.mark.parametrize("z", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 2.0, -2.0])
     @pytest.mark.parametrize("omega", [16.0, 20.0, 24.0])
     def test_closed_form_against_mpmath_diff(self, omega, z, fraction):
-        # the grid straddles the trough minimum, where dT_+/deta2 changes
-        # sign (between 0.7 and 0.95 theta at |Z| >= 0.5): the bound is
-        # absolute below |dT/deta2| = 1
+        # the tangent along u at fixed omega and along omega at fixed u, at eta2 = fraction
+        # theta; the grid straddles the trough minimum, where dT_+/du changes sign (between
+        # 0.7 and 0.95 theta at |Z| >= 0.5): the bound is absolute below 1
         mpmath = pytest.importorskip("mpmath")
         sign = -1.0 if z >= 0.0 else 1.0
-        eta2 = fraction * wave.theta_admissible(omega, z)
-        period, slope = wave._period_and_slope(eta2, omega, z)
-        with mpmath.workdps(30):
-            expected = mpmath.diff(lambda e: _period_oracle(e, omega, z, sign), mpmath.mpf(eta2))
-            assert period == pytest.approx(float(_period_oracle(eta2, omega, z, sign)), rel=1e-11)
-        assert abs(slope - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+        theta = wave.theta_admissible(omega, z)
+        u = math.log((1.0 - fraction) * (1.0 + fraction)) - 2.0 * math.log(fraction)
+        eta2, gap = wave._chart(u, theta)
+        orbit = wave._orbit(eta2, omega, z, gap)
+        w = 0.5 / (math.sqrt(omega - z * z / 8.0) * theta)
+        tangents = wave._tangent(orbit, omega, z, wave._along_u(orbit, theta), (eta2 * w, 2.0 * w, 1.0))
+        with mpmath.workdps(40):
+            assert orbit.period == pytest.approx(float(_chart_oracle(u, omega, z, sign)[0]), rel=1e-11)
+            expected = [[mpmath.diff(lambda v: _chart_oracle(v, omega, z, sign)[i], u) for i in (0, 1)],
+                        [mpmath.diff(lambda v: _chart_oracle(u, v, z, sign)[i], omega) for i in (0, 1)]]
+        for got, want in zip(tangents, expected):
+            for d, e in zip(got, map(float, want)):
+                assert abs(d - e) <= 1e-12 * max(1.0, abs(e))
 
     def test_period_agrees_with_the_period_maps(self):
         # the sign of Z picks the branch; off the branch the maps read |Z|; -0.0 is classical
         cases = ((1.0, wave.period_minus), (-1.0, wave.period_plus), (0.0, wave.period_minus),
                  (-0.0, wave.period_plus), (-0.0, wave.period_minus))
+        gap = wave._check_eta2(2.0, 20.0, 1.0)
         for z, period in cases:
-            assert wave._period_and_slope(2.0, 20.0, z)[0] == period(2.0, 20.0, z)
+            assert wave._orbit(2.0, 20.0, z, wave._check_eta2(2.0, 20.0, z)).period == period(2.0, 20.0, z)
             assert period(2.0, 20.0, -z) == period(2.0, 20.0, z)
-        assert wave._period_and_slope(2.0, 20.0, -0.0) == wave._period_and_slope(2.0, 20.0, 0.0)
+        assert wave._orbit(2.0, 20.0, -0.0, gap) == wave._orbit(2.0, 20.0, 0.0, gap)
 
 
 def _latin_hypercube(rng, count):
@@ -624,12 +659,11 @@ def _latin_hypercube(rng, count):
 
 class TestNewtonSolve:
     def test_period_evaluations_per_solve(self, monkeypatch):
-        # bisection took 54-62 evaluations per solve; every period call
-        # counts here, the value-and-slope calls of the Newton loop included
+        # bisection took 54-62 evaluations per solve; every orbit counts here: the
+        # threshold, the walk, the Newton loop and the residual check
         calls = []
-        for name in ("period_minus", "period_plus", "_period_and_slope"):
-            fn = getattr(wave, name)
-            monkeypatch.setattr(wave, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        make_orbit = wave._orbit
+        monkeypatch.setattr(wave, "_orbit", lambda *a: calls.append(1) or make_orbit(*a))
         counts = []
         rng = random.Random(9)
         for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
@@ -643,19 +677,18 @@ class TestNewtonSolve:
         assert sum(counts) / len(counts) <= 14.0
 
     def test_each_bracket_point_is_evaluated_once(self, monkeypatch):
-        # newton opens on the points the f(hi) check and the walk evaluated; only the
-        # residual check may see a point again, and only the root it checks
+        # newton opens on the points the walk evaluated; only the residual check may see
+        # a point (eta2, g) again, and only the root it checks
         seen = []
-        for name in ("period_minus", "period_plus", "_period_and_slope"):
-            fn = getattr(wave, name)
-            monkeypatch.setattr(wave, name, lambda e, *a, fn=fn: seen.append(e) or fn(e, *a))
+        make_orbit = wave._orbit
+        monkeypatch.setattr(wave, "_orbit", lambda *a: seen.append((a[0], a[3])) or make_orbit(*a))
         rng = random.Random(9)
         for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
             for omega, abs_z in _latin_hypercube(rng, 20):
                 seen.clear()
-                eta2 = wave.solve_eta2(WaveParams(omega, sign * abs_z, L)).eta2
+                root = wave.solve_eta2(WaveParams(omega, sign * abs_z, L))
                 repeated = {e: n for e, n in Counter(seen).items() if n > 1}
-                assert repeated in ({}, {eta2: 2}), (omega, sign * abs_z, L)
+                assert repeated in ({}, {(root.eta2, root.gap): 2}), (omega, sign * abs_z, L)
 
     @pytest.mark.parametrize("omega,z,L", ADMISSIBLE)
     def test_root_matches_bisection(self, omega, z, L):
