@@ -6,6 +6,7 @@ __all__ = [
     "NlsDeltaError",
     "AdmissibilityError",
     "NumericsError",
+    "BlowupError",
     "InconclusiveError",
     "EXIT_OK",
     "EXIT_ADMISSIBILITY",
@@ -34,6 +35,20 @@ class AdmissibilityError(NlsDeltaError):
 
 class NumericsError(NlsDeltaError):
     """A numerical procedure failed (lost bracket, residual too large, blow-up)."""
+
+
+class BlowupError(NumericsError):
+    """A time integration left its amplitude bound or went non-finite.
+
+    ``last_good_time`` is the time of the last state that passed the check.
+    """
+
+    def __init__(self, last_good_time: float) -> None:
+        super().__init__(last_good_time)
+        self.last_good_time = last_good_time
+
+    def __str__(self) -> str:
+        return f"blow-up detected; last good time t={self.last_good_time!r}"
 
 
 class InconclusiveError(NlsDeltaError):

@@ -2,15 +2,20 @@
 
 The flow i u_t + u_xx + Z delta(x) u + |u|^2 u = 0 is integrated by
 Strang splitting: a half nonlinear step (exact pointwise phase
-rotation), a full linear step, a half nonlinear step.  The linear
-operator -d^2/dx^2 - Z delta commutes with the reflection x -> -x, and
-so does its discretization on the exactly symmetric grid.  The linear
-step therefore advances the even part of the state (nodes 0..n/2) and
-the odd part (nodes 1..n/2-1) each by its own square complex
-propagator, then mirrors both onto the grid, so exactly even data stays
-exactly even.  The odd eigenfunctions are the grid sines in both
-schemes (they vanish at the defect); two schemes set the even block
-and the eigenvalues:
+rotation), a full linear step, a half nonlinear step.  A block of
+steps merges each closing half rotation with the next opening half
+(SplitStepEvolver.advance).  The linear operator -d^2/dx^2 - Z delta
+commutes with the reflection x -> -x, and so does its discretization
+on the exactly symmetric grid.  The linear step therefore advances the
+even part of the state (nodes 0..n/2) by one square complex
+propagator and the odd part by one Fourier multiplier, then mirrors
+the even part onto the grid, so exactly even data (odd part exactly 0)
+stays exactly even.  The odd eigenfunctions are the grid sines
+sin(j pi x/L) in both schemes (they vanish at the defect), and these
+are the odd Fourier modes of the periodic grid: the odd part advances
+as ifft(exp(-i lam_|m| dt) fft(.)) on all n nodes, DFT index m
+carrying sine j = |m|.  Two schemes set the even block and the
+eigenvalues:
 
 ``exact``
     Projects onto the closed-form even eigenfunctions (bound state +
@@ -44,7 +49,7 @@ from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
 from .delta_op import defect_modes, even_block, periodic_grid, sample_modes
-from .errors import AdmissibilityError, NumericsError
+from .errors import AdmissibilityError, BlowupError, NumericsError
 from .wave import WaveParams, build_profile
 
 __all__ = [
@@ -102,6 +107,18 @@ class EvolutionTrace:
         )
 
 
+def _rotate(
+    u: NDArray[np.complex128], mod2: NDArray[np.float64], tau: float
+) -> NDArray[np.complex128]:
+    """u exp(i |u|^2 tau), the exact nonlinear flow over tau, with |u|^2 given."""
+    phase = mod2 * tau
+    out = np.empty_like(u)
+    out.real = np.cos(phase)
+    out.imag = np.sin(phase)
+    out *= u
+    return out
+
+
 def _exact_eigenbasis(
     z: float, halfperiod: float, n: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -119,10 +136,12 @@ def _exact_eigenbasis(
 
 
 class SplitStepEvolver:
-    """Strang splitting with precomputed even and odd linear propagators.
+    """Strang splitting with a dense even propagator and an odd Fourier multiplier.
 
-    Both propagators are built once per dt and reused; changing dt
-    mid-run triggers a rebuild.
+    The even propagator ((n/2+1)^2 complex entries, from the two real
+    factors of the even block) and the multiplier (n entries) are built
+    once per dt and reused; changing dt mid-run triggers a rebuild.
+    ``advance`` runs a block of steps; ``step`` is a block of one.
     """
 
     def __init__(
@@ -145,49 +164,72 @@ class SplitStepEvolver:
         k = self.n // 2
         if scheme == "exact":
             b, lam = _exact_eigenbasis(self.z, self.halfperiod, self.n)
-            even = (b, np.linalg.inv(b), lam[: k + 1])
+            self._even = (b, np.linalg.inv(b), lam[: k + 1])
             odd_lam = lam[k + 1 :]
         else:
             diag, off, weight = even_block(k, self.h, -self.z)
             lam, y = eigh_tridiagonal(diag, off)
-            even = (y / weight[:, None], y.T * weight, lam)
+            self._even = (y / weight[:, None], y.T * weight, lam)
             odd_lam = (2.0 / self.h * np.sin(np.arange(1, k) * math.pi / self.n)) ** 2
-        # Orthonormal grid sines on nodes 1..k-1: symmetric, its own inverse.
-        j = np.arange(1, k)
-        sines = math.sqrt(2.0 / k) * np.sin(np.outer(j, j) * math.pi / k)
-        self._blocks = (even, (sines, sines, odd_lam))
+        # The grid sines are the odd Fourier modes of the periodic grid: DFT entry m,
+        # m = 0..n-1, carries sine j = min(m, n - m); entries 0 and n/2 carry none.
+        self._odd_lam = np.concatenate([[0.0], odd_lam, [0.0], odd_lam[::-1]])
         self._dt: Optional[float] = None
-        self._propagators: tuple[NDArray[np.complex128], ...] = ()
 
     def _linear_step(self, u: NDArray[np.complex128], dt: float) -> NDArray[np.complex128]:
         if dt != self._dt:
-            self._propagators = tuple(
-                (b * np.exp(-1j * lam * dt)) @ a for b, a, lam in self._blocks
-            )
+            b, a, lam = self._even
+            # Halved, so the parity parts below are read off u +- mirror.  Two real
+            # products instead of one complex one with a complexified a.
+            p = np.empty((lam.size, lam.size), dtype=complex)
+            p.real = (b * (0.5 * np.cos(lam * dt))) @ a
+            p.imag = (b * (-0.5 * np.sin(lam * dt))) @ a
+            self._p_even = p
+            self._odd_mult = 0.5 * np.exp(-1j * self._odd_lam * dt)
             self._dt = dt
         k = self.n // 2
-        mirror = np.concatenate([u[:1], u[: k - 1 : -1]])  # u[n - j], j = 0..k
-        p_even, p_odd = self._propagators
-        even = p_even @ (0.5 * (u[: k + 1] + mirror))
-        odd = p_odd @ (0.5 * (u[1:k] - mirror[1:k]))
-        out = np.concatenate([even, even[k - 1 : 0 : -1]])
-        out[1:k] += odd
-        out[k + 1 :] -= odd[::-1]
-        return out
+        mirror = np.concatenate([u[:1], u[:0:-1]])  # u[n - j]
+        even = self._p_even @ (u[: k + 1] + mirror[: k + 1])
+        odd = np.fft.ifft(self._odd_mult * np.fft.fft(u - mirror))
+        odd[0] = odd[k] = 0.0  # the nodes every odd function vanishes at
+        odd[: k + 1] += even
+        odd[k + 1 :] += even[k - 1 : 0 : -1]
+        return odd
 
-    def step(self, state: State, dt: float, blowup_ref: Optional[float] = None) -> State:
-        """One Strang step; raises NumericsError on blow-up with the last good time."""
+    def advance(
+        self, state: State, dt: float, steps: int, blowup_ref: Optional[float] = None
+    ) -> State:
+        """``steps`` Strang steps of size dt from ``state``.
+
+        The nonlinear substep keeps |u|, so one step's closing half rotation and the
+        next step's opening half read the same |u|^2 and run as one full rotation.
+        That |u|^2 is the modulus of the step's end state, and the blow-up check reads
+        it: max|u| above BLOWUP_FACTOR x blowup_ref, or a non-finite |u|^2, raises
+        BlowupError carrying the time of the last good step.  t accumulates by += dt.
+        """
         if not dt > 0.0:
             raise AdmissibilityError(f"dt must be positive, got {dt!r}")
-        u = state.u * np.exp(0.5j * np.abs(state.u) ** 2 * dt)
-        u = self._linear_step(u, dt)
-        u *= np.exp(0.5j * np.abs(u) ** 2 * dt)
-        try:
-            if blowup_ref is not None and np.abs(u).max() > BLOWUP_FACTOR * blowup_ref:
-                raise NumericsError(f"max|u| above {BLOWUP_FACTOR} x the reference amplitude")
-            return State(t=state.t + dt, u=u)  # the step's one finiteness check
-        except NumericsError as exc:
-            raise NumericsError(f"blow-up detected; last good time t={state.t!r}") from exc
+        if steps < 1:
+            raise AdmissibilityError(f"steps must be at least 1, got {steps!r}")
+        cap = math.inf if blowup_ref is None else (BLOWUP_FACTOR * blowup_ref) ** 2
+        t, u = state.t, state.u
+        u = _rotate(u, u.real**2 + u.imag**2, 0.5 * dt)
+        for i in range(steps):
+            u = self._linear_step(u, dt)
+            mod2 = u.real**2 + u.imag**2
+            peak = mod2.max()
+            if not math.isfinite(peak):
+                raise BlowupError(t) from NumericsError("non-finite state")
+            if peak > cap:
+                raise BlowupError(t) from NumericsError(
+                    f"max|u| above {BLOWUP_FACTOR} x the reference amplitude")
+            t += dt
+            u = _rotate(u, mod2, dt if i < steps - 1 else 0.5 * dt)
+        return State(t=t, u=u)
+
+    def step(self, state: State, dt: float, blowup_ref: Optional[float] = None) -> State:
+        """One Strang step: ``advance(state, dt, 1, blowup_ref)``."""
+        return self.advance(state, dt, 1, blowup_ref)
 
     def conserved(self, state: State) -> tuple[float, float]:
         """Charge Q = 1/2 int |u|^2 and energy E of the defect NLS.
@@ -284,8 +326,9 @@ def run_experiment(
     are sampled every ``record_every`` steps.  Blow-up terminates the
     run and is reported on the (partial) trace rather than raised.
 
-    The evolver keeps exactly even data exactly even (its grid and both
-    linear blocks respect the reflection), and the 'even' and 'phase'
+    The steps between two records run as one ``advance`` block.  The
+    evolver keeps exactly even data exactly even (its grid and both
+    linear substeps respect the reflection), and the 'even' and 'phase'
     kinds are built from functions of |x|, so for them the recorded odd
     residual is 0.0 throughout, even where an odd linearized
     instability exists (the Z < 0 trough waves).  For other data it
@@ -316,13 +359,12 @@ def run_experiment(
         trace.append(s.t, q, e, orbit_distance(s.u, phi, evolver.h), evolver.odd_residual(s))
 
     record(state)
-    for i in range(n_steps):
+    for done in range(0, n_steps, record_every):
         try:
-            state = evolver.step(state, dt, blowup_ref=blowup_ref)
-        except NumericsError:
+            state = evolver.advance(state, dt, min(record_every, n_steps - done), blowup_ref)
+        except BlowupError as exc:
             trace.blown_up = True
-            trace.blowup_time = state.t
+            trace.blowup_time = exc.last_good_time
             return trace
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            record(state)
+        record(state)
     return trace

@@ -333,31 +333,38 @@ def solve_eta2(params: WaveParams) -> Orbit:
             f"here, though T_+ dips below T1 to a minimum Tmin and waves of both branches "
             f"exist for Tmin < 2L <= T1")
     # T - 2L < 0 where g underflows to 0 (T = T0 or T1 there), > 0 as eta2 -> 0.  Memoised,
-    # so newton does not evaluate the bracket ends the walk found again.
+    # so newton does not evaluate the bracket ends the walk found again, and its slope,
+    # asked for only where a Newton step starts, reads the orbit already formed there.
     th = theta_admissible(omega, z)
 
     @cache
-    def fdf(u: float) -> tuple[float, float]:
+    def orbit_at(u: float) -> Orbit:
         eta2, gap = _chart(u, th)
-        orbit = _orbit(eta2, omega, z, gap)
-        return orbit.period - target, _tangent(orbit, omega, z, _along_u(orbit, th))[0][0]
+        return _orbit(eta2, omega, z, gap)
+
+    def f(u: float) -> float:
+        return orbit_at(u).period - target
+
+    def dfdu(u: float) -> float:
+        orbit = orbit_at(u)
+        return _tangent(orbit, omega, z, _along_u(orbit, th))[0][0]
 
     # The walk from u = 0 doubles its step until T - 2L changes sign; a step _orbit refuses
     # (k'^2 underflows as u grows) is halved, and the refusal of a unit step stands.
-    inner, step = 0.0, math.copysign(1.0, -fdf(0.0)[0])
+    inner, step = 0.0, math.copysign(1.0, -f(0.0))
     while True:
         try:
-            f = fdf(inner + step)[0]
+            f_end = f(inner + step)
         except NumericsError as exc:
             if abs(step) <= 1.0:
                 raise NumericsError(f"{exc}; the eta2 solve's walk stopped at u={inner + step!r}") from exc
             step *= 0.5
             continue
-        if (f > 0.0) == (step > 0.0):  # T - 2L has changed sign
+        if (f_end > 0.0) == (step > 0.0):  # T - 2L has changed sign
             break
         inner, step = inner + step, 2.0 * step
     # a last Newton step below xtol leaves an error of order its square, below T's noise
-    eta2, gap = _chart(newton(fdf, min(inner, inner + step), max(inner, inner + step), xtol=1e-12), th)
+    eta2, gap = _chart(newton(f, min(inner, inner + step), max(inner, inner + step), dfdu, xtol=1e-12), th)
     orbit = _orbit(eta2, omega, z, gap)
     resid = abs(orbit.period - target)
     if resid > PERIOD_RESIDUAL_TOL:

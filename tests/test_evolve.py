@@ -287,3 +287,109 @@ class TestReflectionParity:
     def test_non_finite_step_rejected(self, bad):
         with pytest.raises(AdmissibilityError, match="dt must be positive and finite"):
             run_experiment(POINT, "even:0.01", T=0.01, dt=bad)
+
+
+def _sine_reference(u, lam, dt):
+    """Dense odd substep S diag(e^{-i lam dt}) S on nodes 1..n/2-1, S the orthonormal grid sines."""
+    n = u.size
+    k = n // 2
+    j = np.arange(1, k)
+    sines = math.sqrt(2.0 / k) * np.sin(np.outer(j, j) * math.pi / k)
+    odd = 0.5 * (u[1:k] - u[n - j])
+    return sines @ (np.exp(-1j * lam * dt) * (sines @ odd))
+
+
+class TestOddFourierStep:
+    @pytest.mark.parametrize("scheme", ["exact", "fd"])
+    @pytest.mark.parametrize("n", [64, 66, 256, 1024])
+    def test_matches_the_dense_sine_propagator(self, scheme, n):
+        z, L, dt = -1.0, 0.7, 1e-3
+        ev = SplitStepEvolver(z, L, n=n, scheme=scheme)
+        j = np.arange(1, n // 2)
+        if scheme == "exact":
+            lam = (j * math.pi / L) ** 2
+        else:
+            lam = (2.0 / ev.h * np.sin(math.pi * j / n)) ** 2
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        odd = 0.5 * (u - np.concatenate([u[:1], u[:0:-1]]))  # its even part is exactly 0
+        got = ev._linear_step(odd, dt)
+        ref = _sine_reference(u, lam, dt)
+        assert np.abs(got[1 : n // 2] - ref).max() <= 1e-12 * np.abs(u).max()
+
+
+class TestAdvance:
+    def _rough_state(self, ev, amplitude=1.0):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(ev.n) + 1j * rng.standard_normal(ev.n)
+        return State(0.0, amplitude * u)
+
+    @pytest.mark.parametrize("scheme", ["exact", "fd"])
+    def test_block_equals_repeated_steps(self, scheme):
+        ev = SplitStepEvolver(-1.0, 0.7, n=256, scheme=scheme)
+        start = self._rough_state(ev)
+        state = start
+        for _ in range(50):
+            state = ev.step(state, 1e-4)
+        block = ev.advance(start, 1e-4, 50)
+        assert block.t == state.t
+        assert np.abs(block.u - state.u).max() <= 1e-12 * np.abs(state.u).max()
+
+    def test_blowup_inside_a_block_names_the_last_good_step(self):
+        # pick the amplitude bound so the step-by-step loop trips at the first new
+        # maximum of max|u| after step 1; the block must stop at the same step
+        ev = SplitStepEvolver(-1.0, 0.7, n=256)
+        start, dt = self._rough_state(ev, 30.0), 1e-4
+        peaks, state = [], start
+        for _ in range(20):
+            state = ev.step(state, dt)
+            peaks.append(float(np.abs(state.u).max()))
+        trip = next(i for i in range(1, 20) if peaks[i] > max(peaks[:i]) * (1.0 + 1e-9))
+        ref = 0.5 * (peaks[trip] + max(peaks[:trip])) / evolve.BLOWUP_FACTOR
+        state = start
+        with pytest.raises(NumericsError) as stepped:
+            for _ in range(20):
+                state = ev.step(state, dt, blowup_ref=ref)
+        with pytest.raises(evolve.BlowupError) as blocked:
+            ev.advance(start, dt, 20, blowup_ref=ref)
+        assert state.t == blocked.value.last_good_time
+        assert str(stepped.value) == str(blocked.value)
+
+    @pytest.mark.parametrize("scheme", ["exact", "fd"])
+    def test_even_data_stays_exactly_even_in_blocks(self, scheme):
+        trace = run_experiment(
+            WaveParams(30.0, -1.0, 0.7), "even:1e-3", T=0.4, dt=2e-4, n=256,
+            scheme=scheme, record_every=50,
+        )
+        assert len(trace.odd_residual) == 41
+        assert max(trace.odd_residual) == 0.0
+
+    def test_steps_must_be_positive(self):
+        ev = SplitStepEvolver(1.0, 0.5, n=64)
+        with pytest.raises(AdmissibilityError, match="steps"):
+            ev.advance(State(0.0, np.zeros(64, dtype=complex)), 1e-3, 0)
+
+
+def _held_bytes(obj):
+    """Bytes of the distinct array buffers an object holds in its attributes (tuples followed)."""
+    buffers = {}
+    todo = list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())
+
+
+def test_evolver_footprint():
+    # the even propagator and its two real factors, (n/2+1)^2 entries each, plus
+    # O(n) vectors; a dense odd propagator alone would add 16 (n/2-1)^2 bytes
+    n = 1024
+    for scheme in ("exact", "fd"):
+        ev = SplitStepEvolver(1.0, 0.5, n=n, scheme=scheme)
+        ev.step(State(0.0, np.ones(n, dtype=complex)), 1e-4)
+        assert _held_bytes(ev) <= 32 * (n // 2 + 1) ** 2 + 64 * n

@@ -676,6 +676,23 @@ class TestNewtonSolve:
         assert max(counts) <= 24
         assert sum(counts) / len(counts) <= 14.0
 
+    def test_tangents_per_solve(self, monkeypatch):
+        # newton asks for dT/du only where a step starts: one bracket end, then each
+        # iterate; the walk's other points, the threshold and the residual check form
+        # no tangent (forming one at every orbit gave a mean of 6.85 and a max of 8 here)
+        calls = []
+        make_tangent = wave._tangent
+        monkeypatch.setattr(wave, "_tangent", lambda *a: calls.append(1) or make_tangent(*a))
+        counts = []
+        rng = random.Random(9)
+        for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
+            for omega, abs_z in _latin_hypercube(rng, 20):
+                calls.clear()
+                wave.solve_eta2(WaveParams(omega, sign * abs_z, L))
+                counts.append(len(calls))
+        assert max(counts) <= 5
+        assert sum(counts) / len(counts) <= 4.5
+
     def test_each_bracket_point_is_evaluated_once(self, monkeypatch):
         # newton opens on the points the walk evaluated; only the residual check may see
         # a point (eta2, g) again, and only the root it checks
