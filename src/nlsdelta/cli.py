@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -130,15 +131,11 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
     op = delta_op.DeltaOperator(
         gamma=args.gamma, halfperiod=args.half_period, dirichlet=args.dirichlet
     )
-    pairs = delta_op.full_spectrum(op, args.count)
+    modes = delta_op.full_spectrum(op, args.count)
     out = _out_dir(args) / f"{args.prefix}_delta_spectrum.csv"
-    _write_csv(
-        out,
-        ["eigenvalue", "kind", "parity"],
-        delta_op.spectrum_rows(pairs),
-    )
+    _write_csv(out, ["eigenvalue", "kind", "parity"], delta_op.spectrum_rows(modes))
     _write_sidecar(out, args)
-    print(f"wrote {out} ({len(pairs)} eigenvalues)")
+    print(f"wrote {out} ({len(modes)} eigenvalues)")
     return EXIT_OK
 
 
@@ -228,6 +225,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -inf and every token opening with -digit or -.digit as a value, not an option.
+
+    Python 3.11 takes only -12 and -1.5 for negative numbers, so -1e-05 or -inf (as '%.17g'
+    writes them) or the list -1,1 after a space was an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf$)")
+
+
 def _add_wave_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
@@ -236,7 +245,7 @@ def _add_wave_args(p: argparse.ArgumentParser) -> None:
 
 @functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlsdelta",
         description="Standing waves of cubic NLS with a periodic point defect",
     )

@@ -12,6 +12,14 @@ resolvent kernel, and the transcendental eigenvalue equations with their
 closed-form eigenfunctions -- together with a symmetric finite-difference
 discretization used as an oracle and as the evolution backbone.
 
+The spectrum is one list of ``Mode`` records (kind, wavenumber,
+eigenvalue), formed by ``defect_modes``: the bound state of an
+attractive defect, the interior roots of cot(kappa L) = 2 kappa/gamma
+and the integer sines.  Eigenfunctions are sampled only by
+``sample_modes``, on the nodes the caller names; ``sample_grid`` is the
+one closed grid, exactly antisymmetric, and ``periodic_grid`` its first
+n nodes, so sampled modes are exactly even or odd.
+
 All closed forms are stated in the literature on the cell [-pi, pi]; the
 substitution x -> (pi/L) x (under which gamma rescales by L/pi) carries
 them to a general half-period L, and is already applied in every formula
@@ -24,18 +32,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, NumericsError
 from .rootfind import bisect
 
 __all__ = [
     "EigenKind",
+    "Parity",
+    "Mode",
     "DeltaOperator",
-    "DeltaEigenpair",
     "theta_norm_constant",
     "deficiency_element",
     "strength_from_theta",
@@ -66,8 +75,23 @@ class EigenKind(str, Enum):
     INTEGER_SINE = "integer_sine"
 
 
-# One mode of the operator: (kind, wavenumber, eigenvalue).
-Mode = tuple[EigenKind, float, float]
+class Parity(str, Enum):
+    EVEN = "even"
+    ODD = "odd"
+
+
+class Mode(NamedTuple):
+    """One mode of the operator; ``sample_modes`` samples its eigenfunction."""
+
+    kind: EigenKind
+    wavenumber: float
+    eigenvalue: float
+
+    @property
+    def parity(self) -> Parity:
+        # the bound state and the interior roots are even in x, the
+        # integer sines odd; exact on sample_grid's nodes
+        return Parity.ODD if self.kind is EigenKind.INTEGER_SINE else Parity.EVEN
 
 
 @dataclass(frozen=True)
@@ -95,51 +119,22 @@ class DeltaOperator:
             )
 
 
-@dataclass(frozen=True)
-class DeltaEigenpair:
-    """A Mode on [-L, L]; ``x``/``samples`` hold its unit-norm eigenfunction, read lazily."""
-
-    kind: EigenKind
-    wavenumber: float
-    eigenvalue: float
-    halfperiod: float
-    n: int
-
-    @cached_property
-    def x(self) -> NDArray[np.float64]:
-        return sample_grid(self.halfperiod, self.n)
-
-    @cached_property
-    def samples(self) -> NDArray[np.float64]:
-        mode = (self.kind, self.wavenumber, self.eigenvalue)
-        return sample_modes([mode], self.halfperiod, self.x)[:, 0]
-
-    @property
-    def parity(self) -> str:
-        # negative bound state and interior roots are even in x, the
-        # integer sines odd; this is exact for the closed forms.
-        return "odd" if self.kind is EigenKind.INTEGER_SINE else "even"
-
-
-def periodic_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
-    """Uniform periodic grid x_j = (j - n/2)*h, j = 0..n-1, h = 2L/n.
+def sample_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
+    """Closed uniform grid x_j = (j - n/2)*h, j = 0..n, h = 2L/n, on [-L, L].
 
     n must be even so that a node lands exactly on the defect at x = 0
     (index n//2).  Multiplying integers by h makes the grid exactly
-    antisymmetric under the reflection j -> n - j: x[n-j] == -x[j] bit
-    for bit, so even functions sample to exactly even vectors.
+    antisymmetric: x[n-j] == -x[j] bit for bit, so even functions sample
+    to exactly even vectors and odd functions to exactly odd ones.
     """
     if n % 2 != 0:
-        raise AdmissibilityError(f"periodic grid size must be even, got n={n}")
-    h = 2.0 * halfperiod / n
-    return h * (np.arange(n) - n // 2)
+        raise AdmissibilityError(f"grid size must be even, got n={n}")
+    return (2.0 * halfperiod / n) * (np.arange(n + 1) - n // 2)
 
 
-def sample_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
-    """Endpoint-inclusive uniform grid with n intervals on [-L, L], n even."""
-    if n % 2 != 0:
-        raise AdmissibilityError(f"sample grid size must be even, got n={n}")
-    return np.linspace(-halfperiod, halfperiod, n + 1)
+def periodic_grid(halfperiod: float, n: int) -> NDArray[np.float64]:
+    """The periodic grid: the first n nodes of ``sample_grid`` (x = L is the node x = -L)."""
+    return sample_grid(halfperiod, n)[:-1]
 
 
 def even_block(
@@ -303,26 +298,33 @@ def interior_root(j: int, gamma: float, halfperiod: float) -> float:
 
 
 def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False) -> list[Mode]:
-    """The ``count`` lowest modes of one parity as (kind, wavenumber, eigenvalue), ascending.
+    """The ``count`` lowest modes of one parity, ascending.
 
     Even: the bound state cosh(mu (|x| - L)), eigenvalue -mu^2 (gamma < 0
     only), then the interior roots cos(kappa_j (|x| - L)); at gamma = 0
     the free cosines kappa = j pi/L, j >= 0, their gamma -> 0 limit.
     Odd (gamma ignored): the integer sines sin(j pi x/L), j >= 1.
+    A mode whose eigenvalue is not finite is refused (NumericsError).
     """
     if count < 1:
         raise AdmissibilityError(f"count must be >= 1, got {count}")
     L = halfperiod
     if odd:
         sines = (j * math.pi / L for j in range(1, count + 1))
-        return [(EigenKind.INTEGER_SINE, w, w * w) for w in sines]
-    modes: list[Mode] = []
-    if gamma < 0.0:
-        mu = bound_state_root(gamma, L)
-        modes.append((EigenKind.NEGATIVE_BOUND_STATE, mu, -mu * mu))
-    for j in range(1, count - len(modes) + 1):
-        kappa = interior_root(j, gamma, L) if gamma != 0.0 else (j - 1) * math.pi / L
-        modes.append((EigenKind.INTERIOR_ROOT, kappa, kappa * kappa))
+        modes = [Mode(EigenKind.INTEGER_SINE, w, w * w) for w in sines]
+    else:
+        modes = []
+        if gamma < 0.0:
+            mu = bound_state_root(gamma, L)
+            modes.append(Mode(EigenKind.NEGATIVE_BOUND_STATE, mu, -mu * mu))
+        for j in range(1, count - len(modes) + 1):
+            kappa = interior_root(j, gamma, L) if gamma != 0.0 else (j - 1) * math.pi / L
+            modes.append(Mode(EigenKind.INTERIOR_ROOT, kappa, kappa * kappa))
+    for i, m in enumerate(modes):
+        if not math.isfinite(m.eigenvalue):  # +-w^2: also overflows at a finite w
+            where = f"L={L!r}" if odd else f"gamma={gamma!r}, L={L!r}"
+            raise NumericsError(f"{m.parity.value} mode {i} ({m.kind.value}) at {where} is not "
+                                f"finite: wavenumber {m.wavenumber!r}, eigenvalue {m.eigenvalue!r}")
     return modes
 
 
@@ -330,15 +332,15 @@ def sample_modes(modes: list[Mode], halfperiod: float, x: NDArray[np.float64]) -
     """Eigenfunctions of ``modes`` on the nodes x, one column each, unit trapezoid L2 norm on x."""
     edge = np.abs(x) - halfperiod
     v = np.array([
-        np.sin(w * x) if kind is EigenKind.INTEGER_SINE
-        else np.cosh(w * edge) if kind is EigenKind.NEGATIVE_BOUND_STATE
-        else np.cos(w * edge)
-        for kind, w, _ in modes
+        np.sin(m.wavenumber * x) if m.kind is EigenKind.INTEGER_SINE
+        else np.cosh(m.wavenumber * edge) if m.kind is EigenKind.NEGATIVE_BOUND_STATE
+        else np.cos(m.wavenumber * edge)
+        for m in modes
     ]).T
     return v / np.sqrt(np.trapezoid(v * v, x, axis=0))
 
 
-def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> DeltaEigenpair:
+def negative_eigenvalue(gamma: float, halfperiod: float) -> Mode:
     """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
 
     mu > 0 solves gamma = -2 mu tanh(mu L); the eigenfunction
@@ -348,12 +350,10 @@ def negative_eigenvalue(gamma: float, halfperiod: float, n: int = 2048) -> Delta
         raise AdmissibilityError(
             f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
         )
-    return DeltaEigenpair(*defect_modes(gamma, halfperiod, 1)[0], halfperiod, n)
+    return defect_modes(gamma, halfperiod, 1)[0]
 
 
-def positive_eigenvalues(
-    gamma: float, halfperiod: float, count: int, n: int = 2048
-) -> list[DeltaEigenpair]:
+def positive_eigenvalues(gamma: float, halfperiod: float, count: int) -> list[Mode]:
     """The first ``count`` positive eigenvalues kappa_j^2 from cot(kappa L) = 2 kappa / gamma.
 
     The roots interleave with the integer-sine lattice (j pi/L)^2: below
@@ -363,37 +363,31 @@ def positive_eigenvalues(
     if gamma == 0.0:
         raise AdmissibilityError("gamma=0 is the free Laplacian; no interior roots")
     bound = 1 if gamma < 0.0 else 0
-    modes = defect_modes(gamma, halfperiod, count + bound)[bound:]
-    return [DeltaEigenpair(*mode, halfperiod, n) for mode in modes]
+    return defect_modes(gamma, halfperiod, count + bound)[bound:]
 
 
-def integer_sine_eigenpairs(
-    halfperiod: float, count: int, n: int = 2048
-) -> list[DeltaEigenpair]:
-    """Eigenpairs ((j pi/L)^2, sin(j pi x / L)) common to every extension.
+def integer_sine_eigenpairs(halfperiod: float, count: int) -> list[Mode]:
+    """Modes ((j pi/L)^2, sin(j pi x / L)) common to every extension.
 
     These odd eigenfunctions vanish at the defect, so they are blind to
     gamma; for the Dirichlet (+infinity) extension they are the entire
     spectrum.
     """
-    sines = defect_modes(0.0, halfperiod, count, odd=True)
-    return [DeltaEigenpair(*mode, halfperiod, n) for mode in sines]
+    return defect_modes(0.0, halfperiod, count, odd=True)
 
 
-def full_spectrum(op: DeltaOperator, count: int, n: int = 2048) -> list[DeltaEigenpair]:
-    """Lowest ``count`` eigenpairs of the operator, sorted ascending.
+def full_spectrum(op: DeltaOperator, count: int) -> list[Mode]:
+    """Lowest ``count`` modes of the operator, sorted ascending.
 
     Merges the ``count`` lowest even modes (bound state for gamma < 0,
     interior roots, or the free cosines at gamma = 0) with the integer
     sines; for the Dirichlet extension only the sines remain.
     """
-    sines = integer_sine_eigenpairs(op.halfperiod, count, n)
+    sines = integer_sine_eigenpairs(op.halfperiod, count)
     if op.dirichlet:
         return sines
-    even = defect_modes(op.gamma, op.halfperiod, count)
-    pairs = [DeltaEigenpair(*mode, op.halfperiod, n) for mode in even] + sines
-    pairs.sort(key=lambda p: p.eigenvalue)
-    return pairs[:count]
+    modes = defect_modes(op.gamma, op.halfperiod, count) + sines
+    return sorted(modes, key=lambda m: m.eigenvalue)[:count]
 
 
 def discretize(op: DeltaOperator, n: int) -> NDArray[np.float64]:
@@ -414,6 +408,6 @@ def discretize(op: DeltaOperator, n: int) -> NDArray[np.float64]:
     return periodic_stencil(even_block(n // 2, h, op.gamma)[0], h)
 
 
-def spectrum_rows(pairs: list[DeltaEigenpair]) -> list[tuple[float, str, str]]:
-    """Flatten eigenpairs to (eigenvalue, kind, parity) rows for CSV export."""
-    return [(p.eigenvalue, p.kind.value, p.parity) for p in pairs]
+def spectrum_rows(modes: list[Mode]) -> list[tuple[float, str, str]]:
+    """Flatten modes to (eigenvalue, kind, parity) rows for CSV export."""
+    return [(m.eigenvalue, m.kind.value, m.parity.value) for m in modes]

@@ -2,8 +2,8 @@
 
 Thin, validated wrappers around scipy.special.  The *modulus* k (not
 m = k^2) is the argument, except where a double k near 1 cannot hold
-k' = sqrt(1 - k^2) and the value needs it: K(k) reads k' when given, and
-the inverse on the quarter period [0, K(k)], inverse_am, is keyed by it
+k' = sqrt(1 - k^2) and the value needs it: K(k) (complete_K) and the
+inverse on the quarter period [0, K(k)], inverse_am, are keyed by it
 (both through Carlson's R_F), as is D = (F - E)/k^2 (incomplete_D, through
 R_D).  inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16); a
 caller that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.
@@ -47,17 +47,19 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def complete_K(k: float, kp: float | None = None) -> float:
-    """Complete elliptic integral of the first kind K(k).
+def complete_K(kp: float) -> float:
+    """Complete elliptic integral of the first kind K(k), given kp = k' = sqrt(1 - k^2).
 
-    Diverges logarithmically as k -> 1 and raises where it is infinite.  Given
-    kp = sqrt(1 - k^2), which a double k near 1 cannot hold, reads K = R_F(0, kp^2, 1)
-    (DLMF 19.25.1): inverse_am's R_F at the amplitude pi/2, bit for bit.
+    K = R_F(0, kp^2, 1) (DLMF 19.25.1): inverse_am's R_F at the amplitude pi/2, bit
+    for bit, with full accuracy as k -> 1, where a double k cannot hold k'.  As in
+    inverse_am only kp^2 enters, so kp may round above 1.  Diverges logarithmically as
+    kp -> 0 and raises where it is infinite; a negative or NaN kp is refused.
     """
-    k = _check_modulus(k)
-    big_k = float(special.ellipk(k * k) if kp is None else special.elliprf(0.0, kp * kp, 1.0))
+    if not kp >= 0.0:
+        raise ValueError(f"complementary modulus kp={kp!r} is negative or NaN")
+    big_k = float(special.elliprf(0.0, kp * kp, 1.0))
     if not math.isfinite(big_k):
-        raise ValueError(f"K(k) diverges as k -> 1 (got k={k!r}, kp={kp!r})")
+        raise ValueError(f"K(k) diverges as k -> 1 (got kp={kp!r})")
     return big_k
 
 

@@ -132,7 +132,7 @@ def _exact_eigenbasis(
     even = defect_modes(-z, halfperiod, k + 1)
     b = sample_modes(even, halfperiod, periodic_grid(halfperiod, n)[: k + 1])
     modes = even + defect_modes(-z, halfperiod, k - 1, odd=True)
-    return b, np.array([lam for _, _, lam in modes])
+    return b, np.array([m.eigenvalue for m in modes])
 
 
 class SplitStepEvolver:

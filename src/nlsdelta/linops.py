@@ -29,13 +29,12 @@ from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import elliptic
-from .delta_op import even_block, periodic_grid, periodic_stencil
+from .delta_op import Parity, even_block, periodic_grid, periodic_stencil
 from .errors import AdmissibilityError, InconclusiveError, NumericsError
 from .wave import WaveParams, WaveProfile, build_profile
 
 __all__ = [
     "Which",
-    "Parity",
     "LinearizedOperator",
     "Spectrum",
     "Index",
@@ -59,11 +58,6 @@ class Which(str, Enum):
     @property
     def coefficient(self) -> float:
         return 3.0 if self is Which.L1 else 1.0
-
-
-class Parity(str, Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,7 @@ def lame_check(k: float, n: int) -> dict:
         raise AdmissibilityError(f"lame_check needs modulus in (0, 1), got k={k!r}")
     if n < 64 or n % 2 != 0:
         raise AdmissibilityError(f"lame_check needs an even grid n >= 64, got n={n}")
-    period = 2.0 * elliptic.complete_K(k)
+    period = 2.0 * elliptic.complete_K(math.sqrt((1.0 - k) * (1.0 + k)))
     h = period / n
     sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), k)
     # sn^2 is even and 2K-periodic, so the stencil is reflection-symmetric.

@@ -20,7 +20,6 @@ one Richardson level, and trapezoid quadrature (norm_squared_quadrature).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,39 +117,34 @@ def norm_squared_quadrature(profile: WaveProfile) -> float:
 def slope(params: WaveParams, h_omega: float | None = None) -> float:
     """d/domega ||phi_{omega,Z}||^2 by Richardson-extrapolated central differences.
 
-    Each stencil point re-runs the full eta2 solve and closed-form norm.
-    If a stencil point falls outside admissibility the stencil degrades
-    to one-sided with a warning (no Richardson level in that case).
-
-    Near the fold of T_+ that fallback can get the sign wrong.  At
-    (omega, Z, L) = (1838.7674435299375, -84.06364029366871,
-    0.18608225155945318), 2L exceeds T1 by 3.7e-5 of itself, so the solve
-    refuses omega - h, and (N(omega + h) - N(omega))/h gives +0.00518 where
-    the closed form (wave._norm_slope, classify's) gives -0.00143: the norm
-    is far from linear across h = 1e-3 omega there.
+    Each stencil point omega +- h, omega +- h/2 re-runs the full eta2 solve
+    and closed-form norm.  A stencil point outside the existence region
+    raises AdmissibilityError naming that point, rather than falling back
+    to a one-sided difference: near the fold of T_+ that gets the sign
+    wrong.  At (omega, Z, L) = (1838.7674435299375, -84.06364029366871,
+    0.18608225155945318), where omega - h has no wave,
+    (N(omega + h) - N(omega))/h reads +0.00518 and the closed form
+    (wave._norm_slope, classify's) -0.00143.
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     if h_omega is None:
         h_omega = 1e-3 * omega
 
     def g(w: float) -> float:
-        return norm_squared(build_profile(WaveParams(w, z, L)))
+        try:
+            profile = build_profile(WaveParams(w, z, L))
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(
+                f"slope stencil point omega={w!r} (around {omega!r}) lies outside "
+                f"the existence region: {exc}"
+            ) from exc
+        return norm_squared(profile)
 
     def central(h: float) -> float:
         return (g(omega + h) - g(omega - h)) / (2.0 * h)
 
-    try:
-        s_h = central(h_omega)
-        s_h2 = central(0.5 * h_omega)
-    except AdmissibilityError:
-        warnings.warn(
-            f"admissibility lost at an omega stencil point around {omega!r}; "
-            "falling back to a one-sided difference",
-            stacklevel=2,
-        )
-        h = h_omega
-        return (g(omega + h) - g(omega)) / h
-    return (4.0 * s_h2 - s_h) / 3.0
+    s_h = central(h_omega)
+    return (4.0 * central(0.5 * h_omega) - s_h) / 3.0
 
 
 def verdict_from_counts(n_negative: int, p_index: int, n_negative_even: int) -> Verdict:

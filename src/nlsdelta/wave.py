@@ -43,6 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import elliptic
+from .delta_op import sample_grid
 from .errors import AdmissibilityError, NumericsError
 from .rootfind import newton
 
@@ -194,7 +195,7 @@ def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
     if not kp * kp >= sys.float_info.min:  # the least normal double
         raise NumericsError(f"k'^2 = (eta2/eta1)^2 = {kp * kp!r} underflows at eta2={eta2!r} (omega="
                             f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
-    big_k = elliptic.complete_K(k, kp)
+    big_k = elliptic.complete_K(kp)
     period = (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z))
     return Orbit(eta1, eta2, gap, k, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
                  math.atan2(sin_psi, cos_psi), spread, s, upper, lower, period)
@@ -429,7 +430,7 @@ class WaveProfile:
 
     @cached_property
     def x(self) -> NDArray[np.float64]:
-        return (2.0 * self.params.halfperiod / self.n) * (np.arange(self.n + 1) - self.n // 2)
+        return sample_grid(self.params.halfperiod, self.n)
 
     @cached_property
     def _half_grid(self) -> tuple[NDArray[np.float64], ...]:

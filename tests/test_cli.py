@@ -6,7 +6,6 @@ re-read and checked for schema, determinism, and exit-code contract.
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +213,41 @@ class TestParser:
         assert (args.seed, args.n) == (6, 256)
         args = build_parser().parse_args(["evolve", *WAVE])
         assert (args.seed, args.n) == (DEFAULT_SEED, 512)
+
+
+class TestNegativeValuesAfterASpace:
+    """A negative value in exponent notation, or a list opening with one, is a value."""
+
+    def test_classify_z(self, tmp_path):
+        # '%.17g' writes -1e-05 as below; it passes back after a space
+        rc = main(["--output-dir", str(tmp_path), "classify", "--omega", "1",
+                   "--z", "-1.0000000000000001e-05", "--half-period", "4"])
+        assert rc == 0
+        config = json.loads((tmp_path / "point_classification.json").read_text())["config"]
+        assert config["z"] == -1.0000000000000001e-05
+
+    def test_delta_spectrum_gamma(self, tmp_path):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert main(["--output-dir", str(spaced), "delta-spectrum",
+                     "--gamma", "-2e0", "--half-period", "1"]) == 0
+        assert main(["--output-dir", str(joined), "delta-spectrum",
+                     "--gamma=-2", "--half-period", "1"]) == 0
+        name = "delta_delta_spectrum.csv"
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+    def test_negative_infinity_reaches_the_typed_check(self, tmp_path, capsys):
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
+                   "--gamma", "-inf", "--half-period", "1"])
+        assert rc == 2
+        assert "gamma must be finite, got -inf" in capsys.readouterr().err
+
+    def test_sweep_z_values(self, tmp_path):
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "2",
+                   "--omega-max", "2", "--omega-steps", "1", "--z-values", "-1,1",
+                   "--half-period", "3", "--workers", "1"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "lattice_sweep.csv")
+        assert [float(r[1]) for r in rows] == [-1.0, 1.0]
 
 
 class TestEvolve:
@@ -453,9 +487,7 @@ class TestSmallDefectAndEdges:
             assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
             rep = json.loads((tmp_path / "point_classification.json").read_text())
             assert rep["p_index"] == 1
-            with warnings.catch_warnings():  # a central stencil, no one-sided fallback
-                warnings.simplefilter("error")
-                oracle = slope(WaveParams(omega, z, half_period), h_omega=1e-5 * omega)
+            oracle = slope(WaveParams(omega, z, half_period), h_omega=1e-5 * omega)
             assert rep["slope"] == pytest.approx(oracle, rel=1e-8)
 
     def test_band_hidden_eigenvalue_strict(self, tmp_path):
@@ -566,3 +598,32 @@ class TestFuzzedWaveArguments:
         assert rc == 0
         _, rows = read_csv(tmp_path / "delta_delta_spectrum.csv")
         assert float(rows[0][0]) == pytest.approx((0.5 * math.pi) ** 2, rel=1e-12)
+
+
+# extremes of scale for a strength or a half-period: subnormal, tiny, huge, the largest double
+EXTREME = st.one_of(
+    ANY_FLOAT,
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-150, 1e150, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=-350.0, max_value=308.0).map(lambda e: 10.0**e),
+)
+
+
+class TestFuzzedDeltaSpectrum:
+    @given(gamma=st.one_of(EXTREME, EXTREME.map(lambda v: -v)), half_period=EXTREME,
+           count=st.integers(min_value=1, max_value=8), dirichlet=st.booleans())
+    @example(gamma=-1.0, half_period=1e-310, count=2, dirichlet=False)  # mu and pi/L overflow
+    @example(gamma=1e300, half_period=1e-300, count=3, dirichlet=False)  # (j pi/L)^2 overflows
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_typed_and_eigenvalues_finite_and_sorted(
+        self, tmp_path_factory, gamma, half_period, count, dirichlet
+    ):
+        out = tmp_path_factory.mktemp("fuzz")
+        rc = main(["--output-dir", str(out), "delta-spectrum", f"--gamma={gamma!r}",
+                   f"--half-period={half_period!r}", "--count", str(count),
+                   *(["--dirichlet"] if dirichlet else [])])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            _, rows = read_csv(out / "delta_delta_spectrum.csv")
+            lams = [float(r[0]) for r in rows]
+            assert len(lams) == count and all(map(math.isfinite, lams))
+            assert lams == sorted(lams)

@@ -7,6 +7,7 @@ finite differences, and the discretized matrix as independent oracles.
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 
-from nlsdelta import delta_op
-from nlsdelta.delta_op import DeltaOperator, EigenKind
-from nlsdelta.errors import AdmissibilityError
+from nlsdelta import delta_op, linops
+from nlsdelta.delta_op import DeltaOperator, EigenKind, Mode, Parity
+from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta.wave import WaveParams, build_profile
 
 GAMMAS = st.floats(min_value=-5.0, max_value=5.0).filter(lambda g: abs(g) > 1e-3)
 
@@ -112,8 +114,8 @@ class TestNegativeEigenvalue:
 
     def test_eigenfunction_jump_condition(self):
         gamma, L = -2.0, math.pi
-        pair = delta_op.negative_eigenvalue(gamma, L, n=16384)
-        x, psi = pair.x, pair.samples
+        x = delta_op.sample_grid(L, 16384)
+        psi = delta_op.sample_modes([delta_op.negative_eigenvalue(gamma, L)], L, x)[:, 0]
         h = x[1] - x[0]
         mid = len(x) // 2
         dplus = (-3.0 * psi[mid] + 4.0 * psi[mid + 1] - psi[mid + 2]) / (2.0 * h)
@@ -208,13 +210,6 @@ class TestInteriorRootAccuracy:
 
 
 class TestFullSpectrum:
-    def test_eigenfunctions_sampled_only_when_read(self):
-        pairs = delta_op.full_spectrum(DeltaOperator(gamma=-1.0, halfperiod=1.0), 4)
-        assert all("samples" not in vars(p) and "x" not in vars(p) for p in pairs)
-        p = pairs[1]
-        assert p.samples.shape == p.x.shape == (2049,)
-        assert np.trapezoid(p.samples**2, p.x) == pytest.approx(1.0, rel=1e-12)
-
     def test_sorted_and_kinds(self):
         op = DeltaOperator(gamma=-1.0, halfperiod=math.pi)
         pairs = delta_op.full_spectrum(op, 7)
@@ -247,6 +242,19 @@ class TestFullSpectrum:
         rows = delta_op.spectrum_rows(delta_op.full_spectrum(op, 3))
         assert len(rows) == 3
         assert all(len(r) == 3 for r in rows)
+
+    def test_spectrum_rows_pinned(self):
+        # the bound state, the interior roots and the sines, as the delta-spectrum CSV
+        # has written them at gamma = -2, L = 3.14159
+        rows = delta_op.spectrum_rows(delta_op.full_spectrum(DeltaOperator(-2.0, 3.14159), 5))
+        assert rows == [
+            (-1.0073268601170882, "negative_bound_state", "even"),
+            (0.48007307799225196, "interior_root", "even"),
+            (1.0000016893298704, "integer_sine", "odd"),
+            (3.3917122927999426, "interior_root", "even"),
+            (4.0000067573194817, "integer_sine", "odd"),
+        ]
+        assert all(type(r[2]) is str for r in rows)
 
 
 class TestDiscretize:
@@ -297,6 +305,28 @@ class TestGrids:
         assert x[n // 2] == 0.0
         assert x[1] - x[0] == pytest.approx(2.0 * L / n, rel=1e-12)
 
+    def test_sample_grid_exactly_antisymmetric(self):
+        x = delta_op.sample_grid(math.pi, 2048)
+        assert np.array_equal(x[::-1], -x)
+        assert x.shape == (2049,) and x[1024] == 0.0
+
+    @pytest.mark.parametrize("L, n", [(math.pi, 2048), (0.7, 256)])
+    def test_one_closed_grid_formula(self, L, n):
+        x = delta_op.sample_grid(L, n)
+        assert np.array_equal(delta_op.periodic_grid(L, n), x[:-1])
+        profile = build_profile(WaveParams(20.0, 1.0, L), n=n)
+        assert np.array_equal(profile.x, x)
+
+    def test_sampled_modes_exactly_even_or_odd(self):
+        L = math.pi
+        x = delta_op.sample_grid(L, 2048)
+        modes = delta_op.full_spectrum(DeltaOperator(-2.0, L), 9)
+        v = delta_op.sample_modes(modes, L, x)
+        for mode, col in zip(modes, v.T):
+            sign = 1.0 if mode.parity is Parity.EVEN else -1.0
+            assert np.array_equal(col[::-1], sign * col), mode
+        assert {m.parity for m in modes} == {Parity.EVEN, Parity.ODD}
+
     @pytest.mark.parametrize("grid", [delta_op.periodic_grid, delta_op.sample_grid])
     def test_odd_size_is_typed(self, grid):
         with pytest.raises(AdmissibilityError, match="n=255"):
@@ -307,20 +337,35 @@ class TestDefectModes:
     @pytest.mark.parametrize("gamma", [1e-9, -1e-9])
     def test_free_cosines_are_the_small_gamma_limit(self, gamma):
         L = 0.7
-        free = [lam for _, _, lam in delta_op.defect_modes(0.0, L, 6)]
-        near = [lam for _, _, lam in delta_op.defect_modes(gamma, L, 6)]
+        free = [m.eigenvalue for m in delta_op.defect_modes(0.0, L, 6)]
+        near = [m.eigenvalue for m in delta_op.defect_modes(gamma, L, 6)]
         assert near == pytest.approx(free, abs=1e-8)
 
     def test_one_list_behind_every_eigenpair_family(self):
         gamma, L = -1.5, 0.9
         modes = delta_op.defect_modes(gamma, L, 4)
-        assert [m[0] for m in modes] == [EigenKind.NEGATIVE_BOUND_STATE] + 3 * [
+        assert [m.kind for m in modes] == [EigenKind.NEGATIVE_BOUND_STATE] + 3 * [
             EigenKind.INTERIOR_ROOT
         ]
-        assert delta_op.negative_eigenvalue(gamma, L).eigenvalue == modes[0][2]
-        assert [p.eigenvalue for p in delta_op.positive_eigenvalues(gamma, L, 3)] == [
-            m[2] for m in modes[1:]
-        ]
+        assert delta_op.negative_eigenvalue(gamma, L) == modes[0]
+        assert delta_op.positive_eigenvalues(gamma, L, 3) == modes[1:]
+        assert all(type(m) is Mode for m in modes)
+
+    def test_parity_is_defined_once(self):
+        assert linops.Parity is Parity
+        sine = delta_op.integer_sine_eigenpairs(1.0, 1)[0]
+        assert sine.parity is Parity.ODD
+        assert delta_op.defect_modes(1.0, 1.0, 1)[0].parity is Parity.EVEN
+
+    @pytest.mark.parametrize("gamma, L, odd, named", [
+        (-1.0, 1e-310, False, "even mode 0 (negative_bound_state)"),
+        (0.0, 1e-310, True, "odd mode 0 (integer_sine)"),
+        (1e300, 1e-300, False, "even mode 0 (interior_root)"),
+        (0.0, 1e-300, True, "odd mode 0 (integer_sine)"),
+    ])
+    def test_non_finite_mode_refused(self, gamma, L, odd, named):
+        with pytest.raises(NumericsError, match=re.escape(named)):
+            delta_op.defect_modes(gamma, L, 3, odd=odd)
 
     def test_sampled_modes_have_unit_norm(self):
         x = delta_op.sample_grid(1.0, 512)

@@ -48,7 +48,7 @@ class TestCompleteIntegrals:
     @given(k=MODULI)
     @settings(max_examples=50, deadline=None)
     def test_K_against_agm(self, k):
-        assert elliptic.complete_K(k) == pytest.approx(agm_K(k), rel=1e-13)
+        assert elliptic.complete_K(complement(k)) == pytest.approx(agm_K(k), rel=1e-13)
 
     @given(k=MODULI)
     @settings(max_examples=25, deadline=None)
@@ -59,12 +59,13 @@ class TestCompleteIntegrals:
     @given(k=MODULI)
     @settings(max_examples=25, deadline=None)
     def test_legendre_relation(self, k):
-        # E(k)K(k') + E(k')K(k) - K(k)K(k') = pi/2 for all moduli.
+        # E(k)K(k') + E(k')K(k) - K(k)K(k') = pi/2 for all moduli; K is keyed by the
+        # complementary modulus, so K(k) = complete_K(k') and K(k') = complete_K(k).
         kp = complement(k)
         lhs = (
-            elliptic.complete_E(k) * elliptic.complete_K(kp)
-            + elliptic.complete_E(kp) * elliptic.complete_K(k)
-            - elliptic.complete_K(k) * elliptic.complete_K(kp)
+            elliptic.complete_E(k) * elliptic.complete_K(k)
+            + elliptic.complete_E(kp) * elliptic.complete_K(kp)
+            - elliptic.complete_K(kp) * elliptic.complete_K(k)
         )
         assert lhs == pytest.approx(math.pi / 2.0, rel=1e-12)
 
@@ -73,34 +74,35 @@ class TestCompleteIntegrals:
         for k in (0.2, 0.5, 0.9):
             kp = complement(k)
             k1 = (1.0 - kp) / (1.0 + kp)
-            assert elliptic.complete_K(k) == pytest.approx(
-                (1.0 + k1) * elliptic.complete_K(k1), rel=1e-13
+            assert elliptic.complete_K(kp) == pytest.approx(
+                (1.0 + k1) * elliptic.complete_K(complement(k1)), rel=1e-13
             )
 
     def test_degenerate_values(self):
-        assert elliptic.complete_K(0.0) == pytest.approx(math.pi / 2.0)
+        assert elliptic.complete_K(1.0) == pytest.approx(math.pi / 2.0)
         assert elliptic.complete_E(0.0) == pytest.approx(math.pi / 2.0)
         assert elliptic.complete_E(1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kp", [0.5, 1e-2, 1e-4, 2e-6])
     def test_K_from_the_complementary_modulus(self, kp):
-        # near k = 1 only kp holds k'^2: K read from k drifts by ~eps/kp^2 (1e-6 relative
-        # at kp = 2e-6), K read from kp keeps full accuracy
+        # near k = 1 only kp holds k'^2: K read from k would drift by ~eps/kp^2 (1e-6
+        # relative at kp = 2e-6), K read from kp keeps full accuracy
         mpmath = pytest.importorskip("mpmath")
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
         with mpmath.workdps(40):
             expected = float(mpmath.ellipk(1 - mpmath.mpf(kp) ** 2))
-        assert elliptic.complete_K(k, kp) == pytest.approx(expected, rel=1e-15)
+        assert elliptic.complete_K(kp) == pytest.approx(expected, rel=1e-15)
 
     def test_K_raises_at_one(self):
+        # k = 1 is k' = 0, where K is infinite
         with pytest.raises(ValueError):
-            elliptic.complete_K(1.0)
+            elliptic.complete_K(0.0)
 
     def test_modulus_domain(self):
-        with pytest.raises(ValueError):
-            elliptic.complete_K(-0.1)
-        with pytest.raises(ValueError):
-            elliptic.complete_K(1.1)
+        # a negative or NaN k' is refused; one that rounds above 1 is k = 0
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                elliptic.complete_K(bad)
+        assert elliptic.complete_K(1.0 + 2.0**-52) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 class TestIncompleteIntegrals:
@@ -159,7 +161,7 @@ class TestJacobiFunctions:
 
     def test_quarter_period(self):
         for k in (0.3, 0.8):
-            K = elliptic.complete_K(k)
+            K = elliptic.complete_K(complement(k))
             sn, cn, dn = elliptic.jacobi_sn_cn_dn(K, k)
             assert sn == pytest.approx(1.0, abs=1e-12)
             assert cn == pytest.approx(0.0, abs=1e-12)
@@ -180,13 +182,13 @@ class TestInverseDn:
         kp = complement(k)
         y = kp + frac * (1.0 - kp)
         u = inverse_dn(y, k)
-        assert 0.0 <= u <= elliptic.complete_K(k, complement(k))
+        assert 0.0 <= u <= elliptic.complete_K(complement(k))
         assert elliptic.jacobi_sn_cn_dn(u, k)[2] == pytest.approx(y, abs=1e-11)
 
     def test_endpoints(self):
         k = 0.7
         assert inverse_dn(1.0, k) == 0.0
-        assert inverse_dn(complement(k), k) == elliptic.complete_K(k, complement(k))
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(complement(k))
 
     def test_hyperbolic_closed_form(self):
         # dn(u; 1) = sech u
@@ -200,7 +202,7 @@ class TestInverseDnClosedForm:
         k = 1.0 - 1e-9
         y = complement(k) * (1.0 + 1e-7)
         u = inverse_dn(y, k)
-        assert 8.0 <= u <= elliptic.complete_K(k, complement(k))
+        assert 8.0 <= u <= elliptic.complete_K(complement(k))
         assert elliptic.jacobi_sn_cn_dn(u, k)[2] == pytest.approx(y, abs=1e-11)
 
     @pytest.mark.parametrize("k", [1e-4, 1e-9, 0.0])
@@ -211,7 +213,7 @@ class TestInverseDnClosedForm:
     @pytest.mark.parametrize("k", [0.7, 0.99, 1.0 - 1e-7, 1.0 - 1e-9])
     def test_lower_endpoint_is_exactly_K(self, k):
         # both are R_F(0, k'^2, 1), with no special case at the amplitude pi/2
-        assert inverse_dn(complement(k), k) == elliptic.complete_K(k, complement(k))
+        assert inverse_dn(complement(k), k) == elliptic.complete_K(complement(k))
 
 
 class TestInverseAm:
@@ -226,7 +228,7 @@ class TestInverseAm:
 
     def test_endpoints(self):
         assert elliptic.inverse_am(0.0, 1.0, 0.6) == 0.0
-        assert elliptic.inverse_am(1.0, 0.0, 0.6) == elliptic.complete_K(0.8, 0.6)
+        assert elliptic.inverse_am(1.0, 0.0, 0.6) == elliptic.complete_K(0.6)
 
     @pytest.mark.parametrize("s, c", [(-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0)])
     def test_negative_or_nan_rejected(self, s, c):

@@ -11,14 +11,15 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlsdelta import elliptic, linops, stability, wave
+from nlsdelta.errors import AdmissibilityError
 from nlsdelta.stability import Verdict, classify, norm_squared, slope, verdict_from_counts
 from nlsdelta.wave import WaveParams, build_profile
 
@@ -69,13 +70,13 @@ class TestSlope:
             plain = (g(20.0 + h) - g(20.0 - h)) / (2.0 * h)
             assert plain == pytest.approx(s, rel=1e-5)
 
-    def test_one_sided_fallback_warns(self):
-        # omega just above the admissibility threshold: the lower stencil
-        # point is inadmissible, so the slope degrades to one-sided.
+    def test_stencil_point_outside_existence_refused(self):
+        # omega just above the admissibility threshold: the lower stencil point
+        # omega - h has no wave, and the slope refuses, naming that point
         params = WaveParams(5.125, 1.0, 0.5)
-        with pytest.warns(UserWarning, match="one-sided"):
-            s = slope(params, h_omega=0.01)
-        assert s > 0.0
+        build_profile(params)
+        with pytest.raises(AdmissibilityError, match=re.escape("stencil point omega=5.115 ")):
+            slope(params, h_omega=0.01)
 
 
 class TestVerdictArithmetic:
@@ -272,16 +273,17 @@ class TestClosedFormSlope:
             t0, classical = wave.threshold_T0(omega, z), math.sqrt(2.0) * math.pi / math.sqrt(omega)
             params = WaveParams(omega, z, 0.5 * (t0 + rng.random() * (classical - t0)))
             rep = classify(params)
-            with warnings.catch_warnings():  # a central stencil, no one-sided fallback
-                warnings.simplefilter("error")
-                oracle = slope(params, h_omega=1e-5 * omega)
+            oracle = slope(params, h_omega=1e-5 * omega)
             assert rep.p_index == 1 and rep.slope == pytest.approx(oracle, rel=1e-8)
 
     def test_sign_near_the_fold(self):
-        # the one-sided fallback of the slope oracle reads +0.00518 here (see slope)
-        rep = classify(WaveParams(1838.7674435299375, -84.06364029366871, 0.18608225155945318))
+        # the slope oracle refuses here, where a one-sided difference reads +0.00518
+        params = WaveParams(1838.7674435299375, -84.06364029366871, 0.18608225155945318)
+        rep = classify(params)
         assert rep.slope == pytest.approx(-0.0014264253509066183, rel=1e-6)
         assert rep.verdict is Verdict.INCONCLUSIVE
+        with pytest.raises(AdmissibilityError, match="stencil point omega="):
+            slope(params)
 
     def test_against_mpmath_difference_near_theta(self):
         # a peak whose root lies within 1e-6 theta of theta, where dT/deta2 grows like
