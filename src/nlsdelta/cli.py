@@ -6,15 +6,16 @@ file is reproducible from its sidecar alone.  Numeric output uses 17
 significant digits ('%.17g', '.' decimal separator) which round-trips
 IEEE doubles exactly.
 
-Exit codes: 0 ok, 2 admissibility violation, 3 numeric failure (an
-allocation the machine refuses included), 4 inconclusive verdict under
---strict-inconclusive.
+Exit codes: 0 ok, 2 admissibility violation (an output path the OS
+refuses included), 3 numeric failure (an allocation the machine refuses
+included), 4 inconclusive verdict under --strict-inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import math
@@ -54,18 +55,28 @@ def _fmt(value: float) -> str:
     return _FMT % value
 
 
+@contextlib.contextmanager
+def _refused(what: str, path: Path):
+    """Re-raise an OSError of the path operation inside as an AdmissibilityError naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise AdmissibilityError(f"cannot {what} {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     # Explicit flag wins; then the environment override; then cwd.
     if args.output_dir is not None:
         d = Path(args.output_dir)
     else:
         d = Path(os.environ.get("NLSDELTA_OUTDIR", "."))
-    d.mkdir(parents=True, exist_ok=True)
+    with _refused("make the output directory", d):
+        d.mkdir(parents=True, exist_ok=True)
     return d
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with _refused("write", path), path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(
@@ -79,9 +90,9 @@ def _write_sidecar(path: Path, args: argparse.Namespace, extra: dict | None = No
         "config": vars(args) | {"func": None},
         **(extra or {}),
     }
-    path.with_suffix(".json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    sidecar = path.with_suffix(".json")
+    with _refused("write", sidecar):
+        sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _wave_params(args: argparse.Namespace) -> WaveParams:
@@ -211,16 +222,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [(float(w), z, args.half_period) for w in omegas for z in zs]
     out = _out_dir(args) / f"{args.prefix}_sweep.csv"
     rows: list[dict] = []
+
+    def flush() -> None:
+        _write_csv(out, _SWEEP_HEADER, ([row[k] for k in _SWEEP_HEADER] for row in rows))
+        errors = [{k: row[k] for k in ("omega", "z", "half_period", "message")}
+                  for row in rows if "message" in row]
+        _write_sidecar(out, args, {"points": len(rows), "errors": errors})
+
+    flush()  # an output path the OS refuses is refused here, before the pool computes a cell
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             for row in pool.map(_sweep_point, tasks):
                 rows.append(row)
     finally:
-        # Flush whatever finished, including on interrupt.
-        _write_csv(out, _SWEEP_HEADER, ([row[k] for k in _SWEEP_HEADER] for row in rows))
-        errors = [{k: row[k] for k in ("omega", "z", "half_period", "message")}
-                  for row in rows if "message" in row]
-        _write_sidecar(out, args, {"points": len(rows), "errors": errors})
+        flush()  # whatever finished, including on interrupt
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")
     return EXIT_OK
 

@@ -53,9 +53,7 @@ __all__ = [
     "interior_root",
     "defect_modes",
     "sample_modes",
-    "negative_eigenvalue",
     "positive_eigenvalues",
-    "integer_sine_eigenpairs",
     "full_spectrum",
     "periodic_grid",
     "sample_grid",
@@ -340,19 +338,6 @@ def sample_modes(modes: list[Mode], halfperiod: float, x: NDArray[np.float64]) -
     return v / np.sqrt(np.trapezoid(v * v, x, axis=0))
 
 
-def negative_eigenvalue(gamma: float, halfperiod: float) -> Mode:
-    """The unique negative eigenvalue -mu^2 for attractive strength gamma < 0.
-
-    mu > 0 solves gamma = -2 mu tanh(mu L); the eigenfunction
-    cosh(mu (|x| - L)) is strictly positive and even.
-    """
-    if not gamma < 0.0:
-        raise AdmissibilityError(
-            f"negative eigenvalue exists only for gamma < 0, got gamma={gamma!r}"
-        )
-    return defect_modes(gamma, halfperiod, 1)[0]
-
-
 def positive_eigenvalues(gamma: float, halfperiod: float, count: int) -> list[Mode]:
     """The first ``count`` positive eigenvalues kappa_j^2 from cot(kappa L) = 2 kappa / gamma.
 
@@ -366,24 +351,15 @@ def positive_eigenvalues(gamma: float, halfperiod: float, count: int) -> list[Mo
     return defect_modes(gamma, halfperiod, count + bound)[bound:]
 
 
-def integer_sine_eigenpairs(halfperiod: float, count: int) -> list[Mode]:
-    """Modes ((j pi/L)^2, sin(j pi x / L)) common to every extension.
-
-    These odd eigenfunctions vanish at the defect, so they are blind to
-    gamma; for the Dirichlet (+infinity) extension they are the entire
-    spectrum.
-    """
-    return defect_modes(0.0, halfperiod, count, odd=True)
-
-
 def full_spectrum(op: DeltaOperator, count: int) -> list[Mode]:
     """Lowest ``count`` modes of the operator, sorted ascending.
 
     Merges the ``count`` lowest even modes (bound state for gamma < 0,
     interior roots, or the free cosines at gamma = 0) with the integer
-    sines; for the Dirichlet extension only the sines remain.
+    sines sin(j pi x/L), blind to gamma as they vanish at the defect; for
+    the Dirichlet (+infinity) extension only the sines remain.
     """
-    sines = integer_sine_eigenpairs(op.halfperiod, count)
+    sines = defect_modes(0.0, op.halfperiod, count, odd=True)
     if op.dirichlet:
         return sines
     modes = defect_modes(op.gamma, op.halfperiod, count) + sines

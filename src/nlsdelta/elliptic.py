@@ -1,20 +1,21 @@
-"""Jacobi elliptic functions and Legendre elliptic integrals.
+"""Jacobi elliptic functions and Legendre elliptic integrals, keyed by k' alone.
 
-Thin, validated wrappers around scipy.special.  The *modulus* k (not
-m = k^2) is the argument, except where a double k near 1 cannot hold
-k' = sqrt(1 - k^2) and the value needs it: K(k) (complete_K) and the
-inverse on the quarter period [0, K(k)], inverse_am, are keyed by it
-(both through Carlson's R_F), as is D = (F - E)/k^2 (incomplete_D, through
-R_D).  inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16); a
-caller that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.
-F(psi; k) is read only through inverse_am, and dn only together with sn and
-cn (jacobi_sn_cn_dn), as the profile needs all three.
+Thin, validated wrappers around scipy.special.  Every function takes the
+complementary modulus kp = k' = sqrt(1 - k^2), never k or m = k^2: near k = 1 a
+double k cannot hold k', and the dnoidal orbit has k' = eta2/eta1 to full relative
+accuracy.  Only kp^2 enters, so kp may round above 1 (read as k = 0).  K(k)
+(complete_K), the inverse on the quarter period [0, K(k)] (inverse_am, through
+Carlson's R_F) and D = (F - E)/k^2 (incomplete_D, through R_D) keep full accuracy as
+k -> 1; inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16), so a caller
+that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.  E is formed
+where it is read, as E(k) = K - k^2 D and E(psi; k) = F - k^2 D(psi; k)
+(wave._e_terms).  dn is read only together with sn and cn (jacobi_sn_cn_dn), as the
+profile needs all three.
 
-Conventions (scipy's own values at m = 0 and m = 1)
----------------------------------------------------
-    sn(u; 0) = sin u,   sn(u; 1) = tanh u
-    cn(u; 0) = cos u,   cn(u; 1) = sech u
-    dn(u; 0) = 1,       dn(u; 1) = sech u
+Limits, keyed by k' (scipy's own values at m = 0 and m = 1)
+-----------------------------------------------------------
+    k' = 1 (k = 0):  sn = sin u,   cn = cos u,   dn = 1,       K = pi/2,  D = pi/4
+    k' = 0 (k = 1):  sn = tanh u,  cn = sech u,  dn = sech u,  K = inf (complete_K raises)
 
 and dn is strictly decreasing from 1 to k' on [0, K(k)].
 """
@@ -28,23 +29,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import special
 
-__all__ = [
-    "complete_K",
-    "complete_E",
-    "incomplete_E",
-    "jacobi_sn_cn_dn",
-    "inverse_am",
-    "incomplete_D",
-]
+__all__ = ["complete_K", "inverse_am", "incomplete_D", "jacobi_sn_cn_dn"]
 
 ArrayLike = Union[float, NDArray[np.float64]]
-
-
-def _check_modulus(k: float) -> float:
-    k = float(k)
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"modulus k={k!r} outside [0, 1]")
-    return k
 
 
 def complete_K(kp: float) -> float:
@@ -63,23 +50,16 @@ def complete_K(kp: float) -> float:
     return big_k
 
 
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind E(k); E(0) = pi/2, E(1) = 1."""
-    k = _check_modulus(k)
-    return float(special.ellipe(k * k))
+def jacobi_sn_cn_dn(u: ArrayLike, kp: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """Jacobi elliptic functions (sn, cn, dn) of argument u, given kp = k'.
 
-
-def incomplete_E(phi: ArrayLike, k: float) -> ArrayLike:
-    """Incomplete elliptic integral of the second kind E(phi; k) = ∫_0^phi sqrt(1 - k^2 sin^2 t) dt."""
-    k = _check_modulus(k)
-    out = special.ellipeinc(phi, k * k)
-    return float(out) if np.isscalar(phi) else np.asarray(out)
-
-
-def jacobi_sn_cn_dn(u: ArrayLike, k: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """Jacobi elliptic functions (sn, cn, dn) of argument u and modulus k."""
-    k = _check_modulus(k)
-    sn, cn, dn, _ = special.ellipj(u, k * k)
+    Read by ellipj at m = k^2 = 1 - kp^2, the correctly rounded m of kp, clamped at 0 where
+    kp rounds above 1 (ellipj gives nan for m < 0).  m still rounds as k' -> 0: below K/2
+    the worst is 1.3e-9 relative, near k' = 5e-9 (see wave._dnoidal for the far half).
+    """
+    if not kp >= 0.0:
+        raise ValueError(f"complementary modulus kp={kp!r} is negative or NaN")
+    sn, cn, dn, _ = special.ellipj(u, max(1.0 - kp * kp, 0.0))
     if np.isscalar(u):
         return float(sn), float(cn), float(dn)
     return np.asarray(sn), np.asarray(cn), np.asarray(dn)

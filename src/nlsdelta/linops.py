@@ -318,9 +318,9 @@ def lame_check(k: float, n: int) -> dict:
         raise AdmissibilityError(f"lame_check needs modulus in (0, 1), got k={k!r}")
     if n < 64 or n % 2 != 0:
         raise AdmissibilityError(f"lame_check needs an even grid n >= 64, got n={n}")
-    period = 2.0 * elliptic.complete_K(math.sqrt((1.0 - k) * (1.0 + k)))
-    h = period / n
-    sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), k)
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    h = 2.0 * elliptic.complete_K(kp) / n
+    sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), kp)
     # sn^2 is even and 2K-periodic, so the stencil is reflection-symmetric.
     half = even_block(n // 2, h)[0] + 6.0 * k**2 * sn[: n // 2 + 1] ** 2
     spec = _split_spectrum(half, h, 3, 0.0)

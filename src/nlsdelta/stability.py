@@ -25,10 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import elliptic
 from .errors import AdmissibilityError
 from .linops import Index, Which, assemble, index
-from .wave import WaveParams, WaveProfile, _norm_slope, build_profile
+from .wave import WaveParams, WaveProfile, _e_terms, _norm_slope, build_profile
 
 __all__ = [
     "Verdict",
@@ -102,11 +101,12 @@ def norm_squared(profile: WaveProfile) -> float:
     integral of eta1^2 dn^2 over u in [s, K] into E(am(u; k); k), odd in u;
     am(s; k) = copysign(psi, Z) with psi = am(a; k) the orbit's amplitude:
 
-        ||phi||^2 = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)].
+        ||phi||^2 = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)],
+
+    E read from k' by wave._e_terms, the body wave._tangent differentiates.
     """
     o = profile.orbit
-    e_inc = math.copysign(elliptic.incomplete_E(o.psi, o.k), profile.params.z)
-    return 2.0 * math.sqrt(2.0) * o.eta1 * (elliptic.complete_E(o.k) - e_inc)
+    return 2.0 * math.sqrt(2.0) * o.eta1 * _e_terms(o, profile.params.z)[2]
 
 
 def norm_squared_quadrature(profile: WaveProfile) -> float:

@@ -13,9 +13,10 @@ s = copysign(a, Z):
     phi(x) = eta1 * dn(eta1 |x|/sqrt2 + s; k),   T = 2 sqrt2/eta1 * [K(k) - s],
 
 a peak at 0 for Z > 0 and a trough for Z < 0, with k^2 = (eta1^2 - eta2^2)/eta1^2
-and a >= 0 set by |Z|: the sign of Z enters the profile, the period and its
-threshold only through s.  eta2 is pinned down by T = 2L, solved in
-u = log(g/eta2^2) with g = theta^2 - eta2^2 (see _chart).  The peak map T_-(eta2)
+(every elliptic function is read from k' = eta2/eta1) and a >= 0 set by |Z|: the
+sign of Z enters the profile, the period and its threshold only through s.  eta2
+is pinned down by T = 2L, solved in u = log(g/eta2^2) with g = theta^2 - eta2^2
+(see _chart).  The peak map T_-(eta2)
 (Z > 0) is strictly decreasing; the trough map T_+(eta2) (Z < 0) is observed
 numerically to fall to a minimum Tmin below its endpoint limit T1 before rising
 back to it, so for Tmin < 2L <= T1 trough waves exist on both branches, the one
@@ -137,16 +138,16 @@ def _chart(u: float, th: float) -> tuple[float, float]:
 class Orbit(NamedTuple):
     """The dnoidal orbit fixed by eta2 in (0, theta] and its gap on the branch of the sign of Z (see _orbit).
 
-    gap = theta^2 - eta2^2 holds what eta2 near theta cannot, k' = eta2/eta1 what a double k
-    near 1 cannot, big_k = K(k), phi = Phi = phi(0), a = F(psi; k) the unsigned shift with
-    amplitude psi, spread = eta1^2 - eta2^2, and s, upper, lower the discriminant and the gaps
-    of Phi; period = 2 sqrt2/eta1 [K(k) - copysign(a, Z)].
+    gap = theta^2 - eta2^2 holds what eta2 near theta cannot, kp = k' = eta2/eta1 the modulus
+    every elliptic function is keyed by (k itself is never formed: k^2 eta1^2 = spread =
+    eta1^2 - eta2^2), big_k = K(k), phi = Phi = phi(0), a = F(psi; k) the unsigned shift with
+    amplitude psi, and s, upper, lower the discriminant and the gaps of Phi; period =
+    2 sqrt2/eta1 [K(k) - copysign(a, Z)].
     """
 
     eta1: float
     eta2: float
     gap: float
-    k: float
     kp: float
     big_k: float
     phi: float
@@ -183,7 +184,6 @@ def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
     if not 0.0 < spread < math.inf:  # also where 2 omega overflows
         raise NumericsError(f"eta1^2 - eta2^2 = {spread!r} over- or underflowed at omega={omega!r}")
     eta1 = math.sqrt(eta1_sq)
-    k = math.sqrt(min(spread / eta1_sq, 1.0))  # k^2 = 1 - k'^2 may round above 1
     s = math.sqrt(2.0 * gap) * math.sqrt(spread + zr)
     upper = 0.5 * (0.5 + r * r / (s + spread))
     lower = gap + abs(z) * ((omega - 0.25 * z * z) / (r + 0.5 * abs(z))) + 0.5 * s
@@ -197,8 +197,23 @@ def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
                             f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
     big_k = elliptic.complete_K(kp)
     period = (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z))
-    return Orbit(eta1, eta2, gap, k, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
+    return Orbit(eta1, eta2, gap, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
                  math.atan2(sin_psi, cos_psi), spread, s, upper, lower, period)
+
+
+def _e_terms(o: Orbit, z: float) -> tuple[float, float, float]:
+    """(D, D_psi, E(k) - sign(Z) E(psi; k)) of the orbit o, keyed by k' = o.kp.
+
+    D = D(pi/2; k) and D_psi = D(psi; k) are elliptic.incomplete_D's (F - E)/k^2, so
+    E(k) = K - k^2 D and E(psi; k) = a - k^2 D_psi with k^2 = spread/eta1^2.  The norm is
+    N = 2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] (stability.norm_squared); _tangent reads
+    all three.
+    """
+    sin_psi, cos_psi = abs(z) * math.sqrt(o.upper), math.sqrt(o.lower)  # as in _orbit
+    big_d = elliptic.incomplete_D(1.0, 0.0, o.kp)
+    d_psi = elliptic.incomplete_D(sin_psi, cos_psi, o.kp)
+    k_sq = o.spread / o.eta1**2
+    return big_d, d_psi, (o.big_k - k_sq * big_d) - math.copysign(1.0, z) * (o.a - k_sq * d_psi)
 
 
 def _tangent(o: Orbit, omega: float, z: float,
@@ -207,25 +222,23 @@ def _tangent(o: Orbit, omega: float, z: float,
     N = 2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] is the norm (stability.norm_squared).
 
     The elliptic terms are keyed by dlog k' = d eta2/eta2 - d eta1/eta1 (DLMF 19.4, with
-    dn = Phi/eta1, sc = sin psi cos psi and elliptic.incomplete_D's D = D(pi/2; k), D_psi):
+    dn = Phi/eta1, sc = sin psi cos psi and _e_terms' D = D(pi/2; k), D_psi):
 
         dK = -(K - D) dlog k',   da = -(a - D_psi) dlog k' + (sc dlog k' + dpsi)/dn,
         dE = k'^2 D dlog k',     dE(psi; k) = k'^2 D_psi dlog k' + dn dpsi,
 
     free of 1/k^2 and 1/k'^2, and dpsi = (sc/2)(dlog upper - dlog lower) on _orbit's gaps.  The
     discriminant enters only as ds = 2 (g/s)(spread dlog g + |Z| dr), g/s = sqrt(g/2)/sqrt(spread
-    + |Z| r), so every 1/s carries g and vanishes at theta.  E(k) = K - k^2 D and E(psi; k) =
-    a - k^2 D_psi are formed once for all the directions.
+    + |Z| r), so every 1/s carries g and vanishes at theta.  D, D_psi and N/(2 sqrt2 eta1) are
+    _e_terms', the norm's own body, formed once for all the directions.
     """
     sigma, az = math.copysign(1.0, z), abs(z)
     r = math.sqrt(2.0 * omega - 0.25 * z * z)
     g_s = math.sqrt(0.5 * o.gap) / math.sqrt(o.spread + az * r)
     sin_psi, cos_psi = az * math.sqrt(o.upper), math.sqrt(o.lower)  # as in _orbit
     sc = sin_psi * cos_psi / o.spread
-    big_d = elliptic.incomplete_D(1.0, 0.0, o.kp)
-    d_psi_k = elliptic.incomplete_D(sin_psi, cos_psi, o.kp)
-    k_sq, dn = o.spread / o.eta1**2, o.phi / o.eta1
-    e_diff = (o.big_k - k_sq * big_d) - sigma * (o.a - k_sq * d_psi_k)  # E(k) - sigma E(psi; k)
+    big_d, d_psi_k, e_diff = _e_terms(o, z)
+    dn = o.phi / o.eta1
     k_t, k_n = (o.big_k - big_d) - sigma * (o.a - d_psi_k), o.kp**2 * (big_d - sigma * d_psi_k)
     out = []
     for d_eta2, d_log_g, d_omega in directions:
@@ -379,13 +392,13 @@ def _dnoidal(xs, profile: WaveProfile) -> tuple[NDArray[np.float64], ...]:
 
     |u| > K/2 is read at v = K - |u| through dn(K - v) = k'/dn v, sn(K - v) = cn v/dn v and
     cn(K - v) = k' sn v/dn v (DLMF Table 22.4.3), K the orbit's and not L's, so dn keeps its
-    relative accuracy up to the cell edge, where dn = k' lies below the rounding of k^2.
+    relative accuracy up to the cell edge, where dn = k' lies below the rounding of m = 1 - k'^2.
     """
     o = profile.orbit
     u = (o.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
     w = np.abs(u)
     far = w > 0.5 * o.big_k
-    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, o.big_k - w, w), o.k)
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, o.big_k - w, w), o.kp)
     reflect = np.where(far, o.kp / (dn * dn), 1.0)  # dn(K - v)/dn(v); sn cn is odd in u
     return np.copysign(sn * cn * reflect, u), dn * reflect
 
@@ -455,8 +468,9 @@ class WaveProfile:
 
     @property
     def _dphi_scale(self) -> float:
-        """phi'/(sn cn) for x >= 0: dn' = -k^2 sn cn times the chain-rule factor eta1/sqrt2."""
-        return -(self.orbit.eta1**2 / _SQRT2) * self.orbit.k**2
+        """phi'/(sn cn) for x >= 0: eta1 dn' = -eta1 k^2 sn cn times the chain-rule factor
+        eta1/sqrt2, and k^2 eta1^2 is the orbit's spread."""
+        return -self.orbit.spread / _SQRT2
 
     def _in_band(self, phi: NDArray[np.float64]) -> NDArray[np.float64]:
         eta1 = self.orbit.eta1

@@ -4,6 +4,7 @@ Everything goes through main() with an isolated --output-dir; files are
 re-read and checked for schema, determinism, and exit-code contract.
 """
 
+import concurrent.futures
 import json
 import math
 
@@ -74,7 +75,7 @@ class TestBuildWave:
         # the whole solved orbit, read back: its period is 2L and its shift lies in [0, K]
         assert main(["--output-dir", str(tmp_path), "build-wave", *wave, "--n", "256"]) == 0
         solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
-        assert set(solved) == {"eta1", "eta2", "gap", "k", "kp", "big_k", "phi", "a", "psi",
+        assert set(solved) == {"eta1", "eta2", "gap", "kp", "big_k", "phi", "a", "psi",
                                "spread", "s", "upper", "lower", "period", "phi0", "sign_branch"}
         assert solved["gap"] > 0.0
         assert abs(solved["period"] - 2.0 * float(wave[-1])) <= PERIOD_RESIDUAL_TOL
@@ -301,6 +302,44 @@ class TestSweep:
     def test_header_is_the_report_schema(self):
         report = classify(WaveParams(20.0, 1.0, 0.5))
         assert tuple(report.as_dict()) == _SWEEP_HEADER
+
+
+class TestRefusedOutputPath:
+    """An output path the OS refuses exits 2 with the path named, not with a traceback."""
+
+    def test_build_wave_output_dir_below_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["--output-dir", str(blocker / "sub"), "build-wave", *WAVE, "--n", "256"])
+        assert rc == 2
+        assert f"cannot make the output directory {str(blocker / 'sub')!r}" in capsys.readouterr().err
+
+    def test_classify_output_dir_from_the_environment_is_a_file(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("NLSDELTA_OUTDIR", str(blocker))
+        assert main(["classify", *WAVE]) == 2
+        assert f"cannot make the output directory {str(blocker)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, written", [
+        (["build-wave", *WAVE, "--n", "256"], "no/such_profile.csv"),
+        (["classify", *WAVE], "no/such_classification.json"),
+    ])
+    def test_prefix_in_a_missing_directory(self, tmp_path, capsys, command, written):
+        rc = main(["--output-dir", str(tmp_path), *command, "--prefix", "no/such"])
+        assert rc == 2
+        assert f"cannot write {str(tmp_path / written)!r}" in capsys.readouterr().err
+
+    def test_sweep_refuses_before_its_pool(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16", "--omega-max",
+                   "20", "--half-period", "0.5", "--prefix", "no/such"])
+        assert rc == 2
+        assert f"cannot write {str(tmp_path / 'no/such_sweep.csv')!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTypedFailures:

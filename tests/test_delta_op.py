@@ -104,27 +104,25 @@ class TestResolventKernel:
 
 
 class TestNegativeEigenvalue:
+    """The bound state, the first even mode of an attractive defect."""
+
     @given(gamma=st.floats(min_value=-10.0, max_value=-0.05))
     @settings(max_examples=30, deadline=None)
     def test_transcendental_residual(self, gamma):
         L = 1.5
-        pair = delta_op.negative_eigenvalue(gamma, L)
+        pair = delta_op.defect_modes(gamma, L, 1)[0]
         mu = math.sqrt(-pair.eigenvalue)
         assert 2.0 * mu * math.tanh(mu * L) == pytest.approx(-gamma, rel=1e-10)
 
     def test_eigenfunction_jump_condition(self):
         gamma, L = -2.0, math.pi
         x = delta_op.sample_grid(L, 16384)
-        psi = delta_op.sample_modes([delta_op.negative_eigenvalue(gamma, L)], L, x)[:, 0]
+        psi = delta_op.sample_modes(delta_op.defect_modes(gamma, L, 1), L, x)[:, 0]
         h = x[1] - x[0]
         mid = len(x) // 2
         dplus = (-3.0 * psi[mid] + 4.0 * psi[mid + 1] - psi[mid + 2]) / (2.0 * h)
         dminus = (3.0 * psi[mid] - 4.0 * psi[mid - 1] + psi[mid - 2]) / (2.0 * h)
         assert (dplus - dminus) == pytest.approx(gamma * psi[mid], rel=1e-5)
-
-    def test_requires_attractive(self):
-        with pytest.raises(AdmissibilityError):
-            delta_op.negative_eigenvalue(1.0, 1.0)
 
 
 class TestPositiveEigenvalues:
@@ -347,13 +345,12 @@ class TestDefectModes:
         assert [m.kind for m in modes] == [EigenKind.NEGATIVE_BOUND_STATE] + 3 * [
             EigenKind.INTERIOR_ROOT
         ]
-        assert delta_op.negative_eigenvalue(gamma, L) == modes[0]
         assert delta_op.positive_eigenvalues(gamma, L, 3) == modes[1:]
         assert all(type(m) is Mode for m in modes)
 
     def test_parity_is_defined_once(self):
         assert linops.Parity is Parity
-        sine = delta_op.integer_sine_eigenpairs(1.0, 1)[0]
+        sine = delta_op.defect_modes(0.0, 1.0, 1, odd=True)[0]
         assert sine.parity is Parity.ODD
         assert delta_op.defect_modes(1.0, 1.0, 1)[0].parity is Parity.EVEN
 
@@ -379,7 +376,7 @@ class TestDefectModes:
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_guard(self, count):
         with pytest.raises(AdmissibilityError, match="count must be >= 1"):
-            delta_op.integer_sine_eigenpairs(1.0, count)
+            delta_op.defect_modes(0.0, 1.0, count, odd=True)
 
 
 class TestPeriodicStencil:

@@ -1,9 +1,10 @@
 """Oracle tests for the elliptic-function layer.
 
-The implementation wraps scipy.special, so every check here goes
-through an independent route: arithmetic-geometric mean for K, direct
-quadrature for E and E(phi; k), and an ODE integration
-for the Jacobi functions.
+The implementation wraps scipy.special, keyed by k' alone, so every check
+here goes through an independent route: arithmetic-geometric mean for K,
+direct quadrature for E and E(phi; k), formed from K, F and D as the
+package forms them (``legendre_E``, the expression of wave._e_terms), and
+an ODE integration and 50-digit mpmath for the Jacobi functions.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from nlsdelta import elliptic
+from nlsdelta.wave import WaveParams, build_profile
 
 MODULI = st.floats(min_value=0.01, max_value=0.99)
 
@@ -32,6 +34,19 @@ def inverse_dn(y: float, k: float) -> float:
     """
     kp = complement(k)
     return elliptic.inverse_am(math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp)), kp)
+
+
+def legendre_E(psi: float, k: float) -> float:
+    """E(psi; k) = F(psi; k) - k^2 D(psi; k) from k' alone, the form wave._e_terms evaluates."""
+    kp = complement(k)
+    s, c = math.sin(psi), math.cos(psi)
+    return elliptic.inverse_am(s, c, kp) - k * k * elliptic.incomplete_D(s, c, kp)
+
+
+def complete_E(k: float) -> float:
+    """E(k) = K(k) - k^2 D(k), as wave._e_terms forms it."""
+    kp = complement(k)
+    return elliptic.complete_K(kp) - k * k * elliptic.incomplete_D(1.0, 0.0, kp)
 
 
 def agm_K(k: float) -> float:
@@ -54,7 +69,7 @@ class TestCompleteIntegrals:
     @settings(max_examples=25, deadline=None)
     def test_E_against_quadrature(self, k):
         val, err = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2), 0.0, math.pi / 2)
-        assert elliptic.complete_E(k) == pytest.approx(val, abs=max(1e-12, 10 * err))
+        assert complete_E(k) == pytest.approx(val, abs=max(1e-12, 10 * err))
 
     @given(k=MODULI)
     @settings(max_examples=25, deadline=None)
@@ -63,8 +78,8 @@ class TestCompleteIntegrals:
         # complementary modulus, so K(k) = complete_K(k') and K(k') = complete_K(k).
         kp = complement(k)
         lhs = (
-            elliptic.complete_E(k) * elliptic.complete_K(k)
-            + elliptic.complete_E(kp) * elliptic.complete_K(kp)
+            complete_E(k) * elliptic.complete_K(k)
+            + complete_E(kp) * elliptic.complete_K(kp)
             - elliptic.complete_K(kp) * elliptic.complete_K(k)
         )
         assert lhs == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -79,9 +94,12 @@ class TestCompleteIntegrals:
             )
 
     def test_degenerate_values(self):
+        # E(1) = 1 is K - D with both infinite at k' = 0, so it is read at k' = 1e-150
         assert elliptic.complete_K(1.0) == pytest.approx(math.pi / 2.0)
-        assert elliptic.complete_E(0.0) == pytest.approx(math.pi / 2.0)
-        assert elliptic.complete_E(1.0) == pytest.approx(1.0)
+        assert elliptic.incomplete_D(1.0, 0.0, 1.0) == pytest.approx(math.pi / 4.0)
+        assert complete_E(0.0) == pytest.approx(math.pi / 2.0)
+        kp = 1e-150
+        assert elliptic.complete_K(kp) - elliptic.incomplete_D(1.0, 0.0, kp) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kp", [0.5, 1e-2, 1e-4, 2e-6])
     def test_K_from_the_complementary_modulus(self, kp):
@@ -112,23 +130,22 @@ class TestIncompleteIntegrals:
         val, err = quad(
             lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2), 0.0, phi
         )
-        assert elliptic.incomplete_E(phi, k) == pytest.approx(val, abs=max(1e-12, 10 * err))
+        assert legendre_E(phi, k) == pytest.approx(val, abs=max(1e-12, 10 * err))
 
     def test_completion(self):
         for k in (0.3, 0.7):
-            assert elliptic.incomplete_E(math.pi / 2.0, k) == pytest.approx(
-                elliptic.complete_E(k), rel=1e-12
-            )
+            assert legendre_E(math.pi / 2.0, k) == pytest.approx(complete_E(k), rel=1e-12)
 
     def test_hyperbolic_branch(self):
-        assert elliptic.incomplete_E(0.5, 1.0) == pytest.approx(math.sin(0.5))
+        # E(psi; 1) = sin psi: at k' = 0, F = atanh(sin psi) is finite below pi/2
+        assert legendre_E(0.5, 1.0) == pytest.approx(math.sin(0.5))
 
 
 class TestJacobiFunctions:
     @given(k=MODULI, u=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_pythagorean_identities(self, k, u):
-        sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, k)
+        sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, complement(k))
         assert sn**2 + cn**2 == pytest.approx(1.0, abs=1e-12)
         assert dn**2 + (k * sn) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -144,7 +161,7 @@ class TestJacobiFunctions:
             dense_output=True,
         )
         for u in (0.5, 1.2, 2.7):
-            sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, k)
+            sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, complement(k))
             ref = sol.sol(u)
             assert sn == pytest.approx(ref[0], abs=1e-10)
             assert cn == pytest.approx(ref[1], abs=1e-10)
@@ -152,9 +169,9 @@ class TestJacobiFunctions:
 
     def test_circular_and_hyperbolic_limits(self):
         u = 0.8
-        sn0, cn0, dn0 = elliptic.jacobi_sn_cn_dn(u, 0.0)
+        sn0, cn0, dn0 = elliptic.jacobi_sn_cn_dn(u, complement(0.0))
         assert (sn0, cn0, dn0) == pytest.approx((math.sin(u), math.cos(u), 1.0))
-        sn1, cn1, dn1 = elliptic.jacobi_sn_cn_dn(u, 1.0)
+        sn1, cn1, dn1 = elliptic.jacobi_sn_cn_dn(u, complement(1.0))
         assert (sn1, cn1, dn1) == pytest.approx(
             (math.tanh(u), 1.0 / math.cosh(u), 1.0 / math.cosh(u))
         )
@@ -162,15 +179,40 @@ class TestJacobiFunctions:
     def test_quarter_period(self):
         for k in (0.3, 0.8):
             K = elliptic.complete_K(complement(k))
-            sn, cn, dn = elliptic.jacobi_sn_cn_dn(K, k)
+            sn, cn, dn = elliptic.jacobi_sn_cn_dn(K, complement(k))
             assert sn == pytest.approx(1.0, abs=1e-12)
             assert cn == pytest.approx(0.0, abs=1e-12)
             assert dn == pytest.approx(complement(k), rel=1e-12)
 
     def test_vectorized(self):
         u = np.linspace(-2, 2, 11)
-        sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, 0.5)
+        sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, complement(0.5))
         assert sn.shape == cn.shape == dn.shape == u.shape
+
+    @pytest.mark.parametrize("half_period", [12.0, 14.0, 16.0, 19.0, 21.0, 26.0, 40.0])
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_near_k_one_against_mpmath(self, z, half_period):
+        # at the k' of the near-solitary profile ladder (1e-5 down to 1e-17, omega = 1): below
+        # K/2 only the rounding of m = 1 - k'^2 is left, worst (1.3e-9) near k' = 5e-9
+        mpmath = pytest.importorskip("mpmath")
+        kp = build_profile(WaveParams(1.0, z, half_period), n=128).orbit.kp
+        u = 0.5 * elliptic.complete_K(kp) * np.linspace(-1.0, 1.0, 40)  # mpmath sn(0) is not 0
+        got = elliptic.jacobi_sn_cn_dn(u, kp)
+        with mpmath.workdps(50):
+            m = 1 - mpmath.mpf(kp) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                expected = [float(mpmath.ellipfun(name, mpmath.mpf(v), m=m)) for v in u]
+                assert values == pytest.approx(expected, rel=2e-9, abs=0.0)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, -1.3, 2.0, 7.5])
+    def test_kp_rounded_above_one_is_circular(self, u):
+        # k' = eta2/eta1 rounds to 1 + 2^-52 near the threshold; m = 1 - k'^2 < 0 would be nan
+        assert elliptic.jacobi_sn_cn_dn(u, 1.0 + 2.0**-52) == (math.sin(u), math.cos(u), 1.0)
+
+    @pytest.mark.parametrize("kp", [-0.1, math.nan])
+    def test_negative_or_nan_kp_rejected(self, kp):
+        with pytest.raises(ValueError):
+            elliptic.jacobi_sn_cn_dn(0.5, kp)
 
 
 class TestInverseDn:
@@ -183,7 +225,7 @@ class TestInverseDn:
         y = kp + frac * (1.0 - kp)
         u = inverse_dn(y, k)
         assert 0.0 <= u <= elliptic.complete_K(complement(k))
-        assert elliptic.jacobi_sn_cn_dn(u, k)[2] == pytest.approx(y, abs=1e-11)
+        assert elliptic.jacobi_sn_cn_dn(u, complement(k))[2] == pytest.approx(y, abs=1e-11)
 
     def test_endpoints(self):
         k = 0.7
@@ -203,7 +245,7 @@ class TestInverseDnClosedForm:
         y = complement(k) * (1.0 + 1e-7)
         u = inverse_dn(y, k)
         assert 8.0 <= u <= elliptic.complete_K(complement(k))
-        assert elliptic.jacobi_sn_cn_dn(u, k)[2] == pytest.approx(y, abs=1e-11)
+        assert elliptic.jacobi_sn_cn_dn(u, complement(k))[2] == pytest.approx(y, abs=1e-11)
 
     @pytest.mark.parametrize("k", [1e-4, 1e-9, 0.0])
     def test_preimage_of_one_is_exactly_zero(self, k):
@@ -223,7 +265,7 @@ class TestInverseAm:
         y = 0.5 * (1.0 + kp)
         s, c = math.sqrt((1.0 - y) * (1.0 + y)), math.sqrt((y - kp) * (y + kp))
         u = elliptic.inverse_am(s, c, kp)
-        assert elliptic.jacobi_sn_cn_dn(u, k)[2] == pytest.approx(y, rel=1e-12)
+        assert elliptic.jacobi_sn_cn_dn(u, kp)[2] == pytest.approx(y, rel=1e-12)
         assert elliptic.inverse_am(1e-200 * s, 1e-200 * c, kp) == pytest.approx(u, rel=1e-15)
 
     def test_endpoints(self):

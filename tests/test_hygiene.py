@@ -10,7 +10,9 @@ in ``src/``, ``tests/`` or ``perfbench/``, by name, attribute or inside
 a string that is neither a docstring nor an ``__all__`` entry; dunder
 methods are exempt, Python calls them.  Every ``__all__`` entry names a
 function, class or assignment of its own module, so a deletion cannot
-leave a stale export behind.
+leave a stale export behind.  ``elliptic`` has one modulus convention:
+no public function of it takes a parameter ``k`` (each is keyed by
+k' = ``kp``), and only ``wave`` and ``linops`` import it.
 """
 
 import ast
@@ -244,3 +246,54 @@ def test_dead_definition_detector():
         "only_exported (line 13)",
         "unused_in_doc (line 7)",
     ]
+
+
+ELLIPTIC_READERS = {"wave.py", "linops.py"}
+
+
+def k_keyed_functions(source: str) -> list[str]:
+    """Public module-level functions with a parameter named ``k``."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and "k" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+
+
+def imports_elliptic(source: str) -> bool:
+    """Whether the source imports the elliptic module or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "elliptic" for m in modules):
+            return True
+    return False
+
+
+def test_elliptic_is_keyed_by_the_complementary_modulus():
+    assert k_keyed_functions((SRC / "elliptic.py").read_text(encoding="utf-8")) == []
+
+
+def test_elliptic_is_read_only_by_wave_and_linops():
+    readers = {p.name for p in MODULES if imports_elliptic(p.read_text(encoding="utf-8"))}
+    assert readers <= ELLIPTIC_READERS
+
+
+def test_modulus_detectors():
+    source = (
+        "def f(u, kp):\n    pass\n"
+        "def g(u, k):\n    pass\n"
+        "def h(*, k=0.5):\n    pass\n"
+        "def _private(k):\n    pass\n"
+    )
+    assert k_keyed_functions(source) == ["g (line 3)", "h (line 5)"]
+    assert imports_elliptic("from . import elliptic\n")
+    assert imports_elliptic("from .elliptic import complete_K\n")
+    assert imports_elliptic("import nlsdelta.elliptic\n")
+    assert not imports_elliptic("from . import wave\nfrom .wave import Orbit\n")

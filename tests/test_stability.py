@@ -1,7 +1,8 @@
 """Tests for the slope condition and index-count classification.
 
 The closed-form norm is checked against quadrature on all three
-branches, the finite-difference slope against plain (non-Richardson)
+branches and against 40-digit mpmath near the solitary limit and the
+threshold, the finite-difference slope against plain (non-Richardson)
 step-halving, classify's closed-form slope against that slope and a
 30-digit mpmath difference, and the verdict arithmetic exhaustively
 over small index counts.
@@ -37,6 +38,24 @@ class TestNorm:
         assert norm_squared(p) == pytest.approx(
             stability.norm_squared_quadrature(p), rel=1e-7
         )
+
+    @pytest.mark.parametrize("omega,z,L", [
+        (1.0, 1.0, 19.0), (1.0, -1.0, 19.0), (1.0, -1.0, 21.0),  # k' ~ 1e-8
+        (5.2, 1e-12, 0.4871), (5.2, 1e-300, 0.7),  # k' rounds to 1 + 2^-52 at Z = 1e-300
+        (20.0, 1.0, 0.5), (20.0, -1.0, 1.0),
+    ])
+    def test_closed_form_against_mpmath(self, omega, z, L):
+        # E(k) - sign(Z) E(psi; k) from K, F and D keyed by k' (wave._e_terms), against 40-digit
+        # mpmath at the orbit's own k^2 = spread/eta1^2 and amplitude psi
+        mpmath = pytest.importorskip("mpmath")
+        p = build_profile(WaveParams(omega, z, L), n=128)
+        o = p.orbit
+        with mpmath.workdps(40):
+            m = mpmath.mpf(o.spread) / mpmath.mpf(o.eta1) ** 2
+            psi = mpmath.atan2(abs(z) * mpmath.sqrt(o.upper), mpmath.sqrt(o.lower))
+            e_diff = mpmath.ellipe(m) - math.copysign(1.0, z) * mpmath.ellipe(psi, m)
+            expected = float(2 * mpmath.sqrt(2) * o.eta1 * e_diff)
+        assert norm_squared(p) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_reads_the_orbit_amplitude(self, monkeypatch):
         # the norm takes E(psi; k) from the orbit, with no sn(s) -> asin round trip

@@ -271,17 +271,17 @@ class TestProfile:
 
 class TestParameterMonotonicity:
     def test_omega_family_structure(self):
-        # For omega large: eta2(omega) decreasing, k(omega) increasing,
+        # For omega large: eta2(omega) decreasing, k'(omega) decreasing,
         # a(omega) decreasing.  (eta2 is measurably *not* monotone near
         # the admissibility threshold -- it rises before turning over --
         # so the range here starts past the turning point.)
         z, L = 1.0, 0.5
         profiles = [build_profile(WaveParams(w, z, L), n=256) for w in (16.0, 20.0, 25.0, 30.0)]
         eta2s = [p.eta2 for p in profiles]
-        ks = [p.orbit.k for p in profiles]
+        kps = [p.orbit.kp for p in profiles]
         shifts = [p.orbit.a for p in profiles]
         assert all(a > b for a, b in zip(eta2s, eta2s[1:]))
-        assert all(a < b for a, b in zip(ks, ks[1:]))
+        assert all(a > b for a, b in zip(kps, kps[1:]))
         assert all(a > b for a, b in zip(shifts, shifts[1:]))
 
     def test_shift_vanishes_at_large_omega(self):
@@ -382,13 +382,16 @@ class TestOrbitRecord:
     def test_zero_defect_slopes_are_the_classical_closed_forms(self):
         # at Z = 0 the a- and psi-terms vanish and only dK/deta2 = c [E - k'^2 K] is left:
         # T = 2 sqrt2 K/eta1 and N = 2 sqrt2 eta1 E, with c = -2 omega/(spread eta2); the
-        # tangent reads them in u = log(g/eta2^2) and maps them back to eta2
+        # tangent reads them in u = log(g/eta2^2) and maps them back to eta2; E from mpmath
+        mpmath = pytest.importorskip("mpmath")
         omega = 8.0
         profile = build_profile(WaveParams(omega, 0.0, 1.0), n=256)
         o = profile.orbit
         norm = stability.norm_squared(profile)
-        assert norm == 2.0 * SQRT2 * o.eta1 * elliptic.complete_E(o.k)
-        big_e, w = elliptic.complete_E(o.k), -0.5 * o.eta2 / omega
+        with mpmath.workdps(40):
+            big_e = float(mpmath.ellipe(1 - mpmath.mpf(o.kp) ** 2))
+        assert norm == pytest.approx(2.0 * SQRT2 * o.eta1 * big_e, rel=1e-14)
+        w = -0.5 * o.eta2 / omega
         d_k = -2.0 * omega / (o.spread * o.eta2) * (big_e - o.kp**2 * o.big_k)
         d_t = o.period * o.eta2 / o.eta1**2 + 2.0 * SQRT2 * d_k / o.eta1
         t_w = -o.period / o.eta1**2 + 2.0 * SQRT2 * (w * d_k) / o.eta1
@@ -566,7 +569,7 @@ class TestLazySamples:
         op = assemble(p, Which.L1, 256)
         sn_cn_dn = elliptic.jacobi_sn_cn_dn
         monkeypatch.setattr(
-            elliptic, "jacobi_sn_cn_dn", lambda u, k: (*sn_cn_dn(u, k)[:2], np.full_like(u, 2.0))
+            elliptic, "jacobi_sn_cn_dn", lambda u, kp: (*sn_cn_dn(u, kp)[:2], np.full_like(u, 2.0))
         )
         with pytest.raises(NumericsError, match="band"):
             p.samples
