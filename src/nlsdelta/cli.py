@@ -37,18 +37,12 @@ from .errors import (
     exit_code_for,
 )
 from .evolve import DEFAULT_SEED, run_experiment
-from .stability import Verdict, classify
+from .stability import Row, Verdict, classify
 from .wave import WaveParams, build_profile
 
 __all__ = ["main"]
 
 _FMT = "%.17g"
-
-# Columns of a sweep row: the keys of StabilityReport.as_dict.
-_SWEEP_HEADER = (
-    "omega", "z", "half_period", "n_negative", "n_negative_even",
-    "p_index", "slope", "verdict", "kernel_caveat",
-)
 
 
 def _fmt(value: float) -> str:
@@ -73,6 +67,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     with _refused("make the output directory", d):
         d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def _target(args: argparse.Namespace, name: str) -> Path:
+    """The output file ``name`` in the output directory, refused before any compute unless its
+    parent is a directory (a prefix may name a subdirectory)."""
+    path = _out_dir(args) / name
+    if not path.parent.is_dir():
+        raise AdmissibilityError(
+            f"cannot write {str(path)!r}: {str(path.parent)!r} is not a directory")
+    return path
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -100,10 +104,9 @@ def _wave_params(args: argparse.Namespace) -> WaveParams:
 
 
 def cmd_build_wave(args: argparse.Namespace) -> int:
-    params = _wave_params(args)
-    profile = build_profile(params, n=args.n)
+    out = _target(args, f"{args.prefix}_profile.csv")
+    profile = build_profile(_wave_params(args), n=args.n)
     diag = profile.diagnostics()
-    out = _out_dir(args) / f"{args.prefix}_profile.csv"
     _write_csv(out, ["x", "phi"], zip(profile.x.tolist(), profile.samples.tolist()))
     _write_sidecar(
         out,
@@ -121,12 +124,11 @@ def cmd_build_wave(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _wave_params(args)
-    profile = build_profile(params)
+    out = _target(args, f"{args.prefix}_{args.which}_spectrum.csv")
+    profile = build_profile(_wave_params(args))
     op = linops.assemble(profile, linops.Which(args.which), args.n)
     spec = linops.spectrum(op, args.count)
     idx = linops.index(op)
-    out = _out_dir(args) / f"{args.prefix}_{args.which}_spectrum.csv"
     rows = [
         (i, float(lam), par.value)
         for i, (lam, par) in enumerate(zip(spec.eigenvalues, spec.parities))
@@ -139,11 +141,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_delta_spectrum(args: argparse.Namespace) -> int:
+    out = _target(args, f"{args.prefix}_delta_spectrum.csv")
     op = delta_op.DeltaOperator(
         gamma=args.gamma, halfperiod=args.half_period, dirichlet=args.dirichlet
     )
     modes = delta_op.full_spectrum(op, args.count)
-    out = _out_dir(args) / f"{args.prefix}_delta_spectrum.csv"
     _write_csv(out, ["eigenvalue", "kind", "parity"], delta_op.spectrum_rows(modes))
     _write_sidecar(out, args)
     print(f"wrote {out} ({len(modes)} eigenvalues)")
@@ -151,24 +153,26 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    out = _target(args, f"{args.prefix}_classification.json")
     report = classify(_wave_params(args))
-    idx = report.index
-    solve = ("eta2", "gap", "kp", "period_residual", "dT_deta2", "deta2_domega")
-    numerics = {name: getattr(report, name) for name in solve} | {
+    idx, row = report.index, report.row
+    numerics = report.orbit._asdict() | {
+        "period_residual": report.period_residual,
+        "dT_deta2": report.dT_deta2,
+        "deta2_domega": report.deta2_domega,
         "band": idx.band,
         "expected_kernel": idx.expected_kernel,
         "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},
     }
-    out = _out_dir(args) / f"{args.prefix}_classification.json"
-    _write_sidecar(out, args, report.as_dict() | {"numerics": numerics})
-    print(f"{report.verdict.value} (n={report.n_negative}, p={report.p_index}, "
-          f"slope={report.slope:.6g}) -> {out}")
+    _write_sidecar(out, args, row._asdict() | {"numerics": numerics})
+    print(f"{row.verdict} (n={row.n_negative}, p={row.p_index}, slope={row.slope:.6g}) -> {out}")
     if args.strict_inconclusive and report.verdict is Verdict.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    out = _target(args, f"{args.prefix}_trace.csv")
     trace = run_experiment(
         _wave_params(args),
         args.perturb,
@@ -178,7 +182,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         seed=args.seed,
     )
-    out = _out_dir(args) / f"{args.prefix}_trace.csv"
     _write_csv(out, ["t", "Q", "E", "orbit_distance", "odd_residual"], trace.rows())
     _write_sidecar(out, args, {"blown_up": trace.blown_up, "blowup_time": trace.blowup_time})
     d = trace.orbit_distance
@@ -186,20 +189,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_point(task: tuple[float, float, float]) -> dict:
-    omega, z, half_period = task
+def _sweep_point(task: tuple[float, float, float]) -> tuple[Row, str | None]:
+    """The point's row, and the message of the error it raised (None if it classified)."""
     try:
-        return classify(WaveParams(omega, z, half_period)).as_dict()
+        return classify(WaveParams(*task)).row, None
     except NlsDeltaError as exc:
-        return dict.fromkeys(_SWEEP_HEADER, -1) | {  # the three counts read -1
-            "omega": omega,
-            "z": z,
-            "half_period": half_period,
-            "slope": float("nan"),
-            "verdict": f"error:{type(exc).__name__}",
-            "kernel_caveat": False,
-            "message": str(exc),  # for the sidecar only; not a CSV column
-        }
+        return Row(*task, -1, -1, -1, math.nan, f"error:{type(exc).__name__}", False), str(exc)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -220,20 +215,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise AdmissibilityError(f"--z-values must be finite, got {args.z_values}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
     tasks = [(float(w), z, args.half_period) for w in omegas for z in zs]
-    out = _out_dir(args) / f"{args.prefix}_sweep.csv"
-    rows: list[dict] = []
+    out = _target(args, f"{args.prefix}_sweep.csv")
+    rows: list[tuple[Row, str | None]] = []
 
     def flush() -> None:
-        _write_csv(out, _SWEEP_HEADER, ([row[k] for k in _SWEEP_HEADER] for row in rows))
-        errors = [{k: row[k] for k in ("omega", "z", "half_period", "message")}
-                  for row in rows if "message" in row]
+        _write_csv(out, Row._fields, (row for row, _ in rows))
+        errors = [{"omega": row.omega, "z": row.z, "half_period": row.half_period,
+                   "message": message} for row, message in rows if message is not None]
         _write_sidecar(out, args, {"points": len(rows), "errors": errors})
 
-    flush()  # an output path the OS refuses is refused here, before the pool computes a cell
+    flush()  # a path the OS refuses to write is refused here, before the pool computes a cell
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for row in pool.map(_sweep_point, tasks):
-                rows.append(row)
+            rows.extend(pool.map(_sweep_point, tasks))
     finally:
         flush()  # whatever finished, including on interrupt
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")

@@ -100,14 +100,12 @@ class Spectrum:
 
     ``vectors[:, i]`` is the orthonormal grid eigenfunction of
     ``eigenvalues[i]`` and ``parities[i]`` its exact parity: the
-    tridiagonal block it came from.  ``band`` is the zero-band half-width
-    tau; the counts against it are ``Index``'s.
+    tridiagonal block it came from.  The counts against the zero band are ``Index``'s.
     """
 
     eigenvalues: NDArray[np.float64]
     vectors: NDArray[np.float64]
     parities: tuple[Parity, ...]
-    band: float
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def _solve_blocks(half: NDArray[np.float64], h: float, solve: Callable) -> dict:
         raise NumericsError(f"eigensolve failed: {exc}") from exc
 
 
-def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) -> Spectrum:
+def _split_spectrum(half: NDArray[np.float64], h: float, m: int) -> Spectrum:
     """Lowest m eigenpairs of the periodic -1/h^2 stencil whose diagonal mirrors ``half``."""
     k = half.shape[0] - 1
     weight = even_block(k, h)[2]
@@ -185,14 +183,14 @@ def _split_spectrum(half: NDArray[np.float64], h: float, m: int, band: float) ->
         parities += [parity] * lam.shape[0]
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")[:m]
-    return Spectrum(lam[order], np.hstack(vecs)[:, order], tuple(parities[i] for i in order), band)
+    return Spectrum(lam[order], np.hstack(vecs)[:, order], tuple(parities[i] for i in order))
 
 
 def spectrum(op: LinearizedOperator, m: int) -> Spectrum:
     """Lowest m eigenpairs from the even and odd tridiagonal blocks, parity-labelled."""
     if not 0 < m <= op.n:
         raise AdmissibilityError(f"requested {m} eigenpairs of an n={op.n} operator")
-    return _split_spectrum(op.half_diagonal, op.h, m, op.band)
+    return _split_spectrum(op.half_diagonal, op.h, m)
 
 
 def index(op: LinearizedOperator) -> Index:
@@ -222,40 +220,37 @@ def count_negative(op: LinearizedOperator) -> int:
     return idx.n_negative
 
 
-def kernel_diagnostic(
-    profile_params: WaveParams,
-    n_ladder: Sequence[int] = (512, 1024, 2048),
-    which: Which = Which.L1,
-) -> dict:
+def kernel_diagnostic(profile_params: WaveParams) -> dict:
     """Grid-refinement evidence for (non-)triviality of the L1 kernel.
 
-    For each n in the ladder, |lambda| of the first eigenvalue above the
+    For each n in the ladder 512, 1024, 2048, |lambda| of the first eigenvalue above the
     counted negatives is recorded.  A trivial kernel (Z != 0) shows up as
     convergence of this gap to a strictly positive limit; the Z = 0
     control, whose kernel genuinely contains the translation mode,
     converges to 0 instead.
     """
     profile = build_profile(profile_params)
-    ops = [assemble(profile, which, n) for n in n_ladder]
+    n_ladder = [512, 1024, 2048]
+    ops = [assemble(profile, Which.L1, n) for n in n_ladder]
     counts = [index(op).n_negative for op in ops]
     gaps = [abs(float(spectrum(op, c + 1).eigenvalues[c])) for op, c in zip(ops, counts)]
     positive_limit = gaps[-1] > 2.0 * ops[-1].band  # band of the finest grid
     return {
-        "n_ladder": list(n_ladder),
+        "n_ladder": n_ladder,
         "gaps": gaps,
         "negative_counts": counts,
         "positive_limit": positive_limit,
     }
 
 
-def beta_closed_form(omega: float, halfperiod: float, n: int = 8192) -> float:
+def beta_closed_form(omega: float, halfperiod: float) -> float:
     """Closed-form first-order eigenvalue slope at the defect-free wave.
 
     beta = (phi^4(0) - omega*phi^2(0)) / ||phi'||^2 evaluated at the
-    Z = 0 dnoidal wave; positive because the peak value phi(0) = eta1
-    exceeds sqrt(omega).
+    Z = 0 dnoidal wave (||phi'||^2 by trapezoid on 8192 intervals); positive because the peak
+    value phi(0) = eta1 exceeds sqrt(omega).
     """
-    profile = build_profile(WaveParams(omega, 0.0, halfperiod), n=n)
+    profile = build_profile(WaveParams(omega, 0.0, halfperiod), n=8192)
     phi0 = profile.phi0
     norm_dphi_sq = float(np.trapezoid(profile.derivative_samples**2, profile.x))
     return (phi0**4 - omega * phi0**2) / norm_dphi_sq
@@ -265,13 +260,12 @@ def second_eigen_slope(
     omega: float,
     halfperiod: float,
     z_ladder: Sequence[float] = (4e-3, 2e-3, 1e-3),
-    n: int = 2048,
 ) -> dict:
     """Ladder estimate of beta = lim_{Z->0} Pi(Z)/Z for the second L1 eigenvalue.
 
     Pi(Z) is the eigenvalue branch continuing the Z = 0 translation
     kernel mode; it is read off as the second-lowest L1 eigenvalue at
-    +/-Z and differenced centrally, with one Richardson level across the
+    +/-Z (on n = 2048) and differenced centrally, with one Richardson level across the
     (geometric) ladder.  Requires omega > pi^2/(2 L^2) so that the Z = 0
     wave and its small-Z continuation exist.
     """
@@ -285,7 +279,7 @@ def second_eigen_slope(
 
     def second_eigenvalue(z: float) -> float:
         profile = build_profile(WaveParams(omega, z, halfperiod))
-        return float(spectrum(assemble(profile, Which.L1, n), 2).eigenvalues[1])
+        return float(spectrum(assemble(profile, Which.L1, 2048), 2).eigenvalues[1])
 
     pi = [(second_eigenvalue(z), second_eigenvalue(-z)) for z in z_ladder]
     estimates = [(plus - minus) / (2.0 * z) for (plus, minus), z in zip(pi, z_ladder)]
@@ -323,7 +317,7 @@ def lame_check(k: float, n: int) -> dict:
     sn, cn, _ = elliptic.jacobi_sn_cn_dn(h * np.arange(n), kp)
     # sn^2 is even and 2K-periodic, so the stencil is reflection-symmetric.
     half = even_block(n // 2, h)[0] + 6.0 * k**2 * sn[: n // 2 + 1] ** 2
-    spec = _split_spectrum(half, h, 3, 0.0)
+    spec = _split_spectrum(half, h, 3)
     lam = spec.eigenvalues
     target = 4.0 + k**2
     ref = sn * cn

@@ -22,15 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AdmissibilityError
 from .linops import Index, Which, assemble, index
-from .wave import WaveParams, WaveProfile, _e_terms, _norm_slope, build_profile
+from .wave import Orbit, WaveParams, WaveProfile, _e_terms, _norm_slope, build_profile
 
 __all__ = [
     "Verdict",
+    "Row",
     "StabilityReport",
     "norm_squared",
     "norm_squared_quadrature",
@@ -54,44 +56,48 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+class Row(NamedTuple):
+    """One classification row: the classify JSON's top level and a sweep CSV row.
+
+    Its ``_fields`` are the sweep header; a sweep point that raised reads -1 counts,
+    a NaN slope and verdict ``error:<type>``.
+    """
+
+    omega: float
+    z: float
+    half_period: float
+    n_negative: int
+    n_negative_even: int
+    p_index: int
+    slope: float
+    verdict: str
+    kernel_caveat: bool
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with the raw quantities that produced it: eta2, its gap theta^2 -
-    eta2^2, k' = eta2/eta1, the period residual, dT/deta2 and deta2/domega there, the L1 index."""
+    """Classification outcome with what produced it: the solved orbit, the L1 index it was
+    read from, the slope and its terms dT/deta2 and deta2/domega at the root."""
 
     params: WaveParams
-    eta2: float
-    gap: float
-    kp: float
+    orbit: Orbit
     index: Index
     p_index: int
     slope: float
     verdict: Verdict
-    period_residual: float
     dT_deta2: float
     deta2_domega: float
-    kernel_caveat: bool = False
 
     @property
-    def n_negative(self) -> int:
-        return self.index.n_negative
+    def period_residual(self) -> float:
+        return abs(self.orbit.period - 2.0 * self.params.halfperiod)
 
     @property
-    def n_negative_even(self) -> int:
-        return self.index.n_negative_even
-
-    def as_dict(self) -> dict:
-        return {
-            "omega": self.params.omega,
-            "z": self.params.z,
-            "half_period": self.params.halfperiod,
-            "n_negative": self.n_negative,
-            "n_negative_even": self.n_negative_even,
-            "p_index": self.p_index,
-            "slope": self.slope,
-            "verdict": self.verdict.value,
-            "kernel_caveat": self.kernel_caveat,
-        }
+    def row(self) -> Row:
+        """The report's row; the kernel caveat is Z = 0 (the translation mode is in the kernel)."""
+        p, idx = self.params, self.index
+        return Row(p.omega, p.z, p.halfperiod, idx.n_negative, idx.n_negative_even,
+                   self.p_index, self.slope, self.verdict.value, p.z == 0.0)
 
 
 def norm_squared(profile: WaveProfile) -> float:
@@ -184,17 +190,4 @@ def classify(params: WaveParams) -> StabilityReport:
         verdict = Verdict.INCONCLUSIVE
     else:
         verdict = verdict_from_counts(idx.n_negative, p, idx.n_negative_even)
-    return StabilityReport(
-        params=params,
-        eta2=profile.eta2,
-        gap=profile.orbit.gap,
-        kp=profile.orbit.kp,
-        index=idx,
-        p_index=p,
-        slope=s,
-        verdict=verdict,
-        period_residual=abs(profile.orbit.period - 2.0 * params.halfperiod),
-        dT_deta2=dt_deta2,
-        deta2_domega=deta2_domega,
-        kernel_caveat=(params.z == 0.0),
-    )
+    return StabilityReport(params, profile.orbit, idx, p, s, verdict, dt_deta2, deta2_domega)

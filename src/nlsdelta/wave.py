@@ -562,26 +562,25 @@ def solitary_profile(omega: float, z: float, xs) -> NDArray[np.float64]:
     return math.sqrt(2.0 * omega) / np.cosh(math.sqrt(omega) * np.abs(xs) + b)
 
 
-def solitary_limit_check(omega: float, z: float,
-                         eta2_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
-                         window: float = 1.0, n: int = 2048) -> dict:
+def solitary_limit_check(omega: float, z: float) -> dict:
     """Convergence report of the free-period profiles to the sech limit.
 
-    For each eta2 in the (decreasing) ladder, views the orbit as a
-    WaveProfile on n intervals over |x| <= window and reports its signed
+    For each eta2 in the (decreasing) ladder 1e-2 .. 1e-5, views the orbit as a
+    WaveProfile on 2048 intervals over |x| <= 1 and reports its signed
     shift and sup distance to ``solitary_profile``; the shifts must
     approach atanh(Z/(2 sqrt omega)) and the sup errors must decrease.
     """
-    view = WaveParams(omega, z, window)  # checks omega > Z^2/4
+    view = WaveParams(omega, z, 1.0)  # checks omega > Z^2/4
     a_limit = math.atanh(z / (2.0 * math.sqrt(omega)))
+    eta2_ladder = [1e-2, 1e-3, 1e-4, 1e-5]
     shifts, sups = [], []
     for eta2 in eta2_ladder:
-        profile = WaveProfile(view, _orbit(eta2, omega, z, _check_eta2(eta2, omega, z)), n)
+        profile = WaveProfile(view, _orbit(eta2, omega, z, _check_eta2(eta2, omega, z)), 2048)
         shifts.append(profile.shift)
         target = solitary_profile(omega, z, profile.x)
         sups.append(float(np.max(np.abs(profile.samples - target))))
     return {
-        "eta2_ladder": list(eta2_ladder),
+        "eta2_ladder": eta2_ladder,
         "shift_values": shifts,
         "shift_limit": a_limit,
         "sup_errors": sups,

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlsdelta.cli import _SWEEP_HEADER, build_parser, main
+from nlsdelta.cli import _sweep_point, build_parser, main
 from nlsdelta.evolve import DEFAULT_SEED
-from nlsdelta.stability import classify, slope
+from nlsdelta.stability import Row, classify, slope
 from nlsdelta.wave import (
     PERIOD_RESIDUAL_TOL,
+    Orbit,
     WaveParams,
     _along_u,
     _orbit,
@@ -187,6 +188,15 @@ class TestClassify:
         assert rep["config"]["command"] == "classify"
         assert (rep["config"]["omega"], rep["config"]["z"]) == (omega, z)
 
+    @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
+    def test_numerics_carry_the_solved_orbit(self, tmp_path, wave):
+        # the whole orbit record, as build-wave's ``solved`` writes it at the same cell
+        assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
+        assert main(["--output-dir", str(tmp_path), "build-wave", *wave, "--n", "256"]) == 0
+        numerics = json.loads((tmp_path / "point_classification.json").read_text())["numerics"]
+        solved = json.loads((tmp_path / "wave_profile.json").read_text())["solved"]
+        assert {name: numerics[name] for name in Orbit._fields} == {
+            name: solved[name] for name in Orbit._fields}
 
     @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
     def test_numerics_report_the_slope_terms(self, tmp_path, wave):
@@ -285,7 +295,7 @@ class TestSweep:
         )
         assert rc == 0
         header, rows = read_csv(tmp_path / "lattice_sweep.csv")
-        assert header[0] == "omega" and header[7] == "verdict"
+        assert header == list(Row._fields)
         verdicts = [r[7] for r in rows]
         assert len(rows) == 4
         assert "stable" in verdicts
@@ -300,8 +310,13 @@ class TestSweep:
         assert all(e["message"] for e in errors)
 
     def test_header_is_the_report_schema(self):
+        # a classified point and a refused one both give a Row, whose fields are the header
         report = classify(WaveParams(20.0, 1.0, 0.5))
-        assert tuple(report.as_dict()) == _SWEEP_HEADER
+        assert _sweep_point((20.0, 1.0, 0.5)) == (report.row, None)
+        row, message = _sweep_point((16.0, -1.0, 0.5))
+        assert type(row) is Row and row.verdict == "error:AdmissibilityError" and message
+        assert row[:3] == (16.0, -1.0, 0.5) and row[3:6] == (-1, -1, -1)
+        assert math.isnan(row.slope) and row.kernel_caveat is False
 
 
 class TestRefusedOutputPath:
@@ -324,11 +339,25 @@ class TestRefusedOutputPath:
     @pytest.mark.parametrize("command, written", [
         (["build-wave", *WAVE, "--n", "256"], "no/such_profile.csv"),
         (["classify", *WAVE], "no/such_classification.json"),
+        (["spectrum", *WAVE, "--n", "256"], "no/such_L1_spectrum.csv"),
+        (["delta-spectrum", "--gamma", "-2", "--half-period", "1"], "no/such_delta_spectrum.csv"),
+        (["evolve", *WAVE, "--T", "1", "--n", "256"], "no/such_trace.csv"),
     ])
-    def test_prefix_in_a_missing_directory(self, tmp_path, capsys, command, written):
+    def test_prefix_in_a_missing_directory(self, tmp_path, monkeypatch, capsys, command, written):
+        # refused before the command computes: its compute entry point is never called
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command[0]} computed before resolving its output")
+
+        entry = {"build-wave": "nlsdelta.cli.build_profile",
+                 "spectrum": "nlsdelta.cli.build_profile",
+                 "classify": "nlsdelta.cli.classify",
+                 "evolve": "nlsdelta.cli.run_experiment",
+                 "delta-spectrum": "nlsdelta.delta_op.full_spectrum"}[command[0]]
+        monkeypatch.setattr(entry, refuse)
         rc = main(["--output-dir", str(tmp_path), *command, "--prefix", "no/such"])
         assert rc == 2
         assert f"cannot write {str(tmp_path / written)!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_refuses_before_its_pool(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -666,3 +695,53 @@ class TestFuzzedDeltaSpectrum:
             lams = [float(r[0]) for r in rows]
             assert len(lams) == count and all(map(math.isfinite, lams))
             assert lams == sorted(lams)
+
+
+# a grid size or a count up to ``top``: the edges of each command's check, powers of two,
+# even sizes from 64, then any integer
+def sizes(top):
+    edges = [v for v in (-1, 0, 1, 63, 64, 127, 128, 255, 256, 257) if v <= top]
+    powers = st.integers(0, top.bit_length() - 1).map(lambda e: 2**e)
+    evens = st.integers(32, top // 2).map(lambda h: 2 * h)
+    return st.one_of(st.sampled_from(edges), powers, evens, st.integers(max_value=top))
+
+
+class TestFuzzedGridAndTimeArguments:
+    """Grid sizes, counts, time steps and horizons exit typed, never with a traceback.
+
+    Sizes stay small enough to run (evolve n <= 256 and T/dt <= 2000, spectrum n <= 2048);
+    test_refused_allocation_exits_3 covers sizes the machine refuses.
+    """
+
+    @given(command=st.sampled_from(["build-wave", "spectrum"]), n=sizes(2048),
+           count=sizes(4096), which=st.sampled_from(["L1", "L2"]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_profile_and_spectrum_sizes(self, tmp_path_factory, command, n, count, which):
+        extra = [f"--count={count}", f"--which={which}"] if command == "spectrum" else []
+        rc = main(["--output-dir", str(tmp_path_factory.mktemp("fuzz")), command, *WAVE,
+                   f"--n={n}", *extra])
+        assert rc in (0, 2, 3)
+
+    @given(count=sizes(1000), gamma=st.sampled_from([-2.0, 0.0, 2.0]), dirichlet=st.booleans())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_delta_spectrum_count(self, tmp_path_factory, count, gamma, dirichlet):
+        out = tmp_path_factory.mktemp("fuzz")
+        rc = main(["--output-dir", str(out), "delta-spectrum", f"--gamma={gamma!r}",
+                   "--half-period", "1", f"--count={count}",
+                   *(["--dirichlet"] if dirichlet else [])])
+        assert rc in (0, 2, 3)
+        assert (rc == 0) == (count >= 1)
+
+    # T = dt * ratio, so T/dt <= 2000 where T and dt are finite and positive
+    @given(n=st.one_of(sizes(256), st.sampled_from([64, 128, 256])),
+           dt=st.one_of(EXTREME, st.floats(1e-4, 0.1)),
+           ratio=st.one_of(st.floats(0.0, 2000.0), st.floats(max_value=2000.0),
+                           st.sampled_from([math.nan, math.inf])))
+    @example(n=256, dt=1e-3, ratio=2000.0)
+    @example(n=64, dt=5e-324, ratio=1.5)
+    @example(n=64, dt=1e300, ratio=1.0)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_evolve_grid_and_time_step(self, tmp_path_factory, n, dt, ratio):
+        rc = main(["--output-dir", str(tmp_path_factory.mktemp("fuzz")), "evolve", *WAVE,
+                   f"--n={n}", f"--dt={dt!r}", f"--T={dt * ratio!r}"])
+        assert rc in (0, 2, 3, 4)

@@ -12,7 +12,9 @@ methods are exempt, Python calls them.  Every ``__all__`` entry names a
 function, class or assignment of its own module, so a deletion cannot
 leave a stale export behind.  ``elliptic`` has one modulus convention:
 no public function of it takes a parameter ``k`` (each is keyed by
-k' = ``kp``), and only ``wave`` and ``linops`` import it.
+k' = ``kp``), and only ``wave`` and ``linops`` import it.  Every
+``cli.*``, ``stability.*`` and ``wave.*`` name the benchmark's workloads
+and self-tests read exists, as this suite never imports them.
 """
 
 import ast
@@ -297,3 +299,35 @@ def test_modulus_detectors():
     assert imports_elliptic("from .elliptic import complete_K\n")
     assert imports_elliptic("import nlsdelta.elliptic\n")
     assert not imports_elliptic("from . import wave\nfrom .wave import Orbit\n")
+
+
+BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")
+
+
+def package_attributes(source: str, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, attribute) of every ``module.attribute`` read whose module is in ``modules``."""
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_names_the_benchmark_reads_exist():
+    # the benchmark is not imported by this suite, so a deleted name would fail only there
+    from nlsdelta import cli, stability, wave
+
+    modules = {"cli": cli, "stability": stability, "wave": wave}
+    read = set().union(*(
+        package_attributes((ROOT / "perfbench" / name).read_text(encoding="utf-8"), set(modules))
+        for name in BENCHMARK_READERS
+    ))
+    assert {("cli", "main"), ("wave", "build_profile"), ("stability", "slope")} <= read
+    assert sorted(f"{m}.{a}" for m, a in read if not hasattr(modules[m], a)) == []
+
+
+def test_attribute_reader():
+    source = "from nlsdelta import wave\nwave.period_plus(1)\nx = wave.WaveParams\nother.slope\n"
+    assert package_attributes(source, {"wave", "stability"}) == {
+        ("wave", "period_plus"), ("wave", "WaveParams")}

@@ -82,7 +82,7 @@ class TestKnownZeroModes:
     def test_l2_ground_state_is_the_profile(self):
         op = make_op(20.0, 1.0, 0.5, Which.L2, n=2048)
         spec = spectrum(op, 3)
-        assert abs(spec.eigenvalues[0]) < spec.band
+        assert abs(spec.eigenvalues[0]) < op.band
         assert spec.parities[0] is Parity.EVEN
         phi = op.profile.evaluate(op.x)
         v = spec.vectors[:, 0]
@@ -93,7 +93,7 @@ class TestKnownZeroModes:
         op = make_op(8.0, 0.0, 1.0, Which.L1, n=2048)
         spec = spectrum(op, 3)
         # exactly one eigenvalue in the band, it is odd and matches phi'
-        in_band = np.abs(spec.eigenvalues) < spec.band
+        in_band = np.abs(spec.eigenvalues) < op.band
         assert in_band.tolist() == [False, True, False]
         v = spec.vectors[:, 1]
         assert spec.parities[1] is Parity.ODD
@@ -113,8 +113,8 @@ class TestNegativeCounts:
     def test_ground_state_even_second_negative_odd(self):
         op = make_op(20.0, -1.0, 1.0, Which.L1)
         spec = spectrum(op, 3)
-        assert spec.eigenvalues[0] < -spec.band
-        assert spec.eigenvalues[1] < -spec.band
+        assert spec.eigenvalues[0] < -op.band
+        assert spec.eigenvalues[1] < -op.band
         assert spec.parities[0] is Parity.EVEN
         assert spec.parities[1] is Parity.ODD
 

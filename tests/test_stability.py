@@ -125,22 +125,22 @@ class TestClassify:
     def test_peak_wave_stable(self):
         rep = classify(WaveParams(20.0, 1.0, 0.5))
         assert rep.verdict is Verdict.STABLE
-        assert rep.n_negative == 1 and rep.p_index == 1
-        assert not rep.kernel_caveat
+        assert rep.index.n_negative == 1 and rep.p_index == 1
+        assert not rep.row.kernel_caveat
 
     def test_trough_wave_even_subspace(self):
         rep = classify(WaveParams(20.0, -1.0, 1.0))
         assert rep.verdict is Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE
-        assert rep.n_negative == 2 and rep.n_negative_even == 1
+        assert rep.index.n_negative == 2 and rep.index.n_negative_even == 1
 
     def test_defect_free_carries_kernel_caveat(self):
         rep = classify(WaveParams(8.0, 0.0, 1.0))
         assert rep.verdict is Verdict.STABLE
-        assert rep.kernel_caveat
+        assert rep.row.kernel_caveat
 
     def test_report_round_trips_to_dict(self):
         rep = classify(WaveParams(20.0, 1.0, 0.5))
-        d = rep.as_dict()
+        d = rep.row._asdict()
         assert d["verdict"] == "stable"
         assert d["omega"] == 20.0 and d["z"] == 1.0
         assert d["slope"] == rep.slope
@@ -168,8 +168,9 @@ class TestClassify:
 
         monkeypatch.setattr(linops, "eigh_tridiagonal", no_eigenpairs)
         rep = classify(params)
-        assert (rep.verdict, rep.n_negative, rep.n_negative_even, rep.p_index) == expected
-        assert rep.index.n_negative == rep.n_negative
+        idx = rep.index
+        assert (rep.verdict, idx.n_negative, idx.n_negative_even, rep.p_index) == expected
+        assert (rep.row.n_negative, rep.row.n_negative_even) == expected[1:3]
         assert hash(rep) == hash(classify(params))  # a frozen report stays a value
 
     @pytest.mark.parametrize("params", [WaveParams(20.0, -0.01, 1.0), WaveParams(20.0, 1e-8, 0.5)])
@@ -337,10 +338,9 @@ class TestClosedFormSlope:
 
     def test_report_carries_the_solve(self):
         rep = classify(WaveParams(20.0, -1.0, 1.0))
-        assert rep.period_residual == abs(wave.solve_eta2(rep.params).period
-                                          - 2.0 * rep.params.halfperiod)
         orbit = wave.solve_eta2(rep.params)
+        assert rep.orbit == orbit
+        assert rep.period_residual == abs(orbit.period - 2.0 * rep.params.halfperiod)
         along_u = wave._along_u(orbit, wave.theta_admissible(20.0, -1.0))
-        assert (rep.eta2, rep.gap) == (orbit.eta2, orbit.gap)
         assert rep.dT_deta2 == wave._tangent(orbit, 20.0, -1.0, along_u)[0][0] / along_u[0]
         assert rep.deta2_domega < 0.0

@@ -402,7 +402,7 @@ class TestOrbitRecord:
         t_u = wave._tangent(o, omega, 0.0, along_u)[0][0]
         assert t_u / along_u[0] == pytest.approx(d_t, rel=1e-13)
         assert wave._norm_slope(profile) == pytest.approx((slope, d_t, deta2), rel=1e-13)
-        assert stability.classify(profile.params).kernel_caveat
+        assert stability.classify(profile.params).row.kernel_caveat
 
     @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
     def test_profile_reads_k_from_the_orbit(self, monkeypatch, z, L):
