@@ -43,6 +43,7 @@ from .wave import WaveParams, build_profile
 __all__ = ["main"]
 
 _FMT = "%.17g"
+_MAX_DELTA_COUNT = 10_000  # delta-spectrum solves one mode at a time, ~50 us each
 
 
 def _fmt(value: float) -> str:
@@ -141,10 +142,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_delta_spectrum(args: argparse.Namespace) -> int:
+    if args.count > _MAX_DELTA_COUNT:
+        raise AdmissibilityError(f"--count must be <= {_MAX_DELTA_COUNT}, got {args.count}")
     out = _target(args, f"{args.prefix}_delta_spectrum.csv")
-    op = delta_op.DeltaOperator(
-        gamma=args.gamma, halfperiod=args.half_period, dirichlet=args.dirichlet
-    )
+    op = delta_op.DeltaOperator(gamma=args.gamma, halfperiod=args.half_period)
     modes = delta_op.full_spectrum(op, args.count)
     _write_csv(out, ["eigenvalue", "kind", "parity"], delta_op.spectrum_rows(modes))
     _write_sidecar(out, args)
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--half-period", type=float, required=True)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--dirichlet", action="store_true")
     p.add_argument("--prefix", default="delta")
     p.set_defaults(func=cmd_delta_spectrum)
 

@@ -12,9 +12,10 @@ resolvent kernel, and the transcendental eigenvalue equations with their
 closed-form eigenfunctions -- together with a symmetric finite-difference
 discretization used as an oracle and as the evolution backbone.
 
-The spectrum is one list of ``Mode`` records (kind, wavenumber,
-eigenvalue), formed by ``defect_modes``: the bound state of an
-attractive defect, the interior roots of cot(kappa L) = 2 kappa/gamma
+gamma is real or +inf, the Dirichlet-at-0 extension (zeta(0) = 0, free
+derivative jump).  The spectrum is one list of ``Mode`` records (kind,
+wavenumber, eigenvalue), formed by ``defect_modes``: the bound state of
+an attractive defect, the interior roots of cot(kappa L) = 2 kappa/gamma
 and the integer sines.  Eigenfunctions are sampled only by
 ``sample_modes``, on the nodes the caller names; ``sample_grid`` is the
 one closed grid, exactly antisymmetric, and ``periodic_grid`` its first
@@ -96,24 +97,21 @@ class Mode(NamedTuple):
 class DeltaOperator:
     """Point-interaction operator of strength ``gamma`` on [-L, L].
 
-    The gamma = +infinity extension (periodic Dirichlet-at-0 case, whose
-    spectrum is exactly the integer-sine lattice) is requested with
-    ``dirichlet=True``; ``gamma`` is ignored in that case.
+    gamma = math.inf, the pole of ``strength_from_theta``, is the
+    Dirichlet-at-0 extension, with spectrum (m pi/2L)^2, m >= 1.
     """
 
     gamma: float
     halfperiod: float
-    dirichlet: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.halfperiod) and self.halfperiod > 0.0):
             raise AdmissibilityError(
                 f"halfperiod must be positive and finite, got {self.halfperiod!r}"
             )
-        if not (self.dirichlet or math.isfinite(self.gamma)):
+        if not (math.isfinite(self.gamma) or self.gamma == math.inf):
             raise AdmissibilityError(
-                f"gamma must be finite, got {self.gamma!r} "
-                "(infinite strength is requested via the dirichlet flag)"
+                f"gamma must be finite, got {self.gamma!r} (or +inf, the Dirichlet extension)"
             )
 
 
@@ -213,8 +211,9 @@ def strength_from_theta(theta: float) -> float:
                       + sin(sqrt2 pi) sin(theta/2 - pi/4)]
 
     sweeps all of R as theta varies, with a pole (the gamma = +infinity
-    Dirichlet extension) at the unique zero theta_0 of the denominator;
-    the pole is reported as math.inf.
+    Dirichlet extension) at the unique zero theta_0 ~ 4.66704 of the
+    denominator; the pole is reported as math.inf, which ``DeltaOperator``
+    takes as that extension, the gamma -> +-infinity limit of the family.
     """
     if not 0.0 <= theta < 2.0 * math.pi:
         raise AdmissibilityError(f"theta={theta!r} outside [0, 2*pi)")
@@ -270,7 +269,8 @@ def bound_state_root(gamma: float, halfperiod: float) -> float:
 def interior_root(j: int, gamma: float, halfperiod: float) -> float:
     """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0.
 
-    Solved in the offset u in [0, pi/4] from the nearer of two anchors
+    At gamma = +inf it is the regular point (j - 1/2) pi/L.  Otherwise it
+    is solved in the offset u in [0, pi/4] from the nearer of two anchors
     where sin and cos are exact, so kappa L = anchor +/- u never cancels:
     - the regular point (j - 1/2) pi of cot: kappa L = (j - 1/2) pi -
       sign(gamma) u and |gamma| sin u = 2 kappa cos u;
@@ -278,6 +278,8 @@ def interior_root(j: int, gamma: float, halfperiod: float) -> float:
       (gamma > 0) or j pi (gamma < 0): kappa L = anchor + sign(gamma) u
       and |gamma| cos u = 2 kappa sin u.
     """
+    if gamma == math.inf:
+        return (j - 0.5) * math.pi / halfperiod
     sign = math.copysign(1.0, gamma)
 
     def f(u: float) -> float:  # reads the form chosen below
@@ -300,7 +302,8 @@ def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False)
 
     Even: the bound state cosh(mu (|x| - L)), eigenvalue -mu^2 (gamma < 0
     only), then the interior roots cos(kappa_j (|x| - L)); at gamma = 0
-    the free cosines kappa = j pi/L, j >= 0, their gamma -> 0 limit.
+    the free cosines kappa = j pi/L, j >= 0, their gamma -> 0 limit, and
+    at gamma = +inf the kinks +-sin(kappa_j |x|), kappa_j = (j - 1/2) pi/L.
     Odd (gamma ignored): the integer sines sin(j pi x/L), j >= 1.
     A mode whose eigenvalue is not finite is refused (NumericsError).
     """
@@ -354,14 +357,11 @@ def positive_eigenvalues(gamma: float, halfperiod: float, count: int) -> list[Mo
 def full_spectrum(op: DeltaOperator, count: int) -> list[Mode]:
     """Lowest ``count`` modes of the operator, sorted ascending.
 
-    Merges the ``count`` lowest even modes (bound state for gamma < 0,
-    interior roots, or the free cosines at gamma = 0) with the integer
-    sines sin(j pi x/L), blind to gamma as they vanish at the defect; for
-    the Dirichlet (+infinity) extension only the sines remain.
+    Merges the ``count`` lowest even modes (``defect_modes``) with the
+    integer sines sin(j pi x/L), blind to gamma as they vanish at the
+    defect; at gamma = +inf the two interleave as (m pi/2L)^2, m >= 1.
     """
     sines = defect_modes(0.0, op.halfperiod, count, odd=True)
-    if op.dirichlet:
-        return sines
     modes = defect_modes(op.gamma, op.halfperiod, count) + sines
     return sorted(modes, key=lambda m: m.eigenvalue)[:count]
 
@@ -374,8 +374,8 @@ def discretize(op: DeltaOperator, n: int) -> NDArray[np.float64]:
     the matrix symmetric and converges at first order to the exact
     transcendental eigenvalues.
     """
-    if op.dirichlet:
-        raise AdmissibilityError("the Dirichlet (+infinity) extension has no gamma/h matrix")
+    if op.gamma == math.inf:
+        raise AdmissibilityError("the Dirichlet (gamma = +inf) extension has no gamma/h matrix")
     if n < 64:
         raise AdmissibilityError(f"grid too coarse for discretize: n={n} < 64")
     if n % 2 != 0:

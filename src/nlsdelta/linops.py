@@ -269,7 +269,7 @@ def second_eigen_slope(
     (geometric) ladder.  Requires omega > pi^2/(2 L^2) so that the Z = 0
     wave and its small-Z continuation exist.
     """
-    if not omega > math.pi**2 / (2.0 * halfperiod**2):
+    if not WaveParams(omega, 0.0, halfperiod).small_z_continuation_ok:
         raise AdmissibilityError(
             f"second_eigen_slope needs omega > pi^2/(2L^2) = "
             f"{math.pi**2 / (2.0 * halfperiod**2)!r}, got omega={omega!r}"

@@ -4,16 +4,19 @@ Everything goes through main() with an isolated --output-dir; files are
 re-read and checked for schema, determinism, and exit-code contract.
 """
 
+import argparse
 import concurrent.futures
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlsdelta.cli import _sweep_point, build_parser, main
+from nlsdelta.cli import _MAX_DELTA_COUNT, _sweep_point, build_parser, main
 from nlsdelta.evolve import DEFAULT_SEED
 from nlsdelta.stability import Row, classify, slope
 from nlsdelta.wave import (
@@ -136,13 +139,16 @@ class TestDeltaSpectrum:
         assert lams[0] < 0.0
         assert lams == sorted(lams)
 
-    def test_dirichlet_lattice(self, tmp_path):
-        main(
-            ["--output-dir", str(tmp_path), "delta-spectrum", "--gamma", "0",
-             "--half-period", "3.141592653589793", "--count", "3", "--dirichlet"]
-        )
+    def test_infinite_strength_is_the_dirichlet_extension(self, tmp_path):
+        # gamma = +inf (the pole of gamma(theta)): even kinks between the sines
+        L = 3.141592653589793
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum", "--gamma", "inf",
+                   "--half-period", repr(L), "--count", "6"])
+        assert rc == 0
         _, rows = read_csv(tmp_path / "delta_delta_spectrum.csv")
-        assert [float(r[0]) for r in rows] == pytest.approx([1.0, 4.0, 9.0])
+        assert [float(r[0]) for r in rows] == pytest.approx(
+            [(m * math.pi / (2.0 * L)) ** 2 for m in range(1, 7)], rel=1e-12)
+        assert [r[1:] for r in rows] == 3 * [["interior_root", "even"], ["integer_sine", "odd"]]
 
 
 class TestClassify:
@@ -622,13 +628,28 @@ class TestSmallDefectAndEdges:
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--count", "0"], ["--dirichlet", "--count", "-1"]])
+    @pytest.mark.parametrize("extra", [["--gamma", "0", "--count", "0"],
+                                       ["--gamma", "inf", "--count", "-1"]])
     def test_empty_delta_spectrum_rejected(self, tmp_path, capsys, extra):
-        rc = main(["--output-dir", str(tmp_path), "delta-spectrum",
-                   "--gamma", "0", "--half-period", "1", *extra])
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum", "--half-period", "1", *extra])
         assert rc == 2
         assert "count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "delta_delta_spectrum.csv").exists()
+
+    @pytest.mark.parametrize("count", [_MAX_DELTA_COUNT + 1, 10**9])
+    def test_huge_delta_count_refused_before_solving(self, tmp_path, monkeypatch, capsys, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mode was solved")
+
+        monkeypatch.setattr("nlsdelta.delta_op.defect_modes", refuse)
+        rc = main(["--output-dir", str(tmp_path), "delta-spectrum", "--gamma", "-2",
+                   "--half-period", "1", "--count", str(count)])
+        assert rc == 2
+        assert f"--count must be <= {_MAX_DELTA_COUNT}, got {count}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(AssertionError, match="a mode was solved"):  # the bound is allowed
+            main(["--output-dir", str(tmp_path), "delta-spectrum", "--gamma", "-2",
+                  "--half-period", "1", "--count", str(_MAX_DELTA_COUNT)])
 
 
 ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
@@ -677,18 +698,18 @@ EXTREME = st.one_of(
 
 
 class TestFuzzedDeltaSpectrum:
-    @given(gamma=st.one_of(EXTREME, EXTREME.map(lambda v: -v)), half_period=EXTREME,
-           count=st.integers(min_value=1, max_value=8), dirichlet=st.booleans())
-    @example(gamma=-1.0, half_period=1e-310, count=2, dirichlet=False)  # mu and pi/L overflow
-    @example(gamma=1e300, half_period=1e-300, count=3, dirichlet=False)  # (j pi/L)^2 overflows
+    @given(gamma=st.one_of(EXTREME, EXTREME.map(lambda v: -v), st.just(math.inf)),
+           half_period=EXTREME, count=st.integers(min_value=1, max_value=8))
+    @example(gamma=-1.0, half_period=1e-310, count=2)  # mu and pi/L overflow
+    @example(gamma=1e300, half_period=1e-300, count=3)  # (j pi/L)^2 overflows
+    @example(gamma=math.inf, half_period=1e-300, count=3)  # ((j - 1/2) pi/L)^2 overflows
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_exit_typed_and_eigenvalues_finite_and_sorted(
-        self, tmp_path_factory, gamma, half_period, count, dirichlet
+        self, tmp_path_factory, gamma, half_period, count
     ):
         out = tmp_path_factory.mktemp("fuzz")
         rc = main(["--output-dir", str(out), "delta-spectrum", f"--gamma={gamma!r}",
-                   f"--half-period={half_period!r}", "--count", str(count),
-                   *(["--dirichlet"] if dirichlet else [])])
+                   f"--half-period={half_period!r}", "--count", str(count)])
         assert rc in (0, 2, 3)
         if rc == 0:
             _, rows = read_csv(out / "delta_delta_spectrum.csv")
@@ -722,13 +743,12 @@ class TestFuzzedGridAndTimeArguments:
                    f"--n={n}", *extra])
         assert rc in (0, 2, 3)
 
-    @given(count=sizes(1000), gamma=st.sampled_from([-2.0, 0.0, 2.0]), dirichlet=st.booleans())
+    @given(count=sizes(1000), gamma=st.sampled_from([-2.0, 0.0, 2.0, math.inf]))
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_delta_spectrum_count(self, tmp_path_factory, count, gamma, dirichlet):
+    def test_delta_spectrum_count(self, tmp_path_factory, count, gamma):
         out = tmp_path_factory.mktemp("fuzz")
         rc = main(["--output-dir", str(out), "delta-spectrum", f"--gamma={gamma!r}",
-                   "--half-period", "1", f"--count={count}",
-                   *(["--dirichlet"] if dirichlet else [])])
+                   "--half-period", "1", f"--count={count}"])
         assert rc in (0, 2, 3)
         assert (rc == 0) == (count >= 1)
 
@@ -745,3 +765,27 @@ class TestFuzzedGridAndTimeArguments:
         rc = main(["--output-dir", str(tmp_path_factory.mktemp("fuzz")), "evolve", *WAVE,
                    f"--n={n}", f"--dt={dt!r}", f"--T={dt * ratio!r}"])
         assert rc in (0, 2, 3, 4)
+
+
+class TestReadmeFlags:
+    """README's text and build_parser() name the same long flags, in both directions."""
+
+    NOT_OURS = {"--no-build-isolation"}  # pip's, in the install line
+
+    @staticmethod
+    def readme_flags():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return set(re.findall(r"--[A-Za-z][\w-]*", text))
+
+    @staticmethod
+    def parser_flags():
+        parser = build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {flag for p in (parser, *commands.choices.values())
+                for flag in p._option_string_actions if flag.startswith("--")} - {"--help"}
+
+    def test_every_flag_readme_names_exists(self):
+        assert self.readme_flags() - self.NOT_OURS - self.parser_flags() == set()
+
+    def test_every_flag_is_in_readme(self):
+        assert self.parser_flags() - self.readme_flags() == set()

@@ -216,10 +216,45 @@ class TestFullSpectrum:
         assert pairs[0].kind is EigenKind.NEGATIVE_BOUND_STATE
         assert pairs[0].eigenvalue < 0.0
 
-    def test_dirichlet_extension_is_integer_lattice(self):
-        op = DeltaOperator(gamma=0.0, halfperiod=math.pi, dirichlet=True)
-        pairs = delta_op.full_spectrum(op, 4)
-        assert [p.eigenvalue for p in pairs] == pytest.approx([1.0, 4.0, 9.0, 16.0])
+    @pytest.mark.parametrize("L", [1.0, math.pi])
+    def test_dirichlet_extension_is_the_half_lattice(self, L):
+        # gamma = +inf: zeta(0) = 0 with a free jump, so the even modes are the kinks
+        # sin(kappa |x|), cos(kappa L) = 0, between the sines: (m pi/2L)^2, m >= 1
+        modes = delta_op.full_spectrum(DeltaOperator(math.inf, L), 6)
+        assert [m.eigenvalue for m in modes] == pytest.approx(
+            [(m * math.pi / (2.0 * L)) ** 2 for m in range(1, 7)], rel=1e-12)
+        assert [m.kind for m in modes] == 3 * [EigenKind.INTERIOR_ROOT, EigenKind.INTEGER_SINE]
+        assert [delta_op.interior_root(j, math.inf, L) for j in (1, 2, 3)] == [
+            (j - 0.5) * math.pi / L for j in (1, 2, 3)]
+        x = delta_op.sample_grid(L, 512)
+        kinks = delta_op.sample_modes(modes[::2], L, x)
+        assert np.abs(kinks[256]).max() < 1e-15
+        # the gamma -> +-inf limit of the exact roots
+        for gamma in (1e8, -1e8):
+            near = delta_op.full_spectrum(DeltaOperator(gamma, L), 7)
+            positive = [m.eigenvalue for m in near if m.eigenvalue > 0.0][:6]
+            assert positive == pytest.approx([m.eigenvalue for m in modes], rel=1e-6)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-6])
+    def test_theta_family_crosses_the_pole(self, step):
+        # the denominator of gamma(theta) vanishes where tan(theta/2 - pi/4) =
+        # -sinh(sqrt2 pi)/sin(sqrt2 pi); gamma runs off to +inf below theta0, -inf above
+        s = math.sqrt(2.0) * math.pi
+        theta0 = 2.0 * (0.25 * math.pi + math.atan(-math.sinh(s) / math.sin(s)))
+        left, right = (delta_op.strength_from_theta(theta0 + d) for d in (-step, step))
+        assert left > 1e3 and right < -1e3
+        pole = delta_op.full_spectrum(DeltaOperator(math.inf, math.pi), 5)
+        repulsive, attractive = (
+            [m.eigenvalue for m in delta_op.full_spectrum(DeltaOperator(g, math.pi), 8)
+             if m.eigenvalue > 0.0][:5]
+            for g in (left, right)
+        )
+        for m, lo, hi in zip(pole, repulsive, attractive):
+            if m.kind is EigenKind.INTEGER_SINE:  # blind to gamma
+                assert lo == m.eigenvalue == hi
+            else:  # the kinks, approached from both sides
+                assert lo < m.eigenvalue < hi
+                assert hi - lo < step * m.eigenvalue
 
     def test_free_laplacian(self):
         op = DeltaOperator(gamma=0.0, halfperiod=math.pi)
@@ -290,8 +325,15 @@ class TestDiscretize:
             delta_op.discretize(DeltaOperator(1.0, 1.0), 32)
         with pytest.raises(AdmissibilityError):
             delta_op.discretize(DeltaOperator(1.0, 1.0), 127)
-        with pytest.raises(AdmissibilityError):
-            delta_op.discretize(DeltaOperator(0.0, 1.0, dirichlet=True), 128)
+        with pytest.raises(AdmissibilityError, match=r"gamma = \+inf"):
+            delta_op.discretize(DeltaOperator(math.inf, 1.0), 128)
+
+    def test_large_strength_matrix_approaches_the_dirichlet_extension(self):
+        # +inf has no gamma/h matrix; 1e8 stands in for it, at test_04's n = 2048 and 2e-2
+        lam = eigvalsh(delta_op.discretize(DeltaOperator(1e8, math.pi), 2048),
+                       subset_by_index=(0, 5))
+        exact = [m.eigenvalue for m in delta_op.full_spectrum(DeltaOperator(math.inf, math.pi), 6)]
+        assert np.abs(lam - exact).max() < 2e-2
 
 
 class TestGrids:
