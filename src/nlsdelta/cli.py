@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, delta_op, linops
+from . import __version__, delta_op
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_NUMERICS,
@@ -125,6 +125,7 @@ def cmd_build_wave(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from . import linops  # imports scipy.linalg, which no other command needs
     out = _target(args, f"{args.prefix}_{args.which}_spectrum.csv")
     profile = build_profile(_wave_params(args))
     op = linops.assemble(profile, linops.Which(args.which), args.n)
@@ -156,14 +157,12 @@ def cmd_delta_spectrum(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     out = _target(args, f"{args.prefix}_classification.json")
     report = classify(_wave_params(args))
-    idx, row = report.index, report.row
-    numerics = report.orbit._asdict() | {
+    row, orbit = report.row, report.orbit
+    numerics = orbit._asdict() | {
         "period_residual": report.period_residual,
         "dT_deta2": report.dT_deta2,
         "deta2_domega": report.deta2_domega,
-        "band": idx.band,
-        "expected_kernel": idx.expected_kernel,
-        "l1_below_band": {"even": list(idx.even), "odd": list(idx.odd)},
+        "dphi_0plus": -0.5 * report.params.z * orbit.phi,  # its sign and dT_deta2's give the counts
     }
     _write_sidecar(out, args, row._asdict() | {"numerics": numerics})
     print(f"{row.verdict} (n={row.n_negative}, p={row.p_index}, slope={row.slope:.6g}) -> {out}")

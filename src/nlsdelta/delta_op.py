@@ -309,6 +309,7 @@ def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False)
     """
     if count < 1:
         raise AdmissibilityError(f"count must be >= 1, got {count}")
+    DeltaOperator(gamma, halfperiod)  # refuses the strengths and cells the operator refuses
     L = halfperiod
     if odd:
         sines = (j * math.pi / L for j in range(1, count + 1))

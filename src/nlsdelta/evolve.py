@@ -46,7 +46,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
 
 from .delta_op import defect_modes, even_block, periodic_grid, sample_modes
 from .errors import AdmissibilityError, BlowupError, NumericsError
@@ -167,6 +166,7 @@ class SplitStepEvolver:
             self._even = (b, np.linalg.inv(b), lam[: k + 1])
             odd_lam = lam[k + 1 :]
         else:
+            from scipy.linalg import eigh_tridiagonal  # only this scheme needs scipy.linalg
             diag, off, weight = even_block(k, self.h, -self.z)
             lam, y = eigh_tridiagonal(diag, off)
             self._even = (y / weight[:, None], y.T * weight, lam)

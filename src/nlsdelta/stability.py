@@ -11,10 +11,11 @@ and for the trough waves (Z < 0, n = 2) the instability direction is
 odd, so restricting to even perturbations removes it: the even-subspace
 count is 1 = p and the wave is stable against even data.
 
-classify takes d/domega ||phi||^2 in closed form at its one eta2 solve
-(wave._norm_slope).  Its oracles, read by tests: ``slope``, central
-differences over the full pipeline (each stencil point re-solves eta2) with
-one Richardson level, and trapezoid quadrature (norm_squared_quadrature).
+classify reads the slope in closed form (wave._norm_slope) and the L1 counts from the signs
+of dT/deta2 and Z (l1_negative_counts) at its one eta2 solve, with no grid.  Its oracles, read
+by tests: ``slope``, central differences over the full pipeline (each stencil point re-solves
+eta2) with one Richardson level, trapezoid quadrature (norm_squared_quadrature) and the
+eigenvalue count linops.index.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .linops import Index, Which, assemble, index
 from .wave import Orbit, WaveParams, WaveProfile, _e_terms, _norm_slope, build_profile
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "norm_squared",
     "norm_squared_quadrature",
     "slope",
+    "l1_negative_counts",
     "verdict_from_counts",
     "classify",
 ]
@@ -44,9 +45,6 @@ __all__ = [
 # |slope| below this fraction of ||phi||^2/omega is treated as
 # numerically indistinguishable from zero -> inconclusive verdict.
 SLOPE_ZERO_REL = 1e-6
-
-# Grid size of classify's L1 eigensolve.
-N_EIGEN = 1024
 
 
 class Verdict(str, Enum):
@@ -76,12 +74,11 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Classification outcome with what produced it: the solved orbit, the L1 index it was
-    read from, the slope and its terms dT/deta2 and deta2/domega at the root."""
+    """Classification outcome with what produced it: the solved orbit, the slope and its terms
+    dT/deta2 (whose sign and Z's give the L1 counts) and deta2/domega at the root."""
 
     params: WaveParams
     orbit: Orbit
-    index: Index
     p_index: int
     slope: float
     verdict: Verdict
@@ -95,8 +92,8 @@ class StabilityReport:
     @property
     def row(self) -> Row:
         """The report's row; the kernel caveat is Z = 0 (the translation mode is in the kernel)."""
-        p, idx = self.params, self.index
-        return Row(p.omega, p.z, p.halfperiod, idx.n_negative, idx.n_negative_even,
+        p, (even, odd) = self.params, l1_negative_counts(self.params.z, self.dT_deta2)
+        return Row(p.omega, p.z, p.halfperiod, even + odd, even,
                    self.p_index, self.slope, self.verdict.value, p.z == 0.0)
 
 
@@ -153,6 +150,28 @@ def slope(params: WaveParams, h_omega: float | None = None) -> float:
     return (4.0 * central(0.5 * h_omega) - s_h) / 3.0
 
 
+def l1_negative_counts(z: float, dt_deta2: float) -> tuple[int, int]:
+    """(even, odd) counts of negative L1 eigenvalues: 1 + [dT/deta2 > 0] and [Z < 0].
+
+    Sturm count (Pruefer angle; Coddington & Levinson, ch. 8) on [0, L]: a parity block counts
+    the zeros in (0, L) of its lambda = 0 solution meeting the condition at 0 (even: y'(0+) =
+    -(Z/2) y(0); odd: y(0) = 0), plus one in the even block (y'(L) = 0) if y y' < 0 at L.
+    Y = d phi/d eta2 along wave._orbit's family at fixed omega solves L1 Y = 0 on (0, L) and
+    meets the even condition, as every orbit does.  phi(T/2) = eta2 and phi'(T/2) = 0 give
+    Y(L) = 1 and Y'(L) = -phi''(L) T_eta2/2, phi''(L) = eta2 (omega - eta2^2) > 0; Y(0) =
+    dPhi/deta2 < 0, as d(Phi^2)/deta2 = -2 eta2 - Z^2 upper dlog upper and upper rises with
+    eta2; Y(x*) = -eta2/eta1 at a trough's crest x* = sqrt2 a/eta1.  The Wronskian
+    W(phi', Y) = -phi''(L) is nonzero, so Y/phi' is monotone between the zeros of phi', only
+    at x* and L: each interval holds at most one zero of Y, so Y has one, and
+    n_even = 1 + [Y Y'(L) < 0] = 1 + [T_eta2 > 0], 2 on the rising branch of T_+ (solve_eta2
+    builds the falling one).  The odd solution Y_odd = phi'(0+) Y - Y(0) phi' has
+    Y_odd'(0) = W < 0, Y_odd(x*) = phi'(0+) Y(x*) and Y_odd(L) = -(Z/2) Phi: a zero in (0, L)
+    only on a trough, so n_odd = [Z < 0].  At a fold (T_eta2 = 0) Y, and at Z = 0 phi', is a
+    kernel mode.
+    """
+    return 1 + (dt_deta2 > 0.0), int(z < 0.0)
+
+
 def verdict_from_counts(n_negative: int, p_index: int, n_negative_even: int) -> Verdict:
     """Pure index arithmetic: stable iff n = p, unstable if n - p odd.
 
@@ -169,25 +188,15 @@ def verdict_from_counts(n_negative: int, p_index: int, n_negative_even: int) -> 
 
 
 def classify(params: WaveParams) -> StabilityReport:
-    """Full index classification at one parameter point.
-
-    Computes the closed-form slope, the L1 negative count (total and even-restricted),
-    and applies ``verdict_from_counts``.  A non-positive or numerically
-    zero slope short-circuits to inconclusive with the measured value
-    attached, and so does an eigenvalue inside the zero band beyond the
-    expected kernel modes (the rule of linops.index); Z = 0
-    reports the classical verdict with a kernel caveat (the translation
-    mode makes the kernel nontrivial there, outside the hypotheses of
-    the Z != 0 theory).
+    """Index classification at one point, with no grid: the closed-form slope, the counts of
+    l1_negative_counts and ``verdict_from_counts``.  A non-positive or numerically zero slope
+    gives inconclusive; a fold, dT/deta2 = 0, is refused by wave._norm_slope.  Z = 0 reports the
+    classical verdict with a kernel caveat (the translation mode is in the kernel).
     """
     profile = build_profile(params)
-    norm = norm_squared(profile)
     s, dt_deta2, deta2_domega = _norm_slope(profile)
-    scale = norm / params.omega
-    idx = index(assemble(profile, Which.L1, N_EIGEN))
+    scale = norm_squared(profile) / params.omega
     p = 0 if s <= 0.0 or abs(s) < SLOPE_ZERO_REL * scale else 1
-    if p == 0 or idx.surplus > 0:
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = verdict_from_counts(idx.n_negative, p, idx.n_negative_even)
-    return StabilityReport(params, profile.orbit, idx, p, s, verdict, dt_deta2, deta2_domega)
+    even, odd = l1_negative_counts(params.z, dt_deta2)
+    verdict = verdict_from_counts(even + odd, p, even) if p else Verdict.INCONCLUSIVE
+    return StabilityReport(params, profile.orbit, p, s, verdict, dt_deta2, deta2_domega)

@@ -164,13 +164,12 @@ class TestClassify:
     def test_numerics_reproduce_the_counts(self, tmp_path, wave):
         assert main(["--output-dir", str(tmp_path), "classify", *wave]) == 0
         rep = json.loads((tmp_path / "point_classification.json").read_text())
+        # the two witnesses: dT/deta2 < 0 leaves one negative even eigenvalue, and
+        # phi'(0+) = -(Z/2) Phi > 0 (a trough) gives one odd one
         numerics = rep["numerics"]
-        tau, below = numerics["band"], numerics["l1_below_band"]
-        assert tau > 0.0
-        assert all(lam <= tau for lams in below.values() for lam in lams)
-        even = sum(lam < -tau for lam in below["even"])
-        assert even == rep["n_negative_even"]
-        assert even + sum(lam < -tau for lam in below["odd"]) == rep["n_negative"]
+        assert numerics["dphi_0plus"] == -0.5 * rep["z"] * numerics["phi"]
+        assert rep["n_negative_even"] == 1 + (numerics["dT_deta2"] > 0.0)
+        assert rep["n_negative"] - rep["n_negative_even"] == (numerics["dphi_0plus"] > 0.0)
 
     @pytest.mark.parametrize("wave", [WAVE, ["--omega", "20", "--z", "-1", "--half-period", "1"]])
     def test_numerics_report_the_period_solve(self, tmp_path, wave):
@@ -529,11 +528,13 @@ class TestOverflowAndNonFinite:
 class TestSmallDefectAndEdges:
     @pytest.mark.parametrize("z, half_period", [("1e-8", "0.5"), ("-1e-8", "1")])
     def test_classify_at_tiny_z(self, tmp_path, z, half_period):
+        # the odd eigenvalue beta Z lies inside every grid's zero band; the count reads sign Z
         rc = main(["--output-dir", str(tmp_path), "classify",
                    "--omega", "20", f"--z={z}", "--half-period", half_period])
         assert rc == 0
         report = json.loads((tmp_path / "point_classification.json").read_text())
-        assert report["verdict"] == "inconclusive"
+        expected = "stable" if float(z) > 0.0 else "unstable+stable_even_subspace"
+        assert report["verdict"] == expected
 
     @pytest.mark.parametrize("z, half_period", [("-1", "0.5"), ("-1e-300", "0.6")])
     def test_trough_refusal_is_not_a_nonexistence_claim(self, tmp_path, capsys, z, half_period):
@@ -564,10 +565,15 @@ class TestSmallDefectAndEdges:
             oracle = slope(WaveParams(omega, z, half_period), h_omega=1e-5 * omega)
             assert rep["slope"] == pytest.approx(oracle, rel=1e-8)
 
-    def test_band_hidden_eigenvalue_strict(self, tmp_path):
-        rc = main(["--output-dir", str(tmp_path), "classify", "--omega", "20",
-                   "--z=-0.01", "--half-period", "1", "--strict-inconclusive"])
-        assert rc == 4
+    def test_inconclusive_verdict_strict(self, tmp_path):
+        # near the fold of T_+ the closed-form slope is -0.00143 (p = 0), where the index
+        # criterion is silent
+        wave = ["classify", "--omega", "1838.7674435299375", "--z=-84.06364029366871",
+                "--half-period", "0.18608225155945318"]
+        assert main(["--output-dir", str(tmp_path), *wave]) == 0
+        report = json.loads((tmp_path / "point_classification.json").read_text())
+        assert (report["verdict"], report["p_index"]) == ("inconclusive", 0)
+        assert main(["--output-dir", str(tmp_path), *wave, "--strict-inconclusive"]) == 4
 
     def test_sweep_at_subnormal_scale_z(self, tmp_path):
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "20",

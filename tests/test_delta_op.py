@@ -415,6 +415,12 @@ class TestDefectModes:
         assert v.shape == (513, 6)
         assert [np.trapezoid(c * c, x) for c in v.T] == pytest.approx(np.ones(6), rel=1e-13)
 
+    @pytest.mark.parametrize("gamma", [-math.inf, math.nan])
+    def test_non_finite_strength_refused(self, gamma):
+        # refused as DeltaOperator refuses it, before bound_state_root brackets from inf
+        with pytest.raises(AdmissibilityError, match=re.escape(f"gamma must be finite, got {gamma!r}")):
+            delta_op.defect_modes(gamma, 1.0, 2)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_guard(self, count):
         with pytest.raises(AdmissibilityError, match="count must be >= 1"):

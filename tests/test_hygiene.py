@@ -12,13 +12,19 @@ methods are exempt, Python calls them.  Every ``__all__`` entry names a
 function, class or assignment of its own module, so a deletion cannot
 leave a stale export behind.  ``elliptic`` has one modulus convention:
 no public function of it takes a parameter ``k`` (each is keyed by
-k' = ``kp``), and only ``wave`` and ``linops`` import it.  Every
+k' = ``kp``), and only ``wave`` and ``linops`` import it.  A process
+that classifies, builds a wave and evolves on the exact basis never
+imports ``scipy.linalg``, which only the finite-difference oracles and
+the ``fd`` scheme need.  Every
 ``cli.*``, ``stability.*`` and ``wave.*`` name the benchmark's workloads
 and self-tests read exists, as this suite never imports them.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,6 +306,22 @@ def test_modulus_detectors():
     assert imports_elliptic("import nlsdelta.elliptic\n")
     assert not imports_elliptic("from . import wave\nfrom .wave import Orbit\n")
 
+
+
+def test_classify_build_and_exact_evolve_need_no_scipy_linalg():
+    code = (
+        "import sys\n"
+        "import nlsdelta.cli\n"
+        "from nlsdelta import evolve, stability, wave\n"
+        "params = wave.WaveParams(20.0, -1.0, 1.0)\n"
+        "stability.classify(params)\n"
+        "wave.build_profile(params, n=256).samples\n"
+        "evolve.run_experiment(params, 'even:1e-3', T=1e-3, dt=1e-3, n=256)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")
 

@@ -125,13 +125,13 @@ class TestClassify:
     def test_peak_wave_stable(self):
         rep = classify(WaveParams(20.0, 1.0, 0.5))
         assert rep.verdict is Verdict.STABLE
-        assert rep.index.n_negative == 1 and rep.p_index == 1
+        assert rep.row.n_negative == 1 and rep.p_index == 1
         assert not rep.row.kernel_caveat
 
     def test_trough_wave_even_subspace(self):
         rep = classify(WaveParams(20.0, -1.0, 1.0))
         assert rep.verdict is Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE
-        assert rep.index.n_negative == 2 and rep.index.n_negative_even == 1
+        assert rep.row.n_negative == 2 and rep.row.n_negative_even == 1
 
     def test_defect_free_carries_kernel_caveat(self):
         rep = classify(WaveParams(8.0, 0.0, 1.0))
@@ -155,31 +155,33 @@ class TestClassify:
             (WaveParams(20.0, 1.0, 0.5), (Verdict.STABLE, 1, 1, 1)),
             (WaveParams(20.0, -1.0, 1.0), (Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE, 2, 1, 1)),
             (WaveParams(8.0, 0.0, 1.0), (Verdict.STABLE, 1, 1, 1)),
-            (WaveParams(20.0, -0.01, 1.0), (Verdict.INCONCLUSIVE, 1, 1, 1)),
-            (WaveParams(20.0, 1e-8, 0.5), (Verdict.INCONCLUSIVE, 1, 1, 1)),
+            (WaveParams(20.0, -0.01, 1.0), (Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE, 2, 1, 1)),
+            (WaveParams(20.0, 1e-8, 0.5), (Verdict.STABLE, 1, 1, 1)),
         ],
     )
     def test_counts_need_no_eigenvectors(self, params, expected, monkeypatch):
-        # classify reads eigenvalues below the band only; the eigenpair
-        # solver is never called, and the outcome is the one the lowest-8
-        # eigenpair count gave
-        def no_eigenpairs(*args, **kwargs):
-            raise AssertionError("classify computed eigenvectors")
+        # classify reads the counts from the signs of dT/deta2 and Z: no operator is
+        # assembled and no eigensolver is called
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify assembled an operator or called an eigensolver")
 
-        monkeypatch.setattr(linops, "eigh_tridiagonal", no_eigenpairs)
+        for name in ("assemble", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
+            monkeypatch.setattr(linops, name, refuse)
         rep = classify(params)
-        idx = rep.index
-        assert (rep.verdict, idx.n_negative, idx.n_negative_even, rep.p_index) == expected
-        assert (rep.row.n_negative, rep.row.n_negative_even) == expected[1:3]
+        row = rep.row
+        assert (rep.verdict, row.n_negative, row.n_negative_even, rep.p_index) == expected
         assert hash(rep) == hash(classify(params))  # a frozen report stays a value
 
     @pytest.mark.parametrize("params", [WaveParams(20.0, -0.01, 1.0), WaveParams(20.0, 1e-8, 0.5)])
-    def test_eigenvalue_hidden_by_band_is_inconclusive(self, params):
-        # the small-Z branch of the odd L1 eigenvalue sits inside the
-        # zero band, where count_negative refuses to count
+    def test_eigenvalue_hidden_by_band_is_counted(self, params):
+        # the small-Z branch of the odd L1 eigenvalue sits inside the n = 1024 zero band,
+        # where the finite-difference count refuses to count; the Sturm count does not
+        # (TestL1Counts checks it against a finer grid and the sign of beta Z)
+        idx = linops.index(linops.assemble(build_profile(params), linops.Which.L1, 1024))
+        assert idx.surplus == 1
         rep = classify(params)
-        assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.p_index == 1
+        assert rep.verdict is (Verdict.STABLE if params.z > 0.0 else Verdict.UNSTABLE_STABLE_EVEN_SUBSPACE)
 
 
 def _benchmark_workloads():
@@ -344,3 +346,68 @@ class TestClosedFormSlope:
         along_u = wave._along_u(orbit, wave.theta_admissible(20.0, -1.0))
         assert rep.dT_deta2 == wave._tangent(orbit, 20.0, -1.0, along_u)[0][0] / along_u[0]
         assert rep.deta2_domega < 0.0
+
+
+def _fd_counts(profile, n):
+    """(even, odd) negative counts of the finite-difference L1 at n, and the band's surplus."""
+    idx = linops.index(linops.assemble(profile, linops.Which.L1, n))
+    return (idx.n_negative_even, idx.n_negative - idx.n_negative_even), idx.surplus
+
+
+def _sturm_counts(profile):
+    """The counts classify makes: l1_negative_counts on the profile's Z and dT/deta2."""
+    return stability.l1_negative_counts(profile.params.z, wave._norm_slope(profile)[1])
+
+
+class TestL1Counts:
+    """The Sturm count of l1_negative_counts against the finite-difference index."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_classify_lattice_matches_the_fd_index(self, seed):
+        workloads = _benchmark_workloads()
+        for p in workloads.lattice(workloads._rng(seed, "classify-lattice"), workloads.INPUTS_PER_RUN):
+            params = WaveParams(p.omega, p.z, p.half_period)
+            row = classify(params).row
+            fd, surplus = _fd_counts(build_profile(params), 1024)
+            assert surplus == 0
+            assert (row.n_negative_even, row.n_negative - row.n_negative_even) == fd
+
+    def test_orbits_on_both_branches_of_t_plus(self):
+        # orbits of the trough family built directly, rising branch of T_+ included, where
+        # the second even eigenvalue is negative too (solve_eta2 builds none of these)
+        compared = rising = 0
+        for omega, z in itertools.product((5.0, 20.0, 60.0), (-0.3, -1.0, -2.0, -4.0)):
+            th = wave.theta_admissible(omega, z)
+            for eta2 in (th * np.linspace(0.05, 0.999, 25)).tolist():
+                orbit = wave._orbit(eta2, omega, z, wave._check_eta2(eta2, omega, z))
+                profile = wave.WaveProfile(WaveParams(omega, z, 0.5 * orbit.period), orbit, 4096)
+                fd, surplus = _fd_counts(profile, 2048)
+                if surplus == 0:
+                    counts = _sturm_counts(profile)
+                    assert counts == fd, (omega, z, eta2)
+                    compared += 1
+                    rising += counts[0] == 2
+        assert compared >= 250 and rising >= 50
+
+    @pytest.mark.parametrize("omega,z,L,n,expected", [
+        (20.0, -0.01, 1.0, 16384, (1, 1)),
+        (1.0, 1.0, 30.0, 16384, (1, 0)),
+        (1.0, -1.0, 30.0, 16384, (1, 1)),
+        (1.0, 1.0, 100.0, 65536, (1, 0)),
+        (1.0, -1.0, 100.0, 65536, (1, 1)),
+    ])
+    def test_band_hidden_cells_match_a_finer_fd_index(self, omega, z, L, n, expected):
+        # inside the band at n = 1024 (surplus 1 at Z = -0.01, 8 or 9 at L = 30, 109 or 111
+        # at L = 100); resolved on the finer grid
+        profile = build_profile(WaveParams(omega, z, L))
+        assert _fd_counts(profile, 1024)[1] > 0
+        assert _fd_counts(profile, n) == (expected, 0)
+        assert _sturm_counts(profile) == expected
+
+    @pytest.mark.parametrize("z,L", [(1e-8, 0.5), (-1e-8, 1.0)])
+    def test_tiny_z_odd_count_follows_beta(self, z, L):
+        # the odd eigenvalue continuing the translation mode is beta Z + O(Z^2), beta > 0,
+        # far inside any grid's band at |Z| = 1e-8
+        beta = linops.beta_closed_form(20.0, L)
+        assert beta > 0.0
+        assert _sturm_counts(build_profile(WaveParams(20.0, z, L)))[1] == int(beta * z < 0.0)
