@@ -1,21 +1,31 @@
 """Jacobi elliptic functions and Legendre elliptic integrals, keyed by k' alone.
 
-Thin, validated wrappers around scipy.special.  Every function takes the
-complementary modulus kp = k' = sqrt(1 - k^2), never k or m = k^2: near k = 1 a
-double k cannot hold k', and the dnoidal orbit has k' = eta2/eta1 to full relative
-accuracy.  Only kp^2 enters, so kp may round above 1 (read as k = 0).  K(k)
-(complete_K), the inverse on the quarter period [0, K(k)] (inverse_am, through
-Carlson's R_F) and D = (F - E)/k^2 (incomplete_D, through R_D) keep full accuracy as
-k -> 1; inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16), so a caller
-that knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.  E is formed
-where it is read, as E(k) = K - k^2 D and E(psi; k) = F - k^2 D(psi; k)
-(wave._e_terms).  dn is read only together with sn and cn (jacobi_sn_cn_dn), as the
-profile needs all three.
+Every function takes the complementary modulus kp = k' = sqrt(1 - k^2), never k or
+m = k^2: near k = 1 a double k cannot hold k', and the dnoidal orbit has k' = eta2/eta1
+to full relative accuracy.  Only kp^2 enters, so kp may round above 1 (read as k = 0).
+K(k) (complete_K), the inverse on the quarter period [0, K(k)] (inverse_am) and
+D = (F - E)/k^2 (incomplete_D) are Carlson's R_F and R_D (scipy.special.elliprf,
+elliprd), which keep full accuracy as k -> 1; inverse_am maps sn : cn to u = F(am u; k)
+(DLMF 22.15, 22.16), so a caller that knows dn u forms sn : cn from its gaps 1 - dn^2
+and dn^2 - k'^2.  E is formed where it is read, as E(k) = K - k^2 D and
+E(psi; k) = F - k^2 D(psi; k) (wave._e_terms).
 
-Limits, keyed by k' (scipy's own values at m = 0 and m = 1)
------------------------------------------------------------
-    k' = 1 (k = 0):  sn = sin u,   cn = cos u,   dn = 1,       K = pi/2,  D = pi/4
-    k' = 0 (k = 1):  sn = tanh u,  cn = sech u,  dn = sech u,  K = inf (complete_K raises)
+sn, cn and dn are read together (jacobi_sn_cn_dn), as quotients of theta functions
+(DLMF 22.2.4) summed in whichever nome is at most e^-pi (DLMF 20.2):
+
+    k' > 1/sqrt2:  q = exp(-pi K'/K), trigonometric series in z = pi u/(2K);
+    k' <= 1/sqrt2: q' = exp(-pi K/K') of k', through Jacobi's imaginary transformation
+                   (DLMF 22.6(iv), 20.7.30), hyperbolic series in y = pi u/(2K'),
+
+K' = K(k') (the nomes meet at e^-pi where k' = 1/sqrt2).  Four terms of each theta
+function reach double precision on either side, and the hyperbolic side keeps it as
+k' -> 0, where m = 1 - k'^2 itself rounds.  The constants of the series (Nome) are formed
+once per modulus by nome(kp, K).
+
+Limits, keyed by k'
+-------------------
+    k' >= 1 (k = 0):  sn = sin u,   cn = cos u,   dn = 1,       K = pi/2,  D = pi/4
+    k' = 0 (k = 1):   sn = tanh u,  cn = sech u,  dn = sech u,  K = inf (complete_K raises)
 
 and dn is strictly decreasing from 1 to k' on [0, K(k)].
 """
@@ -23,13 +33,13 @@ and dn is strictly decreasing from 1 to k' on [0, K(k)].
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import special
 
-__all__ = ["complete_K", "inverse_am", "incomplete_D", "jacobi_sn_cn_dn"]
+__all__ = ["Nome", "nome", "complete_K", "inverse_am", "incomplete_D", "jacobi_sn_cn_dn"]
 
 ArrayLike = Union[float, NDArray[np.float64]]
 
@@ -50,19 +60,165 @@ def complete_K(kp: float) -> float:
     return big_k
 
 
-def jacobi_sn_cn_dn(u: ArrayLike, kp: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """Jacobi elliptic functions (sn, cn, dn) of argument u, given kp = k'.
+class Nome(NamedTuple):
+    """The theta series of one modulus k' (see the module docstring), formed by nome().
 
-    Read by ellipj at m = k^2 = 1 - kp^2, the correctly rounded m of kp, clamped at 0 where
-    kp rounds above 1 (ellipj gives nan for m < 0).  m still rounds as k' -> 0: below K/2
-    the worst is 1.3e-9 relative, near k' = 5e-9 (see wave._dnoidal for the far half).
+    big_k = K(k) is the real quarter period, inf where k'^2 underflows (the k = 1 limit);
+    hyperbolic selects the series in the nome q' of k' (k' <= 1/sqrt2) over the one in q;
+    scale is the series' argument per unit u, pi/(2K') or pi/(2K); coef holds the powers
+    of the nome the series reads, and norm the theta(0) quotients of sn, cn and dn.
+    """
+
+    kp: float
+    big_k: float
+    hyperbolic: bool
+    scale: float
+    coef: tuple[float, ...]
+    norm: tuple[float, float, float]
+
+
+def nome(kp: float, big_k: float | None = None) -> Nome:
+    """The series constants of k' = kp, given K = K(k) when the caller holds it (complete_K(kp)).
+
+    K' = K(k') is complete_K of the complement k, and the nome summed is e^-(pi K'/K) or
+    e^-(pi K/K'), whichever is at most e^-pi.  A kp that rounds above 1 is k = 0 and one
+    whose square underflows is k = 1 (K = inf); jacobi_sn_cn_dn reads both limits in
+    closed form.  One K' call and a few multiplications, so a reader of many arguments
+    of one modulus forms this once (wave.WaveProfile does, per profile).
     """
     if not kp >= 0.0:
         raise ValueError(f"complementary modulus kp={kp!r} is negative or NaN")
-    sn, cn, dn, _ = special.ellipj(u, max(1.0 - kp * kp, 0.0))
-    if np.isscalar(u):
+    if kp >= 1.0:
+        return Nome(1.0, 0.5 * math.pi, False, 1.0, (), (1.0, 1.0, 1.0))
+    if big_k is None:
+        big_k = math.inf if kp * kp == 0.0 else complete_K(kp)
+    if big_k == math.inf:
+        return Nome(kp, big_k, True, 1.0, (), (1.0, 1.0, 1.0))
+    big_kc = complete_K(math.sqrt((1.0 - kp) * (1.0 + kp)))
+    hyperbolic = big_k >= big_kc
+    q = math.exp(-math.pi * (big_k / big_kc if hyperbolic else big_kc / big_k))
+    q2 = q * q
+    q4 = q2 * q2
+    q6, q9 = q4 * q2, q4 * q4 * q
+    theta3, theta4 = 1.0 + 2.0 * (q9 + q4 + q), 1.0 - 2.0 * (q9 - q4 + q)
+    if hyperbolic:
+        theta2 = 2.0 * (1.0 + (q4 * q4 * q4 + q6 + q2))
+        return Nome(kp, big_k, True, 0.5 * math.pi / big_kc, (q, q2, q4, q6, q9),
+                    (theta3 / theta4, theta2 / theta4, theta2 / theta3))
+    theta2 = 1.0 + (q6 + q2)
+    coef = (1.0 - (q6 + q2), 4.0 * q6, 2.0 * (q6 - q2),            # theta1, theta2 / (sin z, cos z)
+            1.0 - 2.0 * q4, 4.0 * q4, 2.0 * q - 6.0 * q9, 8.0 * q9)  # theta3, theta4
+    return Nome(kp, big_k, False, 0.5 * math.pi / big_k, coef,
+                (theta3 / theta2, theta4 / theta2, theta4 / theta3))
+
+
+def _hyperbolic(v, n: Nome):
+    """(sn, cn, dn) at v in [0, K/2] from the nome q' of k' (DLMF 22.6(iv), 20.2.1-4, 22.2.4).
+
+    Jacobi's imaginary transformation sn(v, k) = -i sc(iv, k'), cn(v, k) = nc(iv, k') and
+    dn(v, k) = dc(iv, k') turns the theta functions of k' at i y, y = pi v/(2K'), into
+    sums of q'^(n^2) e^(2ny).  Divided by their largest terms (e^(-t w^2) for the integer
+    family, e^(-t (1/2 - w)^2) for the half-integer one; q' = e^-t, w = v/(2K)), they are
+    sums in a = e^(-2y) <= 1 and b = q'/a <= e^(-t/2) over n = 0..3, resp. 1..3:
+
+        theta1 ~ sum (-1)^n q'^(n^2) b^n (1 - a^(2n+1)),  theta2 ~ sum q'^(n^2) b^n (1 + a^(2n+1)),
+        theta3, theta4 ~ 1 + sum (+-1)^n [q'^(n(n-1)) b^n + q'^(n^2) a^n],
+
+    with sn = norm theta1/theta2, cn, dn = norm e^-y theta4, theta3/theta2.  No term grows,
+    and a^m - 1 = (a - 1)(1 + a + ... + a^(m-1)) with a - 1 = expm1(-2y), so theta1 keeps
+    its relative accuracy as v -> 0.
+    """
+    q, q2, q4, q6, q9 = n.coef
+    y = n.scale * v
+    rho = np.exp(-y)
+    e1 = np.expm1(-2.0 * y)  # a - 1
+    a = rho * rho
+    b = q / a
+    a2, b2, h = a * a, b * b, 1.0 + a
+    s3 = h + a2  # (a^m - 1)/(a - 1), m = 3, 5, 7
+    a3 = a2 * a
+    s5 = s3 + a3 * h
+    s7 = s5 + (a3 * a2) * h
+    k1, k2, k3 = q * b, q4 * b2, (q9 * b2) * b  # q'^(n^2) b^n
+    even, odd = 1.0 + k2 * s5, k1 * s3 + k3 * s7
+    theta1 = -e1 * (even - odd)
+    theta2 = 2.0 * ((1.0 + k2) + (k1 + k3)) + e1 * (even + odd)
+    even = (1.0 + q2 * b2) + q4 * a2
+    odd = b * (1.0 + q6 * b2) + a * (q + q9 * a2)
+    rho = rho / theta2
+    return (n.norm[0] * theta1 / theta2, n.norm[1] * rho * (even - odd),
+            n.norm[2] * rho * (even + odd))
+
+
+def _trigonometric(v, n: Nome):
+    """(sn, cn, dn) at v in [0, K/2] from the nome q of k (DLMF 20.2.1-4, 22.2.4).
+
+    With z = pi v/(2K), theta1 and theta2 divided by 2 q^(1/4) are sums over n = 0..2 of
+    (-+1)^n q^(n(n+1)) times sin or cos of (2n+1) z, and theta3, theta4 = 1 + 2 sum over
+    n = 1..3 of (+-1)^n q^(n^2) cos 2nz.  The multiple angles are polynomials in X = cos 2z
+    (sin 3z = sin z (1 + 2X), cos 3z = cos z (2X - 1), sin 5z, cos 5z = (sin z, cos z)
+    (4X^2 +- 2X - 1), cos 4z = 2X^2 - 1, cos 6z = X (4X^2 - 3)), so the series cost one sin
+    and one cos: theta1, theta2 = (sin z, cos z) (even +- odd), theta3, theta4 = even +- odd.
+    """
+    c0, c1, c2, d0, d1, d2, d3 = n.coef
+    z = n.scale * v
+    s, c = np.sin(z), np.cos(z)
+    x = 1.0 - 2.0 * (s * s)  # cos 2z
+    x2 = x * x
+    even, odd = c0 + c1 * x2, c2 * x
+    theta1, theta2 = s * (even + odd), c * (even - odd)
+    even, odd = d0 + d1 * x2, x * (d2 + d3 * x2)
+    theta4 = even - odd
+    return n.norm[0] * theta1 / theta4, n.norm[1] * theta2 / theta4, n.norm[2] * (even + odd) / theta4
+
+
+# By octant j mod 8 of u = j K/2 + r, r in [0, K/2), over the real period 4K (DLMF Table
+# 22.4.3): whether the series reads v = K/2 - r instead of r, whether the quarter-period
+# reflection applies (the octant lies within K/2 of an odd multiple of K), and the signs of
+# sn and cn.
+_OCTANTS = np.array([
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+    [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0],
+    [1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0],
+])
+
+
+def jacobi_sn_cn_dn(u: ArrayLike, kp: float | Nome) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """Jacobi elliptic functions (sn, cn, dn) of real argument u, given kp = k' or its Nome.
+
+    |u| is folded by the real period 4K onto v in [0, K/2] (see _OCTANTS): sn(w + 2K) =
+    -sn w, cn(w + 2K) = -cn w, sn(2K - w) = sn w, cn(2K - w) = -cn w, dn even with period
+    2K, and within K/2 of an odd multiple of K the quarter-period reflection dn(K - v) =
+    k'/dn v, sn(K - v) = cn v/dn v, cn(K - v) = k' sn v/dn v.  So dn keeps its relative
+    accuracy up to K, where it is k', and cn up to its zero, and the theta series
+    (_hyperbolic, _trigonometric) are summed on [0, K/2] alone.  dn there is capped at 1,
+    which the rounded quotient may pass next to v = 0.  k' >= 1 gives sin u, cos u and 1
+    exactly, and k'^2 = 0 the k = 1 limit tanh u, sech u, sech u.
+    """
+    n = kp if isinstance(kp, Nome) else nome(kp)
+    scalar = np.isscalar(u)
+    u = np.asarray(u, dtype=float)
+    if n.kp == 1.0:
+        sn, cn, dn = np.sin(u), np.cos(u), np.ones_like(u)
+    elif n.big_k == math.inf:
+        sn, cn = np.tanh(u), 1.0 / np.cosh(u)
+        dn = cn
+    else:
+        half_k = 0.5 * n.big_k
+        a = np.abs(u)
+        j = np.floor(a / half_k)
+        r = a - half_k * j
+        mirror, far, sn_sign, cn_sign = _OCTANTS.take(j.astype(np.intp) & 7, axis=1)
+        sn, cn, dn = (_hyperbolic if n.hyperbolic else _trigonometric)(
+            (1.0 - mirror) * r + mirror * (half_k - r), n)
+        dn = np.minimum(dn, 1.0)
+        near, reflect = 1.0 - far, far / dn  # 0 * (finite) or 1 * the reflection's 1/dn v
+        sn, cn, dn = near * sn + reflect * cn, near * cn + (n.kp * reflect) * sn, near * dn + n.kp * reflect
+        sn, cn = np.copysign(sn, u) * sn_sign, cn * cn_sign
+    if scalar:
         return float(sn), float(cn), float(dn)
-    return np.asarray(sn), np.asarray(cn), np.asarray(dn)
+    return sn, cn, dn
 
 
 def inverse_am(s: float, c: float, kp: float) -> float:

@@ -390,17 +390,14 @@ def solve_eta2(params: WaveParams) -> Orbit:
 def _dnoidal(xs, profile: WaveProfile) -> tuple[NDArray[np.float64], ...]:
     """(sn cn, dn)(u; k) at the profile's argument u = eta1 |x|/sqrt2 + shift.
 
-    |u| > K/2 is read at v = K - |u| through dn(K - v) = k'/dn v, sn(K - v) = cn v/dn v and
-    cn(K - v) = k' sn v/dn v (DLMF Table 22.4.3), K the orbit's and not L's, so dn keeps its
-    relative accuracy up to the cell edge, where dn = k' lies below the rounding of m = 1 - k'^2.
+    jacobi_sn_cn_dn folds u by the real period, so past the cell edge (u > K, K the
+    orbit's and not L's) sn cn continues with its sign, and reads |u| > K/2 through the
+    quarter-period reflection, so dn keeps its relative accuracy up to the edge, where
+    it is k'.  The series constants are the profile's, formed once on first read.
     """
-    o = profile.orbit
-    u = (o.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
-    w = np.abs(u)
-    far = w > 0.5 * o.big_k
-    sn, cn, dn = elliptic.jacobi_sn_cn_dn(np.where(far, o.big_k - w, w), o.kp)
-    reflect = np.where(far, o.kp / (dn * dn), 1.0)  # dn(K - v)/dn(v); sn cn is odd in u
-    return np.copysign(sn * cn * reflect, u), dn * reflect
+    u = (profile.orbit.eta1 / _SQRT2) * np.abs(np.asarray(xs, dtype=float)) + profile.shift
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, profile._nome)
+    return sn * cn, dn
 
 
 @dataclass(frozen=True)
@@ -440,6 +437,11 @@ class WaveProfile:
         if self.params.z == 0.0:
             return SignBranch.CLASSIC
         return SignBranch.PLUS_SHIFT if self.params.z > 0.0 else SignBranch.MINUS_SHIFT
+
+    @cached_property
+    def _nome(self) -> elliptic.Nome:
+        """The theta-series constants of the orbit's k' and K, formed on first read."""
+        return elliptic.nome(self.orbit.kp, self.orbit.big_k)
 
     @cached_property
     def x(self) -> NDArray[np.float64]:

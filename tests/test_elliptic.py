@@ -1,10 +1,11 @@
 """Oracle tests for the elliptic-function layer.
 
-The implementation wraps scipy.special, keyed by k' alone, so every check
-here goes through an independent route: arithmetic-geometric mean for K,
-direct quadrature for E and E(phi; k), formed from K, F and D as the
-package forms them (``legendre_E``, the expression of wave._e_terms), and
-an ODE integration and 50-digit mpmath for the Jacobi functions.
+The integrals are Carlson's R_F and R_D and the Jacobi functions theta
+series, keyed by k' alone, so every check here goes through an independent
+route: arithmetic-geometric mean for K, direct quadrature for E and
+E(phi; k), formed from K, F and D as the package forms them
+(``legendre_E``, the expression of wave._e_terms), and an ODE integration
+and mpmath at 50 to 90 digits for the Jacobi functions.
 """
 
 import math
@@ -19,6 +20,10 @@ from nlsdelta import elliptic
 from nlsdelta.wave import WaveParams, build_profile
 
 MODULI = st.floats(min_value=0.01, max_value=0.99)
+# k' from the nome q of k through the switch at 1/sqrt2 to the nome q' of k', past the
+# rounding of m = 1 - k'^2 (near 1.5e-8)
+KP_LADDER = [0.99, 0.75, (1.0 + 1e-12) / math.sqrt(2.0), (1.0 - 1e-12) / math.sqrt(2.0), 0.5,
+             1e-2, 1e-5, 5e-9, 1e-12, 1e-14, 1e-16, 1e-18]
 
 
 def complement(k: float) -> float:
@@ -192,8 +197,8 @@ class TestJacobiFunctions:
     @pytest.mark.parametrize("half_period", [12.0, 14.0, 16.0, 19.0, 21.0, 26.0, 40.0])
     @pytest.mark.parametrize("z", [1.0, -1.0])
     def test_near_k_one_against_mpmath(self, z, half_period):
-        # at the k' of the near-solitary profile ladder (1e-5 down to 1e-17, omega = 1): below
-        # K/2 only the rounding of m = 1 - k'^2 is left, worst (1.3e-9) near k' = 5e-9
+        # at the k' of the near-solitary profile ladder (1e-5 down to 1e-17, omega = 1): the
+        # series in the nome q' of k' never forms m = 1 - k'^2, worst 4.9e-15 at u = +-K/2
         mpmath = pytest.importorskip("mpmath")
         kp = build_profile(WaveParams(1.0, z, half_period), n=128).orbit.kp
         u = 0.5 * elliptic.complete_K(kp) * np.linspace(-1.0, 1.0, 40)  # mpmath sn(0) is not 0
@@ -202,7 +207,32 @@ class TestJacobiFunctions:
             m = 1 - mpmath.mpf(kp) ** 2
             for name, values in zip(("sn", "cn", "dn"), got):
                 expected = [float(mpmath.ellipfun(name, mpmath.mpf(v), m=m)) for v in u]
-                assert values == pytest.approx(expected, rel=2e-9, abs=0.0)
+                assert values == pytest.approx(expected, rel=5e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kp", KP_LADDER)
+    def test_kp_ladder_against_mpmath(self, kp):
+        # 40 points of (0, K/2] and eight of [-5K, 5K] off the zeros of sn and cn, at k' from
+        # the q side through the switch at 1/sqrt2 to below the rounding of m = 1 - k'^2; u = 0
+        # is left out, as mpmath's sn(0) is -1.8e-57.  90 digits hold m = 1 - k'^2 exactly.
+        mpmath = pytest.importorskip("mpmath")
+        big_k = elliptic.complete_K(kp)
+        u = big_k * np.concatenate((0.5 * np.linspace(0.0, 1.0, 41)[1:],
+                                    [-4.7, -3.7, -2.2, -0.3, 1.3, 2.6, 3.3, 4.9]))
+        got = elliptic.jacobi_sn_cn_dn(u, kp)
+        with mpmath.workdps(90):
+            m = 1 - mpmath.mpf(kp) ** 2
+            for name, values in zip(("sn", "cn", "dn"), got):
+                expected = [float(mpmath.ellipfun(name, mpmath.mpf(v), m=m)) for v in u]
+                assert values == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_one_nome_serves_every_argument(self):
+        kp = 0.3
+        u = np.linspace(-7.0, 7.0, 29)
+        n = elliptic.nome(kp)
+        assert n == elliptic.nome(kp, elliptic.complete_K(kp))
+        for got, expected in zip(elliptic.jacobi_sn_cn_dn(u, n), elliptic.jacobi_sn_cn_dn(u, kp)):
+            assert np.array_equal(got, expected)
+        assert elliptic.jacobi_sn_cn_dn(u[3], n) == tuple(f[3] for f in elliptic.jacobi_sn_cn_dn(u, n))
 
     @pytest.mark.parametrize("u", [0.0, 0.3, -1.3, 2.0, 7.5])
     def test_kp_rounded_above_one_is_circular(self, u):

@@ -12,7 +12,9 @@ methods are exempt, Python calls them.  Every ``__all__`` entry names a
 function, class or assignment of its own module, so a deletion cannot
 leave a stale export behind.  ``elliptic`` has one modulus convention:
 no public function of it takes a parameter ``k`` (each is keyed by
-k' = ``kp``), and only ``wave`` and ``linops`` import it.  A process
+k' = ``kp``), and only ``wave`` and ``linops`` import it.  No package
+module names ``ellipj``, and ``elliptic`` reads only Carlson's
+``elliprf`` and ``elliprd`` from ``scipy.special``.  A process
 that classifies, builds a wave and evolves on the exact basis never
 imports ``scipy.linalg``, which only the finite-difference oracles and
 the ``fd`` scheme need.  Every
@@ -306,6 +308,65 @@ def test_modulus_detectors():
     assert imports_elliptic("import nlsdelta.elliptic\n")
     assert not imports_elliptic("from . import wave\nfrom .wave import Orbit\n")
 
+
+
+CARLSON_INTEGRALS = {"elliprf", "elliprd"}
+
+
+def special_functions_read(source: str) -> set[str]:
+    """Names the source reads from scipy.special: imported from it, or attributes of a name
+    bound to it (``from scipy import special``, ``import scipy.special as sp``) or of
+    ``scipy.special`` itself."""
+    tree = ast.parse(source)
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules.update(a.asname or a.name for a in node.names if a.name == "special")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "scipy.special" and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                found.add(node.attr)
+            elif (isinstance(value, ast.Attribute) and value.attr == "special"
+                  and isinstance(value.value, ast.Name) and value.value.id == "scipy"):
+                found.add(node.attr)
+    return found
+
+
+def ellipj_lines(source: str) -> list[int]:
+    """Lines that name ellipj anywhere: code, strings or comments."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if re.search(r"\bellipj\b", line)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_ellipj(path):
+    assert ellipj_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_elliptic_reads_only_carlson_integrals():
+    assert special_functions_read((SRC / "elliptic.py").read_text(encoding="utf-8")) <= CARLSON_INTEGRALS
+
+
+def test_special_function_detectors():
+    source = (
+        "import scipy\n"
+        "import scipy.special as sp\n"
+        "from scipy import special\n"
+        "from scipy.special import ellipk\n"
+        "special.elliprf(0.0, 1.0, 1.0)\n"
+        "sp.ellipkinc(0.5, 0.2)\n"
+        "scipy.special.elliprd(1.0, 2.0, 3.0)\n"
+        "other.ellipe(0.5)\n"
+        "# sn, cn, dn as ellipj gives them\n"
+        "name = 'ellipjx'\n"
+    )
+    assert special_functions_read(source) == {"elliprf", "ellipkinc", "elliprd", "ellipk"}
+    assert ellipj_lines(source) == [9]
+    assert not special_functions_read("from scipy import linalg\nlinalg.eigh(a)\n")
 
 
 def test_classify_build_and_exact_evolve_need_no_scipy_linalg():

@@ -246,6 +246,15 @@ class TestProfile:
             with pytest.raises(AdmissibilityError, match="power of two"):
                 wave.WaveProfile(p.params, p.orbit, n)
 
+    @pytest.mark.parametrize("x", [0.45, -0.45, 0.55, -0.55, 1.3, -1.3])
+    def test_derivative_continues_past_the_cell_edge(self, x):
+        # L = 0.5: at |x| > L the argument passes K, where sn cn changes sign with the period
+        # fold; the closed form holds there too, so phi' is the slope of evaluate
+        p = build_profile(WaveParams(20.0, 1.0, 0.5), n=256)
+        h = 1e-6
+        slope = (p.evaluate(np.array([x + h]))[0] - p.evaluate(np.array([x - h]))[0]) / (2.0 * h)
+        assert p.derivative(np.array([x]))[0] == pytest.approx(slope, rel=1e-7, abs=1e-8)
+
     def test_jump_sign_follows_defect_sign(self):
         for z in (1.0, -1.0):
             L = 0.5 if z > 0 else 1.0
@@ -442,7 +451,7 @@ class TestNearSolitaryCell:
     def test_profile_against_mpmath(self, z, half_period):
         # k' runs from 1e-5 (L = 12) to 1e-17 (L = 40).  Without the quarter-period
         # reflection dn(u; k) from the rounded k^2 was 5.0e-6 off at the cell edge of
-        # L = 14; what is left is m = k^2 rounding in ellipj below K/2, worst near k' = 1e-8
+        # L = 14; the series in the nome of k' never forms m = k^2, worst 1.3e-14 (L = 40)
         mpmath = pytest.importorskip("mpmath")
         p = build_profile(WaveParams(1.0, z, half_period), n=128)
         xs = np.linspace(-half_period, half_period, 41)
@@ -454,7 +463,7 @@ class TestNearSolitaryCell:
             eta1, m, a, _ = _orbit_oracle(mpmath.exp(t), 1.0, z)
             expected = [float(eta1 * mpmath.ellipfun("dn", eta1 * abs(x) / mpmath.sqrt(2) - sign * a,
                                                      m=m)) for x in xs]
-        assert p.evaluate(xs) == pytest.approx(expected, rel=1e-8, abs=0.0)
+        assert p.evaluate(xs) == pytest.approx(expected, rel=2e-13, abs=0.0)
 
     @pytest.mark.parametrize("omega, z, expected", [
         (1425.3607590205768, 71.9842860371776, 0.118638),
