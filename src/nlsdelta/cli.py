@@ -14,7 +14,6 @@ included), 4 inconclusive verdict under --strict-inconclusive.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import json
@@ -198,8 +197,6 @@ def _sweep_point(task: tuple[float, float, float]) -> tuple[Row, str | None]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise AdmissibilityError(f"--workers must be >= 1, got {args.workers}")
     if args.omega_steps < 1:
         raise AdmissibilityError(f"--omega-steps must be >= 1, got {args.omega_steps}")
     for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
@@ -224,10 +221,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                    "message": message} for row, message in rows if message is not None]
         _write_sidecar(out, args, {"points": len(rows), "errors": errors})
 
-    flush()  # a path the OS refuses to write is refused here, before the pool computes a cell
+    flush()  # a path the OS refuses to write is refused here, before the first cell
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows.extend(pool.map(_sweep_point, tasks))
+        rows.extend(map(_sweep_point, tasks))  # appends row by row, so an interrupt keeps them
     finally:
         flush()  # whatever finished, including on interrupt
     print(f"wrote {out} ({len(rows)}/{len(tasks)} points)")
@@ -305,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-steps", type=int, default=5)
     p.add_argument("--z-values", default="1,-1")
     p.add_argument("--half-period", type=float, required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--prefix", default="lattice")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -7,10 +7,10 @@ condition
     zeta'(0+) - zeta'(0-) = gamma * zeta(0).
 
 This module provides the exact objects of that construction -- the
-deficiency element, the extension-parameter map gamma(theta), the
-resolvent kernel, and the transcendental eigenvalue equations with their
-closed-form eigenfunctions -- together with a symmetric finite-difference
-discretization used as an oracle and as the evolution backbone.
+extension-parameter map gamma(theta) and the transcendental eigenvalue
+equations with their closed-form eigenfunctions -- together with a
+symmetric finite-difference discretization used as an oracle and as the
+evolution backbone.
 
 gamma is real or +inf, the Dirichlet-at-0 extension (zeta(0) = 0, free
 derivative jump).  The spectrum is one list of ``Mode`` records (kind,
@@ -29,7 +29,6 @@ below.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,10 +45,7 @@ __all__ = [
     "Parity",
     "Mode",
     "DeltaOperator",
-    "theta_norm_constant",
-    "deficiency_element",
     "strength_from_theta",
-    "resolvent_kernel",
     "bound_state_root",
     "interior_root",
     "defect_modes",
@@ -63,10 +59,6 @@ __all__ = [
     "discretize",
     "spectrum_rows",
 ]
-
-# beta = sqrt(i) with positive real part; governs the deficiency element.
-_BETA = complex(1.0, 1.0) / math.sqrt(2.0)
-
 
 class EigenKind(str, Enum):
     NEGATIVE_BOUND_STATE = "negative_bound_state"
@@ -169,40 +161,6 @@ def periodic_stencil(half_diagonal: NDArray[np.float64], h: float) -> NDArray[np
     return m
 
 
-def theta_norm_constant(halfperiod: float) -> float:
-    """Squared L2 norm of the raw (unnormalized) deficiency element.
-
-    Closed form (sqrt2/4)(sinh(sqrt2 L) + sin(sqrt2 L)) / (cosh(sqrt2 L)
-    - cos(sqrt2 L)); at L = pi this is the normalization constant theta
-    of the self-adjoint extension parametrization.
-    """
-    s = math.sqrt(2.0) * halfperiod
-    return (math.sqrt(2.0) / 4.0) * (math.sinh(s) + math.sin(s)) / (math.cosh(s) - math.cos(s))
-
-
-def deficiency_element(
-    halfperiod: float, n: int = 2048
-) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Normalized deficiency element g_{-i} sampled on [-L, L].
-
-    g solves A* g = -i g away from the defect, where A is the periodic
-    Laplacian restricted to functions vanishing at 0.  Closed form:
-
-        g(x) = cosh(beta (|x| - L)) / (2 beta sinh(beta L)),
-        beta = (1 + i)/sqrt(2),
-
-    normalized by the closed-form constant ``theta_norm_constant`` so
-    that ||g|| = 1 in L2(-L, L).
-    """
-    if not halfperiod > 0.0:
-        raise AdmissibilityError(f"halfperiod must be positive, got {halfperiod!r}")
-    x = sample_grid(halfperiod, n)
-    arg = _BETA * (np.abs(x) - halfperiod)
-    g = np.cosh(arg) / (2.0 * _BETA * cmath.sinh(_BETA * halfperiod))
-    g = g / math.sqrt(theta_norm_constant(halfperiod))
-    return x, g
-
-
 def strength_from_theta(theta: float) -> float:
     """Extension strength gamma(theta) for theta in [0, 2*pi).
 
@@ -210,10 +168,11 @@ def strength_from_theta(theta: float) -> float:
                    / [sinh(sqrt2 pi) cos(theta/2 - pi/4)
                       + sin(sqrt2 pi) sin(theta/2 - pi/4)]
 
-    sweeps all of R as theta varies, with a pole (the gamma = +infinity
-    Dirichlet extension) at the unique zero theta_0 ~ 4.66704 of the
-    denominator; the pole is reported as math.inf, which ``DeltaOperator``
-    takes as that extension, the gamma -> +-infinity limit of the family.
+    with beta = (1 + i)/sqrt2, sweeps all of R as theta varies, with a
+    pole (the gamma = +infinity Dirichlet extension) at the unique zero
+    theta_0 ~ 4.66704 of the denominator; the pole is reported as
+    math.inf, which ``DeltaOperator`` takes as that extension, the
+    gamma -> +-infinity limit of the family.
     """
     if not 0.0 <= theta < 2.0 * math.pi:
         raise AdmissibilityError(f"theta={theta!r} outside [0, 2*pi)")
@@ -229,32 +188,10 @@ def strength_from_theta(theta: float) -> float:
     return -4.0 * mod2 * math.cos(half) / denom
 
 
-def resolvent_kernel(
-    k: complex, x, halfperiod: float
-) -> complex | NDArray[np.complex128]:
-    """Integral kernel J_k of the free periodic resolvent on [-L, L].
-
-        J_k(x) = 2L * cosh(i k (|x| - L)) / (2 i k sinh(i k L))
-
-    satisfies -J'' - k^2 J = 0 away from 0 and the derivative jump
-    J'(0+) - J'(0-) = -2L.  Singular on the lattice k = n*pi/L (where
-    sinh(i k L) vanishes), reported as an admissibility error.
-    """
-    L = halfperiod
-    k = complex(k)
-    ik = 1j * k
-    denom = 2.0 * ik * cmath.sinh(ik * L)
-    if abs(denom) < 1e-12 * max(1.0, abs(ik * L)):
-        raise AdmissibilityError(
-            f"resolvent kernel singular: k={k!r} lies on the lattice n*pi/L"
-        )
-    xa = np.abs(np.asarray(x, dtype=float))
-    out = 2.0 * L * np.cosh(ik * (xa - L)) / denom
-    return complex(out) if np.isscalar(x) else np.asarray(out)
-
-
 def bound_state_root(gamma: float, halfperiod: float) -> float:
-    """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0."""
+    """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0 (mu = 0 at 0)."""
+    if not -math.inf < gamma <= 0.0:
+        raise AdmissibilityError(f"no bound state at gamma={gamma!r}: it needs -inf < gamma <= 0")
     L = halfperiod
 
     def f(mu: float) -> float:

@@ -194,28 +194,31 @@ def jacobi_sn_cn_dn(u: ArrayLike, kp: float | Nome) -> tuple[ArrayLike, ArrayLik
     accuracy up to K, where it is k', and cn up to its zero, and the theta series
     (_hyperbolic, _trigonometric) are summed on [0, K/2] alone.  dn there is capped at 1,
     which the rounded quotient may pass next to v = 0.  k' >= 1 gives sin u, cos u and 1
-    exactly, and k'^2 = 0 the k = 1 limit tanh u, sech u, sech u.
+    exactly, and k'^2 = 0 the k = 1 limit tanh u, sech u, sech u.  No real u warns: a
+    non-finite u gives nan (but dn = 1 at k' >= 1, and the limits +-1, 0, 0 at k = 1).
     """
     n = kp if isinstance(kp, Nome) else nome(kp)
     scalar = np.isscalar(u)
     u = np.asarray(u, dtype=float)
-    if n.kp == 1.0:
-        sn, cn, dn = np.sin(u), np.cos(u), np.ones_like(u)
-    elif n.big_k == math.inf:
-        sn, cn = np.tanh(u), 1.0 / np.cosh(u)
-        dn = cn
-    else:
-        half_k = 0.5 * n.big_k
-        a = np.abs(u)
-        j = np.floor(a / half_k)
-        r = a - half_k * j
-        mirror, far, sn_sign, cn_sign = _OCTANTS.take(j.astype(np.intp) & 7, axis=1)
-        sn, cn, dn = (_hyperbolic if n.hyperbolic else _trigonometric)(
-            (1.0 - mirror) * r + mirror * (half_k - r), n)
-        dn = np.minimum(dn, 1.0)
-        near, reflect = 1.0 - far, far / dn  # 0 * (finite) or 1 * the reflection's 1/dn v
-        sn, cn, dn = near * sn + reflect * cn, near * cn + (n.kp * reflect) * sn, near * dn + n.kp * reflect
-        sn, cn = np.copysign(sn, u) * sn_sign, cn * cn_sign
+    # a non-finite u gives nan (inf - inf, a nan octant, sin inf); cosh u overflows to 1/inf = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        if n.kp == 1.0:
+            sn, cn, dn = np.sin(u), np.cos(u), np.ones_like(u)
+        elif n.big_k == math.inf:
+            sn, cn = np.tanh(u), 1.0 / np.cosh(u)
+            dn = cn
+        else:
+            half_k = 0.5 * n.big_k
+            a = np.abs(u)
+            j = np.floor(a / half_k)
+            r = a - half_k * j
+            mirror, far, sn_sign, cn_sign = _OCTANTS.take(j.astype(np.intp) & 7, axis=1)
+            sn, cn, dn = (_hyperbolic if n.hyperbolic else _trigonometric)(
+                (1.0 - mirror) * r + mirror * (half_k - r), n)
+            dn = np.minimum(dn, 1.0)
+            near, reflect = 1.0 - far, far / dn  # 0 * (finite) or 1 * the reflection's 1/dn v
+            sn, cn, dn = near * sn + reflect * cn, near * cn + (n.kp * reflect) * sn, near * dn + n.kp * reflect
+            sn, cn = np.copysign(sn, u) * sn_sign, cn * cn_sign
     if scalar:
         return float(sn), float(cn), float(dn)
     return sn, cn, dn

@@ -5,7 +5,6 @@ re-read and checked for schema, determinism, and exit-code contract.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import re
@@ -260,7 +259,7 @@ class TestNegativeValuesAfterASpace:
     def test_sweep_z_values(self, tmp_path):
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "2",
                    "--omega-max", "2", "--omega-steps", "1", "--z-values", "-1,1",
-                   "--half-period", "3", "--workers", "1"])
+                   "--half-period", "3"])
         assert rc == 0
         _, rows = read_csv(tmp_path / "lattice_sweep.csv")
         assert [float(r[1]) for r in rows] == [-1.0, 1.0]
@@ -296,7 +295,7 @@ class TestSweep:
         rc = main(
             ["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
              "--omega-max", "24", "--omega-steps", "2", "--z-values", "1,-1",
-             "--half-period", "0.5", "--workers", "2"]
+             "--half-period", "0.5"]
         )
         assert rc == 0
         header, rows = read_csv(tmp_path / "lattice_sweep.csv")
@@ -313,6 +312,28 @@ class TestSweep:
         assert [[e["omega"], e["z"], e["half_period"]] for e in errors] == failed
         assert all(set(e) == {"omega", "z", "half_period", "message"} for e in errors)
         assert all(e["message"] for e in errors)
+
+    def test_interrupt_keeps_the_finished_cells(self, tmp_path, monkeypatch):
+        # the finally flush writes the cells classified before a KeyboardInterrupt
+        calls = []
+
+        def classify_until_third(params):
+            calls.append(params)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return classify(params)
+
+        monkeypatch.setattr("nlsdelta.cli.classify", classify_until_third)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "20",
+                  "--omega-max", "24", "--omega-steps", "3", "--z-values", "1",
+                  "--half-period", "0.5"])
+        header, rows = read_csv(tmp_path / "lattice_sweep.csv")
+        assert header == list(Row._fields)
+        assert [float(r[0]) for r in rows] == [20.0, 22.0]
+        assert all(not r[7].startswith("error") for r in rows)
+        side = json.loads((tmp_path / "lattice_sweep.json").read_text())
+        assert side["points"] == 2 and side["errors"] == []
 
     def test_header_is_the_report_schema(self):
         # a classified point and a refused one both give a Row, whose fields are the header
@@ -366,9 +387,9 @@ class TestRefusedOutputPath:
 
     def test_sweep_refuses_before_its_pool(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
-            raise AssertionError("the pool started")
+            raise AssertionError("sweep classified a cell before resolving its output")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("nlsdelta.cli.classify", refuse)
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16", "--omega-max",
                    "20", "--half-period", "0.5", "--prefix", "no/such"])
         assert rc == 2
@@ -422,7 +443,7 @@ class TestTypedFailures:
         # rejected before the pool starts: exit 2, no CSV, the flag and its value named
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
                    "--omega-max", "24", "--omega-steps", "3", "--z-values", "1,-1",
-                   "--half-period", "0.5", "--workers", "1", f"{flag}={value}"])
+                   "--half-period", "0.5", f"{flag}={value}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and shown in err
@@ -471,14 +492,6 @@ class TestDegenerateArguments:
         assert f"n={n}" in capsys.readouterr().err
         assert not (tmp_path / "run_trace.csv").exists()
 
-    def test_zero_workers(self, tmp_path, capsys):
-        rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
-                   "--omega-max", "24", "--omega-steps", "2",
-                   "--half-period", "0.5", "--workers", "0"])
-        assert rc == 2
-        assert "got 0" in capsys.readouterr().err
-        assert not (tmp_path / "lattice_sweep.csv").exists()
-
     def test_infinite_half_period(self, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "build-wave",
                    "--omega", "20", "--z", "1", "--half-period", "inf"])
@@ -519,7 +532,7 @@ class TestOverflowAndNonFinite:
     def test_negative_omega_steps(self, tmp_path, capsys):
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "16",
                    "--omega-max", "24", "--omega-steps", "-1",
-                   "--half-period", "0.5", "--workers", "1"])
+                   "--half-period", "0.5"])
         assert rc == 2
         assert "got -1" in capsys.readouterr().err
         assert not (tmp_path / "lattice_sweep.csv").exists()
@@ -578,7 +591,7 @@ class TestSmallDefectAndEdges:
     def test_sweep_at_subnormal_scale_z(self, tmp_path):
         rc = main(["--output-dir", str(tmp_path), "sweep", "--omega-min", "20",
                    "--omega-max", "20", "--omega-steps", "1", "--z-values", "1e-300",
-                   "--half-period", "0.5", "--workers", "1"])
+                   "--half-period", "0.5"])
         assert rc == 0
         _, rows = read_csv(tmp_path / "lattice_sweep.csv")
         assert len(rows) == 1 and not rows[0][7].startswith("error")

@@ -1,8 +1,8 @@
 """Tests for the periodic point-interaction operator.
 
-Closed forms (deficiency element, strength map, resolvent kernel,
-transcendental eigenvalue equations) are checked against quadrature,
-finite differences, and the discretized matrix as independent oracles.
+Closed forms (strength map, transcendental eigenvalue equations) are
+checked against mpmath, finite differences, and the discretized matrix
+as independent oracles.
 """
 
 import itertools
@@ -22,31 +22,6 @@ from nlsdelta.errors import AdmissibilityError, NumericsError
 from nlsdelta.wave import WaveParams, build_profile
 
 GAMMAS = st.floats(min_value=-5.0, max_value=5.0).filter(lambda g: abs(g) > 1e-3)
-
-
-class TestDeficiencyElement:
-    def test_norm_constant_against_quadrature(self):
-        beta = complex(1.0, 1.0) / math.sqrt(2.0)
-        for L in (1.0, math.pi, 5.0):
-            x = np.linspace(-L, L, 20001)
-            g = np.cosh(beta * (np.abs(x) - L)) / (2.0 * beta * np.sinh(beta * L))
-            quad = np.trapezoid(np.abs(g) ** 2, x)
-            assert delta_op.theta_norm_constant(L) == pytest.approx(quad, rel=1e-6)
-
-    def test_normalized(self):
-        x, g = delta_op.deficiency_element(math.pi, n=8192)
-        assert np.trapezoid(np.abs(g) ** 2, x) == pytest.approx(1.0, rel=1e-6)
-
-    def test_eigenfunction_of_adjoint(self):
-        # A* g = -i g away from the defect: g'' = i g pointwise.
-        x, g = delta_op.deficiency_element(math.pi, n=8192)
-        h = x[1] - x[0]
-        d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
-        resid = np.abs(-d2 + 1j * g[1:-1])
-        interior = np.ones(len(resid), dtype=bool)
-        mid = len(x) // 2  # corner at x=0 breaks the centered stencil
-        interior[mid - 2 : mid + 1] = False
-        assert resid[interior].max() < 1e-5
 
 
 class TestStrengthMap:
@@ -75,34 +50,6 @@ class TestStrengthMap:
             delta_op.strength_from_theta(2.0 * math.pi)
 
 
-class TestResolventKernel:
-    def test_helmholtz_residual_and_jump(self):
-        L = math.pi
-        k = 0.7 + 0.3j
-        x = np.linspace(-L, L, 16001)
-        J = delta_op.resolvent_kernel(k, x, L)
-        h = x[1] - x[0]
-        d2 = (J[2:] - 2.0 * J[1:-1] + J[:-2]) / h**2
-        resid = np.abs(-d2 - k**2 * J[1:-1])
-        mid = len(x) // 2
-        mask = np.ones(len(resid), dtype=bool)
-        mask[mid - 2 : mid + 1] = False
-        assert resid[mask].max() < 1e-4
-        # one-sided 3-point derivative jump at 0 equals -2L
-        dplus = (-3.0 * J[mid] + 4.0 * J[mid + 1] - J[mid + 2]) / (2.0 * h)
-        dminus = (3.0 * J[mid] - 4.0 * J[mid - 1] + J[mid - 2]) / (2.0 * h)
-        assert (dplus - dminus) == pytest.approx(-2.0 * L, rel=1e-5)
-
-    def test_periodic_endpoint_symmetry(self):
-        L = 2.0
-        J = delta_op.resolvent_kernel(1.3j, np.array([-L, L]), L)
-        assert J[0] == pytest.approx(J[1], rel=1e-12)
-
-    def test_singular_lattice(self):
-        with pytest.raises(AdmissibilityError):
-            delta_op.resolvent_kernel(1.0, 0.5, math.pi)  # k = pi/L with L=pi
-
-
 class TestNegativeEigenvalue:
     """The bound state, the first even mode of an attractive defect."""
 
@@ -123,6 +70,15 @@ class TestNegativeEigenvalue:
         dplus = (-3.0 * psi[mid] + 4.0 * psi[mid + 1] - psi[mid + 2]) / (2.0 * h)
         dminus = (3.0 * psi[mid] - 4.0 * psi[mid - 1] + psi[mid - 2]) / (2.0 * h)
         assert (dplus - dminus) == pytest.approx(gamma * psi[mid], rel=1e-5)
+
+    def test_zero_strength_is_the_zero_root(self):
+        assert delta_op.bound_state_root(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [-math.inf, math.nan, 1.0])
+    def test_strength_outside_the_domain_refused(self, gamma):
+        # gamma > 0 has no bound state; -inf and nan have no finite root to bracket
+        with pytest.raises(AdmissibilityError, match=re.escape(f"no bound state at gamma={gamma!r}")):
+            delta_op.bound_state_root(gamma, 1.0)
 
 
 class TestPositiveEigenvalues:

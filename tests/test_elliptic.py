@@ -9,6 +9,7 @@ and mpmath at 50 to 90 digits for the Jacobi functions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,26 @@ class TestJacobiFunctions:
     def test_negative_or_nan_kp_rejected(self, kp):
         with pytest.raises(ValueError):
             elliptic.jacobi_sn_cn_dn(0.5, kp)
+
+    @pytest.mark.parametrize("kp", [0.5, 0.9, 1e-3, 1.0, 0.0])
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 1e300, -1e19, 1e3, 0.3])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_no_warning_for_any_real_argument(self, kp, u, as_array):
+        # each reaches an invalid or overflowing numpy operation: the octant cast of a nan or
+        # huge u, inf - inf in the fold, sin(inf) at k = 0 and cosh u at k = 1
+        x = np.array([u, 0.3]) if as_array else u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = elliptic.jacobi_sn_cn_dn(x, kp)
+        first = [float(np.ravel(v)[0]) for v in values]
+        if kp == 1.0 and not math.isfinite(u):
+            assert math.isnan(first[0]) and math.isnan(first[1]) and first[2] == 1.0  # dn = 1
+        elif math.isnan(u) or (math.isinf(u) and kp > 0.0):
+            assert all(map(math.isnan, first))  # a periodic function has no value at +-inf
+        elif math.isinf(u):
+            assert first == [math.copysign(1.0, u), 0.0, 0.0]  # the k = 1 limits
+        if as_array:
+            assert tuple(float(v[1]) for v in values) == elliptic.jacobi_sn_cn_dn(0.3, kp)
 
 
 class TestInverseDn:

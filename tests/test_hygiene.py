@@ -19,7 +19,10 @@ that classifies, builds a wave and evolves on the exact basis never
 imports ``scipy.linalg``, which only the finite-difference oracles and
 the ``fd`` scheme need.  Every
 ``cli.*``, ``stability.*`` and ``wave.*`` name the benchmark's workloads
-and self-tests read exists, as this suite never imports them.
+and self-tests read exists, as this suite never imports them.  No package
+module imports ``concurrent.futures`` or ``multiprocessing``: a cell costs
+less than its round trip to a worker, so a pool comes back only with a
+benchmark workload that shows it winning.
 """
 
 import ast
@@ -383,6 +386,44 @@ def test_classify_build_and_exact_evolve_need_no_scipy_linalg():
     env = os.environ | {"PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def pool_imports(source: str) -> list[str]:
+    """Every import of a process or thread pool module, or of a name from one, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m == pool or m.startswith(pool + ".") for m in modules for pool in POOL_MODULES):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_worker_pool(path):
+    assert pool_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_pool_import_detector():
+    source = (
+        "import concurrent.futures\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import multiprocessing as mp\n"
+        "from multiprocessing.pool import Pool\n"
+        "import concurrent\n"
+        "from . import multiprocessing_notes\n"
+        "import multiprocessingx\n"
+    )
+    assert pool_imports(source) == [f"line {i}" for i in range(1, 6)]
+
 
 BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")
 
