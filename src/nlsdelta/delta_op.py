@@ -189,7 +189,11 @@ def strength_from_theta(theta: float) -> float:
 
 
 def bound_state_root(gamma: float, halfperiod: float) -> float:
-    """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0 (mu = 0 at 0)."""
+    """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0 (mu = 0 at 0).
+
+    The bracket needs no walk: at hi = max(1/L, -gamma), mu L >= 1 and mu >= -gamma, so
+    f(hi) >= (2 tanh 1 - 1) hi > 0.
+    """
     if not -math.inf < gamma <= 0.0:
         raise AdmissibilityError(f"no bound state at gamma={gamma!r}: it needs -inf < gamma <= 0")
     L = halfperiod
@@ -198,49 +202,43 @@ def bound_state_root(gamma: float, halfperiod: float) -> float:
         return 2.0 * mu * math.tanh(mu * L) + gamma
 
     hi = max(1.0 / L, -gamma)
-    while f(hi) < 0.0:
-        hi *= 2.0
     return bisect(f, 0.0, hi, xtol=1e-15 * max(1.0, hi))
 
 
 def interior_root(j: int, gamma: float, halfperiod: float) -> float:
-    """The j-th root kappa_j > 0 (j = 1, 2, ...) of cot(kappa L) = 2 kappa / gamma, gamma != 0.
+    """The j-th root kappa_j > 0 (j >= 1) of cot(kappa L) = 2 kappa / gamma, gamma real or +inf.
 
-    At gamma = +inf it is the regular point (j - 1/2) pi/L.  Otherwise it
-    is solved in the offset u in [0, pi/4] from the nearer of two anchors
-    where sin and cos are exact, so kappa L = anchor +/- u never cancels:
-    - the regular point (j - 1/2) pi of cot: kappa L = (j - 1/2) pi -
-      sign(gamma) u and |gamma| sin u = 2 kappa cos u;
-    - when the root lies past pi/4 from it, the lattice point (j - 1) pi
-      (gamma > 0) or j pi (gamma < 0): kappa L = anchor + sign(gamma) u
-      and |gamma| cos u = 2 kappa sin u.
+    One chart from the lattice point: kappa L = (j - 1) pi + t with
+    t = atan2(|gamma|, sigma 2 kappa), sigma = +1 for gamma >= 0 (-0.0 included) and -1 for
+    gamma < 0, so t lies in [0, pi/2] and [pi/2, pi] respectively, and the sum of two
+    non-negative terms never cancels.  At gamma = +-0, t = 0 and kappa_j = (j - 1) pi/L
+    exactly; at +inf, t = pi/2, within 2 ulps of (j - 1/2) pi/L.
     """
-    if gamma == math.inf:
-        return (j - 0.5) * math.pi / halfperiod
-    sign = math.copysign(1.0, gamma)
+    if not -math.inf < gamma:
+        raise AdmissibilityError(f"no interior root at gamma={gamma!r}: it needs -inf < gamma")
+    if j < 1:
+        raise AdmissibilityError(f"no interior root j={j!r}: it needs j >= 1")
+    anchor = (j - 1) * math.pi
+    sigma, lo = (1.0, 0.0) if gamma >= 0.0 else (-1.0, 0.5 * math.pi)
 
-    def f(u: float) -> float:  # reads the form chosen below
-        return abs(gamma) * near(u) - 2.0 * (anchor + step * u) / halfperiod * far(u)
+    def f(t: float) -> float:
+        return t - math.atan2(abs(gamma), sigma * 2.0 * (anchor + t) / halfperiod)
 
-    anchor, step, near, far = (j - 0.5) * math.pi, -sign, math.sin, math.cos
-    if f(0.25 * math.pi) < 0.0:
-        anchor, step, near, far = (j - 0.5 - 0.5 * sign) * math.pi, sign, math.cos, math.sin
-    # Either form changes sign once on [0, pi/2], with the root in
-    # [0, pi/4]; the wider bracket keeps the sign change when rounding
-    # splits the two forms' values at pi/4.  At anchor 0 (j = 1,
-    # gamma > 0, kappa^2 ~ gamma/2L) bisection runs to the last bit,
-    # up to ~1075 halvings for a subnormal root.
-    u = bisect(f, 0.0, 0.5 * math.pi, xtol=1e-16 * anchor, max_iter=1100)
-    return (anchor + step * u) / halfperiod
+    # f changes sign once on the bracket.  At anchor 0 (j = 1, gamma > 0,
+    # kappa^2 ~ gamma/2L) bisection runs to the last bit, up to ~1075
+    # halvings for a subnormal root.
+    t = bisect(f, lo, lo + 0.5 * math.pi, xtol=1e-16 * anchor, max_iter=1100)
+    return (anchor + t) / halfperiod
 
 
 def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False) -> list[Mode]:
     """The ``count`` lowest modes of one parity, ascending.
 
-    Even: the bound state cosh(mu (|x| - L)), eigenvalue -mu^2 (gamma < 0
-    only), then the interior roots cos(kappa_j (|x| - L)); at gamma = 0
-    the free cosines kappa = j pi/L, j >= 0, their gamma -> 0 limit, and
-    at gamma = +inf the kinks +-sin(kappa_j |x|), kappa_j = (j - 1/2) pi/L.
+    Even, for gamma real or +inf: the bound state cosh(mu (|x| - L)),
+    eigenvalue -mu^2 (gamma < 0 only), then the interior roots
+    cos(kappa_j (|x| - L)) of ``interior_root``'s one chart: at gamma = 0
+    exactly the free cosines kappa_j = (j - 1) pi/L, and at gamma = +inf
+    the kinks +-sin(kappa_j |x|), kappa_j = (j - 1/2) pi/L to 2 ulps.
     Odd (gamma ignored): the integer sines sin(j pi x/L), j >= 1.
     A mode whose eigenvalue is not finite is refused (NumericsError).
     """
@@ -257,7 +255,7 @@ def defect_modes(gamma: float, halfperiod: float, count: int, odd: bool = False)
             mu = bound_state_root(gamma, L)
             modes.append(Mode(EigenKind.NEGATIVE_BOUND_STATE, mu, -mu * mu))
         for j in range(1, count - len(modes) + 1):
-            kappa = interior_root(j, gamma, L) if gamma != 0.0 else (j - 1) * math.pi / L
+            kappa = interior_root(j, gamma, L)
             modes.append(Mode(EigenKind.INTERIOR_ROOT, kappa, kappa * kappa))
     for i, m in enumerate(modes):
         if not math.isfinite(m.eigenvalue):  # +-w^2: also overflows at a finite w

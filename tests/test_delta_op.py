@@ -18,7 +18,7 @@ from scipy.linalg import eigh, eigvalsh
 
 from nlsdelta import delta_op, linops
 from nlsdelta.delta_op import DeltaOperator, EigenKind, Mode, Parity
-from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta.errors import AdmissibilityError, NlsDeltaError, NumericsError
 from nlsdelta.wave import WaveParams, build_profile
 
 GAMMAS = st.floats(min_value=-5.0, max_value=5.0).filter(lambda g: abs(g) > 1e-3)
@@ -123,9 +123,8 @@ class TestInteriorRootExtremes:
 
     @pytest.mark.parametrize("gamma", [1e-20, -1e-20])
     def test_tiny_strength_pins_root_to_lattice_point(self, gamma):
-        # below |gamma| ~ 1.2e-16 kappa the root is within rounding of the
-        # lattice point, where cos(pi/2) rounding would hide the sign
-        # change of the regular-point form
+        # once the root's offset ~ |gamma|/2 kappa from its lattice point is
+        # below half an ulp of kappa L, kappa L rounds to that lattice point
         kappa = delta_op.interior_root(2, gamma, 1.0)
         lattice = math.pi if gamma > 0.0 else 2.0 * math.pi
         assert kappa == pytest.approx(lattice, rel=1e-15)
@@ -136,6 +135,17 @@ class TestInteriorRootExtremes:
         # no cancellation in kappa L = 0 + u
         kappa = delta_op.interior_root(1, gamma, 1.0)
         assert kappa == pytest.approx(math.sqrt(0.5 * gamma), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("j, gamma, named", [
+        (1, math.nan, "at gamma=nan"),
+        (1, -math.inf, "at gamma=-inf"),
+        (0, 1.0, "j=0"),
+        (-2, 1.0, "j=-2"),
+    ])
+    def test_outside_the_domain_refused(self, j, gamma, named):
+        # -inf would land on the +inf (Dirichlet) root; j <= 0 has no half cell
+        with pytest.raises(AdmissibilityError, match=f"no interior root {re.escape(named)}"):
+            delta_op.interior_root(j, gamma, 1.0)
 
 
 def _mp_interior_root(j, gamma, L):
@@ -376,6 +386,38 @@ class TestDefectModes:
         # refused as DeltaOperator refuses it, before bound_state_root brackets from inf
         with pytest.raises(AdmissibilityError, match=re.escape(f"gamma must be finite, got {gamma!r}")):
             delta_op.defect_modes(gamma, 1.0, 2)
+
+    @pytest.mark.parametrize("L", [0.7, 1.0, math.pi])
+    @pytest.mark.parametrize("gamma", [0.0, -0.0])
+    def test_zero_strength_is_the_free_lattice_bit_for_bit(self, gamma, L):
+        modes = delta_op.defect_modes(gamma, L, 6)
+        assert [m.wavenumber for m in modes] == [(j - 1) * math.pi / L for j in range(1, 7)]
+        assert {m.kind for m in modes} == {EigenKind.INTERIOR_ROOT}
+
+    @given(
+        gamma=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf]) | st.floats(),
+        L=st.floats(min_value=1e-300, max_value=1e300),
+        count=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_strength_domain(self, gamma, L, count):
+        if not -math.inf < gamma:
+            with pytest.raises(AdmissibilityError):
+                delta_op.defect_modes(gamma, L, count)
+            return
+        try:
+            modes = delta_op.defect_modes(gamma, L, count)
+        except NlsDeltaError:
+            return
+        values = [m.eigenvalue for m in modes]
+        assert len(modes) == count and all(map(math.isfinite, values)) and values == sorted(values)
+        # kappa_j L in its half cell: [(j - 1) pi, (j - 1/2) pi] for gamma >= 0,
+        # [(j - 1/2) pi, j pi] for gamma < 0, to 4 ulps
+        shift = 0.0 if gamma >= 0.0 else 0.5
+        roots = [m for m in modes if m.kind is EigenKind.INTERIOR_ROOT]
+        for j, m in enumerate(roots, start=1):
+            lo, hi = (j - 1 + shift) * math.pi, (j - 0.5 + shift) * math.pi
+            assert lo - 4 * math.ulp(lo) <= m.wavenumber * L <= hi + 4 * math.ulp(hi), (j, m)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_guard(self, count):

@@ -22,7 +22,8 @@ the ``fd`` scheme need.  Every
 and self-tests read exists, as this suite never imports them.  No package
 module imports ``concurrent.futures`` or ``multiprocessing``: a cell costs
 less than its round trip to a worker, so a pool comes back only with a
-benchmark workload that shows it winning.
+benchmark workload that shows it winning.  ``delta_op.py`` has no
+``while`` loop: every defect-mode root has a bracket known in closed form.
 """
 
 import ast
@@ -423,6 +424,28 @@ def test_pool_import_detector():
         "import multiprocessingx\n"
     )
     assert pool_imports(source) == [f"line {i}" for i in range(1, 6)]
+
+
+def while_loops(source: str) -> list[str]:
+    """The line of every ``while`` statement."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)]
+
+
+def test_defect_roots_need_no_walk():
+    assert while_loops((SRC / "delta_op.py").read_text(encoding="utf-8")) == []
+
+
+def test_while_detector():
+    source = (
+        "while x:\n"
+        "    x -= 1\n"
+        "def f():\n"
+        "    while True:\n"
+        "        break\n"
+        "for while_ in 'while':  # while\n"
+        "    pass\n"
+    )
+    assert while_loops(source) == ["line 1", "line 4"]
 
 
 BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")
