@@ -191,8 +191,11 @@ def strength_from_theta(theta: float) -> float:
 def bound_state_root(gamma: float, halfperiod: float) -> float:
     """The mu > 0 of the bound state: root of 2 mu tanh(mu L) = -gamma, gamma < 0 (mu = 0 at 0).
 
-    The bracket needs no walk: at hi = max(1/L, -gamma), mu L >= 1 and mu >= -gamma, so
-    f(hi) >= (2 tanh 1 - 1) hi > 0.
+    The bracket needs no walk.  tanh x <= min(x, 1) gives -gamma <= 2 mu^2 L and -gamma <= 2 mu,
+    so mu >= lo = max(sqrt(-gamma/(2L)), -gamma/2), which is the root to rounding as mu L -> 0
+    or -> inf; at hi = max(1/L, -gamma), mu L >= 1 and mu >= -gamma, so f(hi) >= (2 tanh 1 - 1)
+    hi > 0.  The bisection stops at 2e-15 lo, so mu keeps its relative accuracy however
+    small it is.
     """
     if not -math.inf < gamma <= 0.0:
         raise AdmissibilityError(f"no bound state at gamma={gamma!r}: it needs -inf < gamma <= 0")
@@ -201,8 +204,10 @@ def bound_state_root(gamma: float, halfperiod: float) -> float:
     def f(mu: float) -> float:
         return 2.0 * mu * math.tanh(mu * L) + gamma
 
-    hi = max(1.0 / L, -gamma)
-    return bisect(f, 0.0, hi, xtol=1e-15 * max(1.0, hi))
+    lo = max(math.sqrt(abs(gamma)) / math.sqrt(2.0 * L), 0.5 * abs(gamma))  # +0.0 at gamma = -0.0
+    if not f(lo) < 0.0:  # lo rounds onto the root
+        return lo
+    return bisect(f, lo, max(1.0 / L, -gamma), xtol=2e-15 * lo, max_iter=1100)
 
 
 def interior_root(j: int, gamma: float, halfperiod: float) -> float:

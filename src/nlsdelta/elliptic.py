@@ -1,14 +1,19 @@
-"""Jacobi elliptic functions and Legendre elliptic integrals, keyed by k' alone.
+"""Jacobi elliptic functions and Legendre elliptic integrals, keyed by k' alone, on math alone.
 
 Every function takes the complementary modulus kp = k' = sqrt(1 - k^2), never k or
 m = k^2: near k = 1 a double k cannot hold k', and the dnoidal orbit has k' = eta2/eta1
 to full relative accuracy.  Only kp^2 enters, so kp may round above 1 (read as k = 0).
 K(k) (complete_K), the inverse on the quarter period [0, K(k)] (inverse_am) and
-D = (F - E)/k^2 (incomplete_D) are Carlson's R_F and R_D (scipy.special.elliprf,
-elliprd), which keep full accuracy as k -> 1; inverse_am maps sn : cn to u = F(am u; k)
-(DLMF 22.15, 22.16), so a caller that knows dn u forms sn : cn from its gaps 1 - dn^2
-and dn^2 - k'^2.  E is formed where it is read, as E(k) = K - k^2 D and
-E(psi; k) = F - k^2 D(psi; k) (wave._e_terms).
+D = (F - E)/k^2 (incomplete_D) are Carlson's R_F and R_D, which keep full accuracy as
+k -> 1; inverse_am maps sn : cn to u = F(am u; k) (DLMF 22.15, 22.16), so a caller that
+knows dn u forms sn : cn from its gaps 1 - dn^2 and dn^2 - k'^2.  E is formed where it
+is read, as E(k) = K - k^2 D and E(psi; k) = F - k^2 D(psi; k) (wave._e_terms).
+
+No scipy: _carlson sums R_F(x, y, 1) and R_D(x, y, 1) by Carlson's duplication and the
+series of DLMF 19.36.1-2 (B. C. Carlson, Numerical computation of real or complex
+elliptic integrals, Numer. Algorithms 10, 1995), and the complete integrals (x = 0) by
+the arithmetic-geometric mean of 1 and k', K = pi/(2 AGM) and D from its sum
+of 2^(n-1) c_n^2 (DLMF 19.8.1, 19.8.6).  Every loop stops after at most _STEPS steps.
 
 sn, cn and dn are read together (jacobi_sn_cn_dn), as quotients of theta functions
 (DLMF 22.2.4) summed in whichever nome is at most e^-pi (DLMF 20.2):
@@ -27,21 +32,111 @@ Limits, keyed by k'
     k' >= 1 (k = 0):  sn = sin u,   cn = cos u,   dn = 1,       K = pi/2,  D = pi/4
     k' = 0 (k = 1):   sn = tanh u,  cn = sech u,  dn = sech u,  K = inf (complete_K raises)
 
-and dn is strictly decreasing from 1 to k' on [0, K(k)].
+and dn is strictly decreasing from 1 to k' on [0, K(k)].  As scipy's elliprf and elliprd
+did, the integrals read a k'^2 below the least normal double as k = 1 (so complete_K raises
+there) and one that overflows as 0 (complete_K(inf) = 0).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 __all__ = ["Nome", "nome", "complete_K", "inverse_am", "incomplete_D", "jacobi_sn_cn_dn"]
 
 ArrayLike = Union[float, NDArray[np.float64]]
+
+# The least normal double: an R_F or R_D whose two smaller arguments lie below it is read as
+# infinite, as scipy's elliprf and elliprd read it.  The series of _carlson stop at degree
+# 7, so they reach double precision once every spread |X| is at most _SPREAD (the
+# truncation is about |X|^8/5).  _STEPS bounds every loop: no finite argument needs more
+# than 13 steps (x and y near _TINY), and a nan runs them all.
+_TINY = sys.float_info.min
+_SPREAD = 0.012
+_STEPS = 40
+
+
+def _agm(y: float, d: bool) -> float:
+    """R_F(0, y, 1) = K, or R_D(0, y, 1) = 3 D if d, of k'^2 = y from the AGM of a_0 = 1 and
+    b_0 = k' (DLMF 19.8.1, 19.8.6).
+
+    K = pi/(2 M), and K alone stops once a_n - b_n <= 2^-26 a_n (a_n >= b_n from n = 1 on,
+    whatever k'), where (a_n + b_n)/2 is M to 2^-55.  K - E = K sum_{n >= 0} 2^(n-1) c_n^2
+    with c_0 = k, so D = (K - E)/k^2 is K [1/2 + sum_{n >= 1} 2^(n-1) t_n], t_n = c_n^2/k^2.
+    Neither t_1 = (1 - k')/(4 (1 + k')) nor c_{n+1} = c_n^2/(4 a_{n+1}) cancels, also as
+    k -> 0 (k' may round above 1, where c_1 < 0), and the sum stops once |c_n| <= 2^-27 a_n,
+    when the terms left are below 2^-54 of it.
+    """
+    kp = math.sqrt(y)
+    a, b = 0.5 * (1.0 + kp), math.sqrt(kp)  # a_1, b_1
+    if not d:
+        for _ in range(_STEPS):
+            if a - b <= 1.4901161193847656e-08 * a:  # 2^-26
+                break
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+        return math.pi / (a + b)
+    c = 0.5 * (1.0 - kp)  # c_1
+    t = c / (2.0 * (1.0 + kp))  # t_1
+    total, weight = 0.5 + t, 1.0
+    for _ in range(_STEPS):
+        if c * c <= 5.551115123125783e-17 * (a * a):  # 2^-54
+            break
+        q = c / (2.0 * (a + b))  # c_{n+1}/c_n
+        c, t, weight = c * q, t * q * q, 2.0 * weight
+        total += weight * t
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 3.0 * math.pi / (a + b) * total
+
+
+def _carlson(x: float, y: float, d: bool) -> float:
+    """R_F(x, y, 1), or R_D(x, y, 1) if d, for 0 <= x <= y: infinite for y < _TINY, 0 at y = inf.
+
+    x = 0 is the complete integral K(k), resp. 3 D(k), of k'^2 = y (_agm).  Otherwise
+    Carlson's duplication: each step forms lambda = sqrt(x y) + sqrt(y z) + sqrt(z x) once
+    and maps x, y, z and their mean A to (. + lambda)/4 (R_D also sums 4^-n/(sqrt z
+    (z + lambda))), so the spreads X = (A_0 - x)/(4^n A_n), Y and Z = -(X + Y), resp.
+    -(X + Y)/3, shrink fourfold a step, and the series of DLMF 19.36.1, resp. 19.36.2, in
+    their symmetric functions E2..E5 finish it.
+    """
+    if y < _TINY:
+        return math.inf
+    if y == math.inf:
+        return 0.0
+    if x == 0.0:
+        return _agm(y, d)
+    a = a0 = 0.2 * (x + y + 3.0) if d else (x + y + 1.0) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = max(dx, (y if y > 1.0 else 1.0) - a0)  # max |A_0 - x_i| (x is the least); q/4^n = A_n max |X|
+    z, scale, total = 1.0, 1.0, 0.0
+    for _ in range(_STEPS):
+        if q <= _SPREAD * a:
+            break
+        sy, sz = math.sqrt(y), math.sqrt(z)
+        lam = math.sqrt(x) * (sy + sz) + sy * sz
+        if d:
+            total += scale / (sz * (z + lam))
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        q, scale = 0.25 * q, 0.25 * scale
+    scale /= a
+    big_x, big_y = dx * scale, dy * scale
+    xy = big_x * big_y
+    if not d:
+        big_z = -(big_x + big_y)
+        e2, e3 = xy - big_z * big_z, xy * big_z
+        return (1.0 + e2 * (-0.1 + e2 * (1.0 / 24.0 - 5.0 / 208.0 * e2 + e3 / 16.0) - 3.0 / 44.0 * e3)
+                + e3 * (1.0 / 14.0 + 3.0 / 104.0 * e3)) / math.sqrt(a)
+    big_z = (big_x + big_y) / -3.0
+    zz = big_z * big_z
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * big_z
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * big_z
+    series = (1.0 + e2 * (-3.0 / 14.0 + e2 * (9.0 / 88.0 - e2 / 16.0 + 45.0 / 272.0 * e3)
+                          - 9.0 / 52.0 * e3 + 3.0 / 20.0 * e4 - 9.0 / 68.0 * e5)
+              + e3 * (1.0 / 6.0 + 3.0 / 40.0 * e3 - 9.0 / 68.0 * e4) - 3.0 / 22.0 * e4 + 3.0 / 26.0 * e5)
+    return scale * series / math.sqrt(a) + 3.0 * total
 
 
 def complete_K(kp: float) -> float:
@@ -54,7 +149,7 @@ def complete_K(kp: float) -> float:
     """
     if not kp >= 0.0:
         raise ValueError(f"complementary modulus kp={kp!r} is negative or NaN")
-    big_k = float(special.elliprf(0.0, kp * kp, 1.0))
+    big_k = _carlson(0.0, kp * kp, False)
     if not math.isfinite(big_k):
         raise ValueError(f"K(k) diverges as k -> 1 (got kp={kp!r})")
     return big_k
@@ -241,7 +336,8 @@ def inverse_am(s: float, c: float, kp: float) -> float:
         return 0.0
     norm = math.hypot(s, c)
     s, c = s / norm, c / norm
-    u = s * float(special.elliprf(c * c, c * c + (kp * s) ** 2, 1.0))
+    ks, x = kp * s, c * c
+    u = s * _carlson(x, x + ks * ks, False)
     if not math.isfinite(u):  # F(pi/2; 1) = K(1), or a nan kp
         raise ValueError(f"F(psi; k) is not finite at sn : cn = {s!r} : {c!r}, kp={kp!r}")
     return u
@@ -251,8 +347,16 @@ def incomplete_D(s: float, c: float, kp: float) -> float:
     """D(psi; k) = [F(psi; k) - E(psi; k)]/k^2 at psi = atan2(s, c), s and c as for inverse_am.
 
     sin^3 psi R_D(cos^2 psi, cos^2 psi + k'^2 sin^2 psi, 1)/3 (DLMF 19.2.6, 19.25.9) keeps full
-    accuracy as k -> 0, where F - E leaves nothing; s = 1, c = 0 give D(k) = (K - E)/k^2.
+    accuracy as k -> 0, where F - E leaves nothing; s = 1, c = 0 give D(k) = (K - E)/k^2 and
+    s = 0 gives 0.  Like inverse_am it raises where the value is not finite (D(pi/2; 1), or a
+    nan kp).
     """
+    if s == 0.0:
+        return 0.0
     norm = math.hypot(s, c)
     s, c = s / norm, c / norm
-    return s**3 * float(special.elliprd(c * c, c * c + (kp * s) ** 2, 1.0)) / 3.0
+    ks, x = kp * s, c * c
+    big_d = s**3 * _carlson(x, x + ks * ks, True) / 3.0
+    if not math.isfinite(big_d):  # k'^2 underflows at psi = pi/2, or a nan kp
+        raise ValueError(f"D(psi; k) is not finite at sn : cn = {s!r} : {c!r}, kp={kp!r}")
+    return big_d

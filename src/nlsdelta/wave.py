@@ -363,9 +363,18 @@ def solve_eta2(params: WaveParams) -> Orbit:
         orbit = orbit_at(u)
         return _tangent(orbit, omega, z, _along_u(orbit, th))[0][0]
 
-    # The walk from u = 0 doubles its step until T - 2L changes sign; a step _orbit refuses
-    # (k'^2 underflows as u grows) is halved, and the refusal of a unit step stands.
-    inner, step = 0.0, math.copysign(1.0, -f(0.0))
+    # The walk starts at the u where the large-u asymptote T ~ (2/sqrt(omega)) [log(4 sqrt(2 omega)
+    # /theta) + u/2 - sign(Z) b], b = atanh(|Z|/(2 sqrt(omega))), meets 2L, kept in [0, u_max],
+    # u_max one short of the u where k'^2 ~ theta^2 e^-u/(2 omega) underflows (at u = 0 if that
+    # seed is not finite), and doubles its step from 1/4 until T - 2L changes sign; a step _orbit
+    # refuses (k'^2 underflows as u grows) is halved, and the refusal of a unit step stands.
+    sqrt_w = math.sqrt(omega)
+    b = math.log((sqrt_w + 0.5 * abs(z)) / math.sqrt(omega - z * z / 4.0))  # finite for omega > Z^2/4
+    log_k_sq = 2.0 * math.log(th) - math.log(2.0 * omega)  # log k'^2 + u as u -> inf
+    seed = 2.0 * (sqrt_w * L - math.log(4.0) + math.copysign(b, z)) + log_k_sq
+    u_max = log_k_sq - math.log(sys.float_info.min) - 1.0
+    inner = max(0.0, min(seed, u_max)) if math.isfinite(seed) else 0.0
+    step = math.copysign(0.25, -f(inner))
     while True:
         try:
             f_end = f(inner + step)

@@ -74,6 +74,13 @@ class TestNegativeEigenvalue:
     def test_zero_strength_is_the_zero_root(self):
         assert delta_op.bound_state_root(0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("gamma, L", [(-1e-30, 1e-10), (-1e-3, 1e-5)])
+    def test_short_cell_weak_defect_keeps_relative_accuracy(self, gamma, L):
+        # mu L is tiny, so mu ~ sqrt(-gamma/(2L)) lies far below the bracket's top 1/L; a stop
+        # absolute in 1/L returned 4.44e-6 for the root 7.07e-11 of the first cell
+        mu = delta_op.bound_state_root(gamma, L)
+        assert abs(2.0 * mu * math.tanh(mu * L) + gamma) <= 1e-14 * -gamma
+
     @pytest.mark.parametrize("gamma", [-math.inf, math.nan, 1.0])
     def test_strength_outside_the_domain_refused(self, gamma):
         # gamma > 0 has no bound state; -inf and nan have no finite root to bracket

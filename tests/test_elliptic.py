@@ -1,14 +1,16 @@
 """Oracle tests for the elliptic-function layer.
 
-The integrals are Carlson's R_F and R_D and the Jacobi functions theta
-series, keyed by k' alone, so every check here goes through an independent
-route: arithmetic-geometric mean for K, direct quadrature for E and
-E(phi; k), formed from K, F and D as the package forms them
-(``legendre_E``, the expression of wave._e_terms), and an ODE integration
-and mpmath at 50 to 90 digits for the Jacobi functions.
+The integrals are Carlson's R_F and R_D, summed on math alone, and the
+Jacobi functions theta series, keyed by k' alone, so every check here goes
+through an independent route: arithmetic-geometric mean for K, direct
+quadrature for E and E(phi; k), formed from K, F and D as the package forms
+them (``legendre_E``, the expression of wave._e_terms), mpmath at 50 digits
+and scipy.special's elliprf and elliprd for R_F and R_D, and an ODE
+integration and mpmath at 50 to 90 digits for the Jacobi functions.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +23,11 @@ from nlsdelta import elliptic
 from nlsdelta.wave import WaveParams, build_profile
 
 MODULI = st.floats(min_value=0.01, max_value=0.99)
+# k' from near 1 to 1e-150, and 1e-160, whose square is subnormal (read as k = 1)
+CARLSON_KP = [0.99, 0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-30, 1e-60, 1e-100, 1e-150, 1e-160]
+# psi in (0, pi/2] as sn : cn, down to cn = 1e-9 and the complete integral (cn = 0)
+CARLSON_PSI = [(math.sin(p), math.cos(p)) for p in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.3, 1.5, 1.5707)] + [
+    (1.0, 1e-9), (1.0, 0.0)]
 # k' from the nome q of k through the switch at 1/sqrt2 to the nome q' of k', past the
 # rounding of m = 1 - k'^2 (near 1.5e-8)
 KP_LADDER = [0.99, 0.75, (1.0 + 1e-12) / math.sqrt(2.0), (1.0 - 1e-12) / math.sqrt(2.0), 0.5,
@@ -127,6 +134,71 @@ class TestCompleteIntegrals:
             with pytest.raises(ValueError):
                 elliptic.complete_K(bad)
         assert elliptic.complete_K(1.0 + 2.0**-52) == pytest.approx(math.pi / 2.0, rel=1e-15)
+
+
+class TestCarlsonIntegrals:
+    """The duplication and AGM bodies behind complete_K, inverse_am and incomplete_D."""
+
+    @pytest.mark.parametrize("kp", CARLSON_KP)
+    def test_ladder_against_mpmath_and_scipy(self, kp):
+        # F = sin psi R_F(x, y, 1) and D = sin^3 psi R_D(x, y, 1)/3, x = cos^2 psi,
+        # y = x + k'^2 sin^2 psi, at the psi the double sn : cn name (worst 5.5e-16 against mpmath)
+        mpmath = pytest.importorskip("mpmath")
+        special = pytest.importorskip("scipy.special")
+        subnormal = kp * kp < sys.float_info.min
+        with mpmath.workdps(50):
+            m_kp = mpmath.mpf(kp)
+            if not subnormal:
+                big_k = elliptic.complete_K(kp)
+                assert big_k == pytest.approx(float(mpmath.elliprf(0, m_kp**2, 1)), rel=1e-15, abs=0.0)
+                assert big_k == pytest.approx(float(special.elliprf(0.0, kp * kp, 1.0)), rel=1e-15, abs=0.0)
+            for s, c in CARLSON_PSI:
+                if subnormal and c == 0.0:
+                    continue  # k = 1 at psi = pi/2: refused below
+                norm = math.hypot(s, c)
+                s1, c1 = s / norm, c / norm
+                ms, mc = mpmath.mpf(s), mpmath.mpf(c)
+                m_norm = mpmath.sqrt(ms**2 + mc**2)
+                ms, mc = ms / m_norm, mc / m_norm
+                x, y = mc**2, mc**2 + (m_kp * ms) ** 2
+                f, d = elliptic.inverse_am(s, c, kp), elliptic.incomplete_D(s, c, kp)
+                assert f == pytest.approx(float(ms * mpmath.elliprf(x, y, 1)), rel=1e-15, abs=0.0)
+                assert d == pytest.approx(float(ms**3 * mpmath.elliprd(x, y, 1) / 3), rel=1e-15, abs=0.0)
+                x1, y1 = c1 * c1, c1 * c1 + (kp * s1) ** 2
+                assert f == pytest.approx(s1 * float(special.elliprf(x1, y1, 1.0)), rel=1e-15, abs=0.0)
+                assert d == pytest.approx(s1**3 * float(special.elliprd(x1, y1, 1.0)) / 3.0, rel=1e-15, abs=0.0)
+
+    def test_limits_of_the_modulus(self):
+        # k'^2 below the least normal double is k = 1, as scipy's elliprf and elliprd read it:
+        # K = F(pi/2) = D(pi/2) = inf are refused, F(psi; 1) = atanh(sin psi) and
+        # D(psi; 1) = F - E = atanh(sin psi) - sin psi; an infinite k'^2 reads every integral as 0
+        for kp in (0.0, 5e-324, 1e-160):
+            for call in (lambda: elliptic.complete_K(kp), lambda: elliptic.inverse_am(1.0, 0.0, kp),
+                         lambda: elliptic.incomplete_D(1.0, 0.0, kp)):
+                with pytest.raises(ValueError):
+                    call()
+            assert elliptic.inverse_am(0.6, 0.8, kp) == pytest.approx(math.atanh(0.6), rel=1e-15)
+            assert elliptic.incomplete_D(0.6, 0.8, kp) == pytest.approx(math.atanh(0.6) - 0.6, rel=1e-14)
+        for kp in (1e160, math.inf):
+            assert elliptic.complete_K(kp) == 0.0
+            assert elliptic.inverse_am(0.6, 0.8, kp) == elliptic.incomplete_D(0.6, 0.8, kp) == 0.0
+        for s, c in ((0.6, 0.8), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                elliptic.incomplete_D(s, c, math.nan)
+        assert elliptic.incomplete_D(0.0, 0.0, 0.5) == elliptic.incomplete_D(0.0, 1.0, math.nan) == 0.0
+
+    @given(kp=st.sampled_from([0.0, 5e-324, 1e-160, 1.0, 1e300, math.inf, math.nan]) | st.floats(),
+           s=st.floats(min_value=0.0), c=st.floats(min_value=0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_every_modulus_gives_a_finite_value_or_a_value_error(self, kp, s, c):
+        # every loop of the bodies is bounded, so each call returns, infinite and nan arguments too
+        for call in (lambda: elliptic.complete_K(kp), lambda: elliptic.inverse_am(s, c, kp),
+                     lambda: elliptic.incomplete_D(s, c, kp)):
+            try:
+                value = call()
+            except ValueError:
+                continue
+            assert math.isfinite(value)
 
 
 class TestIncompleteIntegrals:

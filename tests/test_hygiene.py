@@ -13,11 +13,12 @@ function, class or assignment of its own module, so a deletion cannot
 leave a stale export behind.  ``elliptic`` has one modulus convention:
 no public function of it takes a parameter ``k`` (each is keyed by
 k' = ``kp``), and only ``wave`` and ``linops`` import it.  No package
-module names ``ellipj``, and ``elliptic`` reads only Carlson's
-``elliprf`` and ``elliprd`` from ``scipy.special``.  A process
-that classifies, builds a wave and evolves on the exact basis never
-imports ``scipy.linalg``, which only the finite-difference oracles and
-the ``fd`` scheme need.  Every
+module names ``ellipj``, and ``elliptic`` reads nothing from
+``scipy.special``: its integrals are summed on ``math`` alone.  A process
+that classifies, builds a wave and evolves on the exact basis imports no
+``scipy`` module at all; only ``spectrum`` (the finite-difference
+oracles, through ``scipy.linalg``), the ``fd`` scheme and the tests need
+scipy.  Every
 ``cli.*``, ``stability.*`` and ``wave.*`` name the benchmark's workloads
 and self-tests read exists, as this suite never imports them.  No package
 module imports ``concurrent.futures`` or ``multiprocessing``: a cell costs
@@ -314,9 +315,6 @@ def test_modulus_detectors():
 
 
 
-CARLSON_INTEGRALS = {"elliprf", "elliprd"}
-
-
 def special_functions_read(source: str) -> set[str]:
     """Names the source reads from scipy.special: imported from it, or attributes of a name
     bound to it (``from scipy import special``, ``import scipy.special as sp``) or of
@@ -351,8 +349,8 @@ def test_no_ellipj(path):
     assert ellipj_lines(path.read_text(encoding="utf-8")) == []
 
 
-def test_elliptic_reads_only_carlson_integrals():
-    assert special_functions_read((SRC / "elliptic.py").read_text(encoding="utf-8")) <= CARLSON_INTEGRALS
+def test_elliptic_reads_nothing_from_scipy_special():
+    assert special_functions_read((SRC / "elliptic.py").read_text(encoding="utf-8")) == set()
 
 
 def test_special_function_detectors():
@@ -373,7 +371,7 @@ def test_special_function_detectors():
     assert not special_functions_read("from scipy import linalg\nlinalg.eigh(a)\n")
 
 
-def test_classify_build_and_exact_evolve_need_no_scipy_linalg():
+def test_classify_build_and_exact_evolve_need_no_scipy():
     code = (
         "import sys\n"
         "import nlsdelta.cli\n"
@@ -382,7 +380,7 @@ def test_classify_build_and_exact_evolve_need_no_scipy_linalg():
         "stability.classify(params)\n"
         "wave.build_profile(params, n=256).samples\n"
         "evolve.run_experiment(params, 'even:1e-3', T=1e-3, dt=1e-3, n=256)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     env = os.environ | {"PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

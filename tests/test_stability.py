@@ -18,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsdelta import elliptic, linops, stability, wave
-from nlsdelta.errors import AdmissibilityError
+from nlsdelta.errors import AdmissibilityError, NlsDeltaError
 from nlsdelta.stability import Verdict, classify, norm_squared, slope, verdict_from_counts
 from nlsdelta.wave import WaveParams, build_profile
 
@@ -122,6 +124,29 @@ class TestVerdictArithmetic:
 
 
 class TestClassify:
+    @given(omega=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+           abs_z=st.just(0.0) | st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e),
+           negative=st.booleans(), L=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_classify_and_build_profile(self, omega, abs_z, negative, L):
+        # omega in [1e-3, 1e6], Z in +-[0, 1e3] and L in [1e-3, 1e3], log-uniform so that about a
+        # quarter of the cells hold a wave: each is refused with a typed error, or solved to the
+        # period tolerance and, for classify, given a finite slope
+        z = -abs_z if negative else abs_z
+        try:
+            profile = build_profile(WaveParams(omega, z, L))
+        except NlsDeltaError:
+            profile = None
+        if profile is not None:
+            assert abs(profile.orbit.period - 2.0 * L) <= wave.PERIOD_RESIDUAL_TOL
+            assert math.isfinite(profile.phi0)
+        try:
+            rep = classify(WaveParams(omega, z, L))
+        except NlsDeltaError:
+            return
+        assert math.isfinite(rep.slope) and rep.period_residual <= wave.PERIOD_RESIDUAL_TOL
+        assert rep.verdict in Verdict
+
     def test_peak_wave_stable(self):
         rep = classify(WaveParams(20.0, 1.0, 0.5))
         assert rep.verdict is Verdict.STABLE
