@@ -60,6 +60,7 @@ __all__ = [
     "run_experiment",
     "BLOWUP_FACTOR",
     "DEFAULT_SEED",
+    "MAX_STEPS",
 ]
 
 # max|u| beyond this multiple of the reference amplitude counts as blow-up.
@@ -67,6 +68,9 @@ BLOWUP_FACTOR = 1e3
 
 # Fixed default for the random-perturbation generator.
 DEFAULT_SEED = 0x5EED5EED
+
+# Most steps one run may take: 2e5 trace rows at the default record_every.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,9 @@ def _exact_eigenbasis(
     k = n // 2
     even = defect_modes(-z, halfperiod, k + 1)
     b = sample_modes(even, halfperiod, periodic_grid(halfperiod, n)[: k + 1])
+    peaks = np.abs(b).max(axis=0)  # 0 where a mode's norm overflowed, nan where the mode did
+    if not np.all((peaks > 0.0) & (peaks < math.inf)):
+        raise NumericsError(f"even defect modes overflowed on the grid at Z={z!r}, L={halfperiod!r}")
     modes = even + defect_modes(-z, halfperiod, k - 1, odd=True)
     return b, np.array([m.eigenvalue for m in modes])
 
@@ -158,8 +165,12 @@ class SplitStepEvolver:
         self.halfperiod = float(halfperiod)
         self.n = int(n)
         self.scheme = scheme
-        self.x = periodic_grid(self.halfperiod, self.n)
         self.h = 2.0 * self.halfperiod / self.n
+        if not (math.isfinite(self.z) and self.h > 0.0 and 0.0 < self.h * self.h < math.inf):
+            raise AdmissibilityError(  # the fd stencil divides by h^2 and adds Z/h
+                f"the evolver needs a finite Z and a grid spacing h = 2L/n > 0 with a nonzero, finite "
+                f"square: Z={self.z!r}, L={self.halfperiod!r}, n={self.n}")
+        self.x = periodic_grid(self.halfperiod, self.n)
         k = self.n // 2
         if scheme == "exact":
             b, lam = _exact_eigenbasis(self.z, self.halfperiod, self.n)
@@ -207,8 +218,8 @@ class SplitStepEvolver:
         it: max|u| above BLOWUP_FACTOR x blowup_ref, or a non-finite |u|^2, raises
         BlowupError carrying the time of the last good step.  t accumulates by += dt.
         """
-        if not dt > 0.0:
-            raise AdmissibilityError(f"dt must be positive, got {dt!r}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise AdmissibilityError(f"dt must be positive and finite, got {dt!r}")
         if steps < 1:
             raise AdmissibilityError(f"steps must be at least 1, got {steps!r}")
         cap = math.inf if blowup_ref is None else (BLOWUP_FACTOR * blowup_ref) ** 2
@@ -323,8 +334,10 @@ def run_experiment(
 
     Initial data is phi*(1 + perturbation) (or a pure phase kick);
     observables (charge, energy, H1 orbit distance to phi, odd residual)
-    are sampled every ``record_every`` steps.  Blow-up terminates the
-    run and is reported on the (partial) trace rather than raised.
+    are sampled every ``record_every`` (>= 1) steps, and T/dt must round to
+    at most MAX_STEPS steps.  Blow-up terminates the run and is reported on
+    the (partial) trace rather than raised; an observable that overflows
+    raises NumericsError.
 
     The steps between two records run as one ``advance`` block.  The
     evolver keeps exactly even data exactly even (its grid and both
@@ -338,10 +351,12 @@ def run_experiment(
         raise AdmissibilityError(f"horizon T must be positive and finite, got {T!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise AdmissibilityError(f"dt must be positive and finite, got {dt!r}")
-    if not 0.5 < T / dt < math.inf:  # round(T/dt) would be 0 steps, or overflow
+    if not 0.5 < T / dt < MAX_STEPS + 0.5:  # round(T/dt) steps, from 1 to MAX_STEPS
         raise AdmissibilityError(
-            f"T/dt = {T / dt!r} must round to a finite step count >= 1 (T={T!r}, dt={dt!r})"
+            f"T/dt = {T / dt!r} must round to a step count from 1 to {MAX_STEPS} (T={T!r}, dt={dt!r})"
         )
+    if record_every < 1:
+        raise AdmissibilityError(f"record_every must be at least 1, got {record_every!r}")
     if seed < 0:
         raise AdmissibilityError(f"seed must be non-negative, got {seed!r}")
     n_steps = round(T / dt)
@@ -355,8 +370,13 @@ def run_experiment(
     trace = EvolutionTrace()
 
     def record(s: State) -> None:
-        q, e = evolver.conserved(s)
-        trace.append(s.t, q, e, orbit_distance(s.u, phi, evolver.h), evolver.odd_residual(s))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            q, e = evolver.conserved(s)
+            values = (q, e, orbit_distance(s.u, phi, evolver.h), evolver.odd_residual(s))
+        if not all(map(math.isfinite, values)):
+            raise NumericsError(f"observables (Q, E, distance, odd residual) = {values!r} "
+                                f"overflowed at t={s.t!r}")
+        trace.append(s.t, *values)
 
     record(state)
     for done in range(0, n_steps, record_every):

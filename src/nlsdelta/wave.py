@@ -332,7 +332,8 @@ def solve_eta2(params: WaveParams) -> Orbit:
     the root is unique.  Raises an admissibility error reporting that threshold when 2L
     does not exceed it: no peak wave exists there, while trough waves exist on both
     branches of T_+ for Tmin < 2L <= T1 (see period_plus) but this bracket holds neither.
-    Raises a numerics error when |T - 2L| at the root exceeds PERIOD_RESIDUAL_TOL.
+    Raises a numerics error when T = 2L needs a k'^2 below the normal doubles, or when
+    |T - 2L| at the root exceeds PERIOD_RESIDUAL_TOL.
     """
     omega, z, L = params.omega, params.z, params.halfperiod
     target = 2.0 * L
@@ -347,8 +348,9 @@ def solve_eta2(params: WaveParams) -> Orbit:
             f"here, though T_+ dips below T1 to a minimum Tmin and waves of both branches "
             f"exist for Tmin < 2L <= T1")
     # T - 2L < 0 where g underflows to 0 (T = T0 or T1 there), > 0 as eta2 -> 0.  Memoised,
-    # so newton does not evaluate the bracket ends the walk found again, and its slope,
-    # asked for only where a Newton step starts, reads the orbit already formed there.
+    # so newton does not evaluate the bracket ends the walk found again, its slope, asked for
+    # only where a Newton step starts, reads the orbit already formed there, and so does the
+    # residual check where newton ends on an evaluated point.
     th = theta_admissible(omega, z)
 
     @cache
@@ -363,32 +365,26 @@ def solve_eta2(params: WaveParams) -> Orbit:
         orbit = orbit_at(u)
         return _tangent(orbit, omega, z, _along_u(orbit, th))[0][0]
 
-    # The walk starts at the u where the large-u asymptote T ~ (2/sqrt(omega)) [log(4 sqrt(2 omega)
-    # /theta) + u/2 - sign(Z) b], b = atanh(|Z|/(2 sqrt(omega))), meets 2L, kept in [0, u_max],
-    # u_max one short of the u where k'^2 ~ theta^2 e^-u/(2 omega) underflows (at u = 0 if that
-    # seed is not finite), and doubles its step from 1/4 until T - 2L changes sign; a step _orbit
-    # refuses (k'^2 underflows as u grows) is halved, and the refusal of a unit step stands.
+    # T lies above its large-u asymptote (2/sqrt(omega)) [log(4 sqrt(2 omega)/theta) + u/2 -
+    # sign(Z) b], b = atanh(|Z|/(2 sqrt(omega))), on both branches (its K part is K(k) >
+    # log(4/k'), DLMF 19.12), so the asymptote's root u0, a hair past T's rounding, is an upper
+    # bracket end, if below the u where k'^2 ~ theta^2 e^-u/(2 omega) reaches the least normal
+    # double.  The walk steps down from there, doubling its step, until T - 2L < 0.
     sqrt_w = math.sqrt(omega)
     b = math.log((sqrt_w + 0.5 * abs(z)) / math.sqrt(omega - z * z / 4.0))  # finite for omega > Z^2/4
     log_k_sq = 2.0 * math.log(th) - math.log(2.0 * omega)  # log k'^2 + u as u -> inf
-    seed = 2.0 * (sqrt_w * L - math.log(4.0) + math.copysign(b, z)) + log_k_sq
-    u_max = log_k_sq - math.log(sys.float_info.min) - 1.0
-    inner = max(0.0, min(seed, u_max)) if math.isfinite(seed) else 0.0
-    step = math.copysign(0.25, -f(inner))
-    while True:
-        try:
-            f_end = f(inner + step)
-        except NumericsError as exc:
-            if abs(step) <= 1.0:
-                raise NumericsError(f"{exc}; the eta2 solve's walk stopped at u={inner + step!r}") from exc
-            step *= 0.5
-            continue
-        if (f_end > 0.0) == (step > 0.0):  # T - 2L has changed sign
-            break
-        inner, step = inner + step, 2.0 * step
+    u0 = 2.0 * (sqrt_w * L - math.log(4.0) + math.copysign(b, z)) + log_k_sq
+    hi = min(u0 + 1e-12, log_k_sq - math.log(sys.float_info.min) - 1e-6)
+    top = orbit_at(hi)
+    if not top.period >= target:
+        raise NumericsError(f"k'^2 = (eta2/eta1)^2 underflows before T reaches 2L={target!r}: "
+                            f"T={top.period!r} at k'^2={top.kp ** 2!r} (omega={omega!r}, Z={z!r}); "
+                            f"K(k) cannot be formed this near the solitary limit")
+    step = 1.0
+    while f(hi - step) >= 0.0:
+        hi, step = hi - step, 2.0 * step
     # a last Newton step below xtol leaves an error of order its square, below T's noise
-    eta2, gap = _chart(newton(f, min(inner, inner + step), max(inner, inner + step), dfdu, xtol=1e-12), th)
-    orbit = _orbit(eta2, omega, z, gap)
+    orbit = orbit_at(newton(f, hi - step, hi, dfdu, xtol=1e-12))
     resid = abs(orbit.period - target)
     if resid > PERIOD_RESIDUAL_TOL:
         raise NumericsError(f"period residual {resid!r} exceeds {PERIOD_RESIDUAL_TOL} at "

@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsdelta.cli import _MAX_DELTA_COUNT, _sweep_point, build_parser, main
-from nlsdelta.evolve import DEFAULT_SEED
+from nlsdelta.evolve import DEFAULT_SEED, MAX_STEPS
 from nlsdelta.stability import Row, classify, slope
 from nlsdelta.wave import (
     PERIOD_RESIDUAL_TOL,
@@ -503,9 +504,10 @@ class TestDegenerateArguments:
 class TestOverflowAndNonFinite:
     @pytest.mark.parametrize("z", ["1", "0"])
     def test_huge_frequency_is_numerics_error(self, tmp_path, capsys, z):
-        # 2L = 1 at omega = 1e300 needs k' = eta2/eta1 near exp(-1e150), so the solve's walk
-        # up in u ends in the k'^2 refusal (eta1^3 in the eta2-form slope overflowed here,
-        # untyped at Z = 0, before that slope gave way to the tangent)
+        # 2L = 1 at omega = 1e300 needs k' = eta2/eta1 near exp(-1e150), so T falls short of
+        # 2L at the solve's first upper end, where k'^2 reaches the least normal double, and
+        # the k'^2 refusal stands (eta1^3 in the eta2-form slope overflowed here, untyped at
+        # Z = 0, before that slope gave way to the tangent)
         rc = main(["--output-dir", str(tmp_path), "build-wave",
                    "--omega", "1e300", "--z", z, "--half-period", "0.5"])
         assert rc == 3
@@ -784,6 +786,20 @@ class TestFuzzedGridAndTimeArguments:
         rc = main(["--output-dir", str(tmp_path_factory.mktemp("fuzz")), "evolve", *WAVE,
                    f"--n={n}", f"--dt={dt!r}", f"--T={dt * ratio!r}"])
         assert rc in (0, 2, 3, 4)
+
+    # T/dt from past MAX_STEPS up to 1e300: refused before the profile is built
+    @given(dt=st.one_of(EXTREME, st.floats(1e-4, 0.1)),
+           ratio=st.floats(7.01, 300.0).map(lambda e: 10.0**e))
+    @example(dt=1e-300, ratio=1e298)  # --T 0.01 --dt 1e-300 ran for ever
+    @example(dt=1.0, ratio=MAX_STEPS + 1.0)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_evolve_step_count_past_the_cap(self, tmp_path_factory, dt, ratio):
+        out = tmp_path_factory.mktemp("fuzz")
+        start = time.perf_counter()
+        rc = main(["--output-dir", str(out), "evolve", *WAVE, "--n=64", f"--dt={dt!r}",
+                   f"--T={dt * ratio!r}"])
+        assert rc == 2 and time.perf_counter() - start < 1.0
+        assert not (out / "run_trace.csv").exists()
 
 
 class TestReadmeFlags:

@@ -7,12 +7,16 @@ distance over the phase circle.
 """
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nlsdelta import evolve
-from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta import evolve, wave
+from nlsdelta.errors import AdmissibilityError, NlsDeltaError, NumericsError
 from nlsdelta.evolve import (
     SplitStepEvolver,
     State,
@@ -368,6 +372,144 @@ class TestAdvance:
         ev = SplitStepEvolver(1.0, 0.5, n=64)
         with pytest.raises(AdmissibilityError, match="steps"):
             ev.advance(State(0.0, np.zeros(64, dtype=complex)), 1e-3, 0)
+
+
+class TestEntryPointRefusals:
+    """Arguments no run can honour are refused at once, typed and without a warning."""
+
+    @pytest.fixture(autouse=True)
+    def no_profile(self, monkeypatch):
+        # every refusal here comes before the profile is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a profile")
+        monkeypatch.setattr(evolve, "build_profile", refuse)
+
+    @pytest.mark.parametrize("T, dt", [(0.01, 1e-300), (1e300, 1e-300),
+                                       (evolve.MAX_STEPS + 1.0, 1.0)])
+    def test_step_count_is_capped(self, T, dt):
+        # T/dt = 1e298 steps ran for ever before the cap
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match="step count"):
+                run_experiment(POINT, "even:0.01", T=T, dt=dt)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("record_every", [0, -5])
+    def test_record_interval_below_one_is_refused(self, record_every):
+        # 0 raised range()'s ValueError; -5 returned the t = 0 record alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match="record_every"):
+                run_experiment(POINT, "even:0.01", T=0.01, record_every=record_every)
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_advance_step_is_refused(self, dt):
+        # dt = inf passed "dt > 0", warned and ended in a blow-up
+        ev = SplitStepEvolver(1.0, 0.5, n=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match="dt must be positive and finite"):
+                ev.advance(State(0.0, np.ones(64, dtype=complex)), dt, 2)
+
+    @pytest.mark.parametrize("z, L", [(1.0, 1e-300), (1.0, 1e300), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_stencil_that_cannot_be_formed_is_refused(self, z, L):
+        # the fd stencil's 2/h^2 raised ZeroDivisionError, resp. OverflowError, and its
+        # eigensolve a ValueError at Z = inf
+        with pytest.raises(AdmissibilityError, match="the evolver needs a finite Z"):
+            SplitStepEvolver(z, L, n=64, scheme="fd")
+
+
+def test_overflowing_observables_are_a_numerics_error():
+    # at omega = 1e300 the amplitude is 1.4e150: |u|^4 in the energy overflowed and the
+    # trace held nan and inf, with exit 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="overflowed at t=0.0"):
+            run_experiment(WaveParams(1e300, 1.0, 3e-150), "even:1e-3", T=1e-301, dt=1e-302, n=64)
+
+
+def test_exact_basis_that_overflows_is_a_numerics_error():
+    # the bound state's cosh(mu L) overflows at Z L = 1000; inverting the basis raised LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="overflowed"):
+            SplitStepEvolver(1.0, 1000.0, n=64)
+
+
+def _finite(trace):
+    values = [v for row in trace.rows() for v in row]
+    return all(map(math.isfinite, values)) and (
+        trace.blowup_time is None or math.isfinite(trace.blowup_time))
+
+
+# log-uniform positive scales, as in the classify fuzz, plus the extremes of the doubles
+def _scale(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(lambda e: 10.0**e),
+                     st.sampled_from([5e-324, 1e-300, 1e300, math.inf, math.nan]))
+
+
+SIGNED_Z = st.one_of(st.just(0.0), _scale(-6.0, 3.0), _scale(-6.0, 3.0).map(lambda v: -v))
+# a time step of any scale, the extremes of the doubles and refused values
+STEP = st.one_of(st.floats(-300.0, 0.0).map(lambda e: 10.0**e),
+                 st.sampled_from([5e-324, 1e300, math.inf, math.nan, 0.0, -1e-3]))
+
+
+def _check_run(params, perturbation, dt, ratio, **kw):
+    try:
+        with np.errstate(all="ignore"):
+            trace = run_experiment(params, perturbation, T=dt * ratio, dt=dt, **kw)
+    except NlsDeltaError:
+        return
+    assert _finite(trace) and len(trace.times) >= 1
+
+
+class TestFuzzedEvolver:
+    """Each call returns a finite trace or state, or raises an NlsDeltaError."""
+
+    # Z = zeta 2 sqrt(omega) and 2L = stretch T0 (T1 for Z < 0), so most cells hold a wave
+    @given(omega=st.floats(-3.0, 6.0).map(lambda e: 10.0**e), zeta=st.floats(-0.999, 0.999),
+           stretch=st.floats(0.9, 40.0), n=st.integers(32, 256).map(lambda h: 2 * h),
+           scheme=st.sampled_from(["exact", "fd"]),
+           kind=st.sampled_from(["even", "odd", "random", "phase"]),
+           amplitude=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e3, 1e308])),
+           dt=st.floats(-300.0, 0.0).map(lambda e: 10.0**e), steps=st.integers(1, 12),
+           record_every=st.integers(1, 12))
+    @example(omega=1e300, zeta=0.5e-150, stretch=1.35, n=64, scheme="exact", kind="even",
+             amplitude=1e-3, dt=1e-302, steps=10, record_every=1)  # the observables overflow
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_run_experiment(self, omega, zeta, stretch, n, scheme, kind, amplitude, dt, steps,
+                            record_every):
+        z = 2.0 * math.sqrt(omega) * zeta
+        try:
+            params = WaveParams(omega, z, 0.5 * stretch * wave.period_threshold(omega, z))
+        except NlsDeltaError:
+            return
+        _check_run(params, f"{kind}:{amplitude!r}", dt, steps, n=n, scheme=scheme,
+                   record_every=record_every)
+
+    # T = dt ratio: a run of a few steps, or a step count up to 1e300, refused past MAX_STEPS
+    @given(dt=STEP, record_every=st.integers(-3, 12),
+           ratio=st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 300.0).map(lambda e: 10.0**e)))
+    @example(dt=1e-300, ratio=1e298, record_every=50)  # ran for ever before the cap
+    @example(dt=1e-3, ratio=10.0, record_every=0)  # range() raised ValueError
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_run_experiment_time_arguments(self, dt, ratio, record_every):
+        if 12.5 <= ratio <= evolve.MAX_STEPS:  # a run too long for a test
+            ratio = 12.0
+        _check_run(POINT, "random:0.01", dt, ratio, n=64, record_every=record_every)
+
+    @given(z=SIGNED_Z, L=_scale(-3.0, 3.0), n=st.integers(32, 256).map(lambda h: 2 * h),
+           scheme=st.sampled_from(["exact", "fd"]), dt=STEP,
+           steps=st.integers(-1, 4), amplitude=_scale(-3.0, 3.0))
+    @example(z=1.0, L=1000.0, n=64, scheme="exact", dt=1e-3, steps=1, amplitude=1.0)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_advance(self, z, L, n, scheme, dt, steps, amplitude):
+        try:
+            with np.errstate(all="ignore"):
+                ev = SplitStepEvolver(z, L, n=n, scheme=scheme)
+                state = ev.advance(State(0.0, np.full(n, amplitude, dtype=complex)), dt, steps, 1.0)
+        except NlsDeltaError:
+            return
+        assert np.all(np.isfinite(state.u)) and math.isfinite(state.t)
 
 
 def _held_bytes(obj):

@@ -25,6 +25,8 @@ module imports ``concurrent.futures`` or ``multiprocessing``: a cell costs
 less than its round trip to a worker, so a pool comes back only with a
 benchmark workload that shows it winning.  ``delta_op.py`` has no
 ``while`` loop: every defect-mode root has a bracket known in closed form.
+The numerical core (``elliptic``, ``rootfind``, ``delta_op``, ``wave``)
+has no ``try`` statement: no exception steers a computation there.
 """
 
 import ast
@@ -444,6 +446,33 @@ def test_while_detector():
         "    pass\n"
     )
     assert while_loops(source) == ["line 1", "line 4"]
+
+
+def try_statements(source: str) -> list[str]:
+    """The line of every ``try`` statement, ``try``/``except*`` included."""
+    kinds = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)]
+
+
+@pytest.mark.parametrize("name", ["elliptic.py", "rootfind.py", "delta_op.py", "wave.py"])
+def test_numerical_core_is_not_steered_by_exceptions(name):
+    assert try_statements((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_try_detector():
+    source = (
+        "try:\n"
+        "    x = 1\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    try:\n"
+        "        return g()\n"
+        "    finally:\n"
+        "        h()\n"
+        "try_ = 'try:'  # try:\n"
+    )
+    assert try_statements(source) == ["line 1", "line 6"]
 
 
 BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")

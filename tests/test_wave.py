@@ -8,11 +8,12 @@ structure of the solved parameters.
 
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlsdelta import elliptic, evolve, stability, wave
@@ -672,7 +673,8 @@ def _latin_hypercube(rng, count):
 class TestNewtonSolve:
     def test_period_evaluations_per_solve(self, monkeypatch):
         # bisection took 54-62 evaluations per solve; every orbit counts here: the
-        # threshold, the walk, the Newton loop and the residual check
+        # threshold, the walk down from the asymptote's root, the Newton loop and the
+        # residual check where newton ends off its evaluated points
         calls = []
         make_orbit = wave._orbit
         monkeypatch.setattr(wave, "_orbit", lambda *a: calls.append(1) or make_orbit(*a))
@@ -706,8 +708,8 @@ class TestNewtonSolve:
         assert sum(counts) / len(counts) <= 4.5
 
     def test_each_bracket_point_is_evaluated_once(self, monkeypatch):
-        # newton opens on the points the walk evaluated; only the residual check may see
-        # a point (eta2, g) again, and only the root it checks
+        # newton opens on the points the walk evaluated, and the residual check reads the
+        # root's orbit from the same cache; a point (eta2, g) seen twice could only be the root
         seen = []
         make_orbit = wave._orbit
         monkeypatch.setattr(wave, "_orbit", lambda *a: seen.append((a[0], a[3])) or make_orbit(*a))
@@ -726,3 +728,73 @@ class TestNewtonSolve:
         lo = 1e-3 * theta  # every ADMISSIBLE period is above 2L there
         root = bisect(lambda e: period(e, omega, z) - 2.0 * L, lo, theta * (1.0 - 1e-12))
         assert wave.solve_eta2(WaveParams(omega, z, L)).eta2 == pytest.approx(root, rel=1e-12)
+
+
+def _asymptote(u, omega, z):
+    """T's large-u asymptote (2/sqrt(omega)) [log(4 sqrt(2 omega)/theta) + u/2 - sign(Z) b],
+    b = atanh(|Z|/(2 sqrt(omega))), in doubles."""
+    theta = wave.theta_admissible(omega, z)
+    b = math.atanh(abs(z) / (2.0 * math.sqrt(omega)))
+    return 2.0 / math.sqrt(omega) * (math.log(4.0 * math.sqrt(2.0 * omega) / theta) + 0.5 * u
+                                     - math.copysign(b, z))
+
+
+def _u_top(omega, z):
+    """The u where k'^2 ~ theta^2 e^-u/(2 omega) reaches the least normal double."""
+    theta = wave.theta_admissible(omega, z)
+    return 2.0 * math.log(theta) - math.log(2.0 * omega) - math.log(sys.float_info.min)
+
+
+class TestAsymptoteBracket:
+    """solve_eta2 opens its bracket at the root of T's large-u asymptote, which T lies above."""
+
+    @given(omega=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+           abs_z=st.just(0.0) | st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e),
+           negative=st.booleans(), fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_period_lies_above_its_asymptote(self, omega, abs_z, negative, fraction):
+        # over the classify fuzz domain, u in [-10, u_top]
+        z = -abs_z if negative else abs_z
+        assume(omega > 0.25 * z * z)
+        u = -10.0 + fraction * (_u_top(omega, z) - 1e-6 + 10.0)
+        eta2, gap = wave._chart(u, wave.theta_admissible(omega, z))
+        period = wave._orbit(eta2, omega, z, gap).period
+        assert period >= _asymptote(u, omega, z) * (1.0 - 8.0 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("omega, abs_z", [(1.0, 1e-6), (1.0, 0.5), (20.0, 1.0), (20.0, 8.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_period_lies_above_its_asymptote_at_60_digits(self, omega, abs_z, sign):
+        # T - T_asym falls like u e^-u (3e-27 T at u = 60); at 40 digits the oracle's
+        # gap formula cancels and reads it negative there
+        mpmath = pytest.importorskip("mpmath")
+        z = sign * abs_z
+        with mpmath.workdps(60):
+            w, az = mpmath.mpf(omega), mpmath.mpf(abs_z)
+            theta = mpmath.sqrt(w - az**2 / 8) - mpmath.sqrt(2) * az / 4
+            b = mpmath.atanh(az / (2 * mpmath.sqrt(w)))
+            for u in (0, 2, 5, 10, 20, 40, 60):
+                period, _ = _chart_oracle(u, omega, z, -sign)
+                asymptote = 2 / mpmath.sqrt(w) * (mpmath.log(4 * mpmath.sqrt(2 * w) / theta) + u / 2
+                                                  - sign * b)
+                assert period > asymptote, (u, period - asymptote)
+
+    def test_no_orbit_lies_above_the_first_upper_end(self, monkeypatch):
+        # the walk only steps down: every u the solve charts is at most the first
+        charted = []
+        chart = wave._chart
+        monkeypatch.setattr(wave, "_chart", lambda u, th: charted.append(u) or chart(u, th))
+        rng = random.Random(9)
+        cells = [(omega, sign * abs_z, L) for sign, L in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0))
+                 for omega, abs_z in _latin_hypercube(rng, 20)]
+        cells += [(1.0, z, L) for z in (0.0, 0.5, -0.5) for L in (5.0, 20.0, 300.0, 355.3)]
+        for omega, z, L in cells:
+            charted.clear()
+            wave.solve_eta2(WaveParams(omega, z, L))
+            assert max(charted) == charted[0] <= _u_top(omega, z), (omega, z, L)
+
+    @pytest.mark.parametrize("z, L", [(0.5, 355.3), (-0.5, 355.8)])
+    def test_builds_next_to_the_kp_squared_underflow(self, z, L):
+        # a walk capped a unit short of the underflow refused these cells
+        p = build_profile(WaveParams(1.0, z, L), n=128)
+        assert abs(p.orbit.period - 2.0 * L) <= wave.PERIOD_RESIDUAL_TOL
+        assert p.orbit.kp**2 < 1e-306
