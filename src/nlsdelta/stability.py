@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .wave import Orbit, WaveParams, WaveProfile, _e_terms, _norm_slope, build_profile
+from .wave import Orbit, WaveParams, WaveProfile, _norm_slope, build_profile
 
 __all__ = [
     "Verdict",
@@ -106,10 +106,10 @@ def norm_squared(profile: WaveProfile) -> float:
 
         ||phi||^2 = 2 sqrt2 eta1 [E(k) - copysign(E(psi; k), Z)],
 
-    E read from k' by wave._e_terms, the body wave._tangent differentiates.
+    E read from k' by wave._e_terms (formed once per profile, for this and the slope), the
+    body wave._tangent differentiates.
     """
-    o = profile.orbit
-    return 2.0 * math.sqrt(2.0) * o.eta1 * _e_terms(o, profile.params.z)[2]
+    return 2.0 * math.sqrt(2.0) * profile.orbit.eta1 * profile._norm_terms[2]
 
 
 def norm_squared_quadrature(profile: WaveProfile) -> float:

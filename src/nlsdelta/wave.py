@@ -141,7 +141,8 @@ class Orbit(NamedTuple):
     gap = theta^2 - eta2^2 holds what eta2 near theta cannot, kp = k' = eta2/eta1 the modulus
     every elliptic function is keyed by (k itself is never formed: k^2 eta1^2 = spread =
     eta1^2 - eta2^2), big_k = K(k), phi = Phi = phi(0), a = F(psi; k) the unsigned shift with
-    amplitude psi, and s, upper, lower the discriminant and the gaps of Phi; period =
+    amplitude psi, and s, upper, lower the discriminant and the gaps of Phi (upper is inf where
+    it overflows, at subnormal scales of |Z| r and g; see _psi_pair); period =
     2 sqrt2/eta1 [K(k) - copysign(a, Z)].
     """
 
@@ -187,9 +188,7 @@ def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
     s = math.sqrt(2.0 * gap) * math.sqrt(spread + zr)
     upper = 0.5 * (0.5 + r * r / (s + spread))
     lower = gap + abs(z) * ((omega - 0.25 * z * z) / (r + 0.5 * abs(z))) + 0.5 * s
-    sin_psi, cos_psi = abs(z) * math.sqrt(upper), math.sqrt(lower)  # each times sqrt(spread)
-    if not sin_psi + cos_psi < math.inf:
-        raise NumericsError(f"phi(0) gaps overflowed at omega={omega!r}, Z={z!r}")
+    sin_psi, cos_psi = _psi_pair(omega, z, gap, s, upper, lower)
     kp = eta2 / eta1
     a = elliptic.inverse_am(sin_psi, cos_psi, kp)
     if not kp * kp >= sys.float_info.min:  # the least normal double
@@ -197,27 +196,50 @@ def _orbit(eta2: float, omega: float, z: float, gap: float) -> Orbit:
                             f"{omega!r}, Z={z!r}): K(k) cannot be formed this near the solitary limit")
     big_k = elliptic.complete_K(kp)
     period = (2.0 * _SQRT2 / eta1) * (big_k - math.copysign(a, z))
-    return Orbit(eta1, eta2, gap, kp, big_k, math.sqrt(eta1_sq - z * z * upper), a,
-                 math.atan2(sin_psi, cos_psi), spread, s, upper, lower, period)
+    # where upper overflows, Z^2 upper <= |Z| r ~ r^2 2^-1024 lies below the rounding of eta1^2 > r^2/2
+    phi = math.sqrt(eta1_sq - z * z * upper) if upper < math.inf else eta1
+    return Orbit(eta1, eta2, gap, kp, big_k, phi, a, math.atan2(sin_psi, cos_psi), spread, s,
+                 upper, lower, period)
 
 
-def _e_terms(o: Orbit, z: float) -> tuple[float, float, float]:
+def _psi_pair(omega: float, z: float, gap: float, s: float, upper: float,
+              lower: float) -> tuple[float, float]:
+    """sin psi : cos psi of _orbit's gaps, each times sqrt(spread): |Z| sqrt(upper) : sqrt(lower).
+
+    upper = 1/4 + r^2/(2 (s + spread)) overflows where s + spread = s + 2g + |Z| r <~ r^2 2^-1024,
+    e.g. at theta (g = s = 0) for |Z| at or below the least normal double when omega = 20.  There
+    |Z|, g and s are scaled by 2^1022, exactly, so that no subnormal product (|Z| r, the |Z| term
+    of lower) loses digits, and Z^2 upper = Z^2/4 + (|Z| r)^2/(2 (s + spread)) is formed without
+    upper; the pair is then scaled back by 2^-511.  Only the ratio enters inverse_am and atan2.
+    """
+    az = abs(z)
+    if upper < math.inf:
+        return az * math.sqrt(upper), math.sqrt(lower)
+    r = math.sqrt(2.0 * omega - 0.25 * z * z)
+    z_f, g_f, s_f = math.ldexp(az, 1022), math.ldexp(gap, 1022), math.ldexp(s, 1022)
+    zr_f = z_f * r
+    sin_f = math.sqrt(0.25 * az * z_f + 0.5 * zr_f * (zr_f / (s_f + 2.0 * g_f + zr_f)))
+    cos_f = math.sqrt(g_f + z_f * ((omega - 0.25 * z * z) / (r + 0.5 * az)) + 0.5 * s_f)
+    return math.ldexp(sin_f, -511), math.ldexp(cos_f, -511)
+
+
+def _e_terms(o: Orbit, omega: float, z: float) -> tuple[float, float, float]:
     """(D, D_psi, E(k) - sign(Z) E(psi; k)) of the orbit o, keyed by k' = o.kp.
 
     D = D(pi/2; k) and D_psi = D(psi; k) are elliptic.incomplete_D's (F - E)/k^2, so
     E(k) = K - k^2 D and E(psi; k) = a - k^2 D_psi with k^2 = spread/eta1^2.  The norm is
     N = 2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] (stability.norm_squared); _tangent reads
-    all three.
+    all three, and a profile forms them once for both (WaveProfile._norm_terms).
     """
-    sin_psi, cos_psi = abs(z) * math.sqrt(o.upper), math.sqrt(o.lower)  # as in _orbit
+    sin_psi, cos_psi = _psi_pair(omega, z, o.gap, o.s, o.upper, o.lower)
     big_d = elliptic.incomplete_D(1.0, 0.0, o.kp)
     d_psi = elliptic.incomplete_D(sin_psi, cos_psi, o.kp)
     k_sq = o.spread / o.eta1**2
     return big_d, d_psi, (o.big_k - k_sq * big_d) - math.copysign(1.0, z) * (o.a - k_sq * d_psi)
 
 
-def _tangent(o: Orbit, omega: float, z: float,
-             *directions: tuple[float, float, float]) -> list[tuple[float, float]]:
+def _tangent(o: Orbit, omega: float, z: float, *directions: tuple[float, float, float],
+             terms: tuple[float, float, float] | None = None) -> list[tuple[float, float]]:
     """(dT, dN) of the orbit body o along each direction (d eta2, dlog g, d omega), where
     N = 2 sqrt2 eta1 [E(k) - sign(Z) E(psi; k)] is the norm (stability.norm_squared).
 
@@ -230,14 +252,15 @@ def _tangent(o: Orbit, omega: float, z: float,
     free of 1/k^2 and 1/k'^2, and dpsi = (sc/2)(dlog upper - dlog lower) on _orbit's gaps.  The
     discriminant enters only as ds = 2 (g/s)(spread dlog g + |Z| dr), g/s = sqrt(g/2)/sqrt(spread
     + |Z| r), so every 1/s carries g and vanishes at theta.  D, D_psi and N/(2 sqrt2 eta1) are
-    _e_terms', the norm's own body, formed once for all the directions.
+    _e_terms', the norm's own body, formed once for all the directions, or passed as terms by
+    a caller that holds them.
     """
     sigma, az = math.copysign(1.0, z), abs(z)
     r = math.sqrt(2.0 * omega - 0.25 * z * z)
     g_s = math.sqrt(0.5 * o.gap) / math.sqrt(o.spread + az * r)
-    sin_psi, cos_psi = az * math.sqrt(o.upper), math.sqrt(o.lower)  # as in _orbit
+    sin_psi, cos_psi = _psi_pair(omega, z, o.gap, o.s, o.upper, o.lower)
     sc = sin_psi * cos_psi / o.spread
-    big_d, d_psi_k, e_diff = _e_terms(o, z)
+    big_d, d_psi_k, e_diff = _e_terms(o, omega, z) if terms is None else terms
     dn = o.phi / o.eta1
     k_t, k_n = (o.big_k - big_d) - sigma * (o.a - d_psi_k), o.kp**2 * (big_d - sigma * d_psi_k)
     out = []
@@ -273,7 +296,8 @@ def _norm_slope(profile: WaveProfile) -> tuple[float, float, float]:
     th = theta_admissible(omega, z)
     w = 0.5 / (math.sqrt(omega - 0.125 * z * z) * th)
     along_u = _along_u(o, th)
-    (t_u, n_u), (t_w, n_w) = _tangent(o, omega, z, along_u, (o.eta2 * w, 2.0 * w, 1.0))
+    (t_u, n_u), (t_w, n_w) = _tangent(o, omega, z, along_u, (o.eta2 * w, 2.0 * w, 1.0),
+                                      terms=profile._norm_terms)
     if t_u == 0.0:
         raise NumericsError(f"dT/du vanished at the root eta2={o.eta2!r}, omega={omega!r}")
     du_domega = -t_w / t_u
@@ -449,6 +473,11 @@ class WaveProfile:
         return elliptic.nome(self.orbit.kp, self.orbit.big_k)
 
     @cached_property
+    def _norm_terms(self) -> tuple[float, float, float]:
+        """_e_terms of the orbit, formed on first read: the norm and its slope both read them."""
+        return _e_terms(self.orbit, self.params.omega, self.params.z)
+
+    @cached_property
     def x(self) -> NDArray[np.float64]:
         return sample_grid(self.params.halfperiod, self.n)
 
@@ -538,22 +567,25 @@ class WaveProfile:
 def build_profile(params: WaveParams, n: int = 4096) -> WaveProfile:
     """Construct the standing-wave profile of period 2L at (omega, Z, L).
 
-    Solves the period equation for eta2 and validates the structural
-    invariants of the orbit before returning; n (a power of two >= 128)
-    sets the grid of ``x``/``samples``, which are sampled only if read.
+    Solves the period equation for eta2 and validates the structural invariants of the
+    solved orbit record before returning, phi(0) = Phi included, so a build sums no theta
+    series; n (a power of two >= 128) sets the grid of ``x``/``samples``, which are sampled
+    (and band-checked, node 0 with them) only if read.
     """
     orbit = solve_eta2(params)
-    profile = WaveProfile(params, orbit, n)
     # on the record's gaps, not on differences of doubles: s > 0 is eta1 - eta2 > |Z|/sqrt2
     # (g > 0), and lower > 0 and a > 0 are Phi^2 - eta2^2 > 0 and eta1^2 - Phi^2 > 0, also
-    # where phi0 rounds to eta2 or to eta1
+    # where Phi rounds to eta2 or to eta1.  No theta series is summed for phi(0): the family has
+    # Phi^2 >= eta1 eta2, i.e. a <= K/2, where jacobi_sn_cn_dn caps dn at 1, so the sampled
+    # eta1 dn(a; k) cannot pass eta1 either (past K/2 it would read the quarter-period
+    # reflection k'/dn(K - a; k) <= sqrt(k')), and every sampled read is band-checked
     if not orbit.s > 0.0:
         raise NumericsError("separation eta1 - eta2 > |Z|/sqrt2 violated")
-    if params.z != 0.0 and not (orbit.lower > 0.0 and orbit.a > 0.0 and profile.phi0 <= orbit.eta1):
+    if params.z != 0.0 and not (orbit.lower > 0.0 and orbit.a > 0.0 and orbit.phi <= orbit.eta1):
         raise NumericsError("defect value phi(0) escaped (eta2, eta1)")
     if not 0.0 <= orbit.a <= orbit.big_k:
         raise NumericsError("shift a escaped [0, K(k)]")
-    return profile
+    return WaveProfile(params, orbit, n)
 
 
 def solitary_profile(omega: float, z: float, xs) -> NDArray[np.float64]:

@@ -551,6 +551,18 @@ class TestSmallDefectAndEdges:
         expected = "stable" if float(z) > 0.0 else "unstable+stable_even_subspace"
         assert report["verdict"] == expected
 
+    @pytest.mark.parametrize("z, half_period, eta2", [
+        ("1e-320", "0.5", 4.035814507343986), ("-1e-320", "1", 0.2905727717993868),
+        ("2.2250738585072014e-308", "0.5", 4.035814507343986), ("1e-310", "1", 0.2905727717993868)])
+    def test_classify_at_subnormal_z(self, tmp_path, z, half_period, eta2):
+        # the threshold's gap upper = 1/4 + r/(2|Z|) overflows at these |Z|; they exited 3
+        # ("phi(0) gaps overflowed") and now give the Z = 0 wave's eta2
+        rc = main(["--output-dir", str(tmp_path), "classify",
+                   "--omega", "20", f"--z={z}", "--half-period", half_period])
+        assert rc == 0
+        report = json.loads((tmp_path / "point_classification.json").read_text())
+        assert report["numerics"]["eta2"] == eta2
+
     @pytest.mark.parametrize("z, half_period", [("-1", "0.5"), ("-1e-300", "0.6")])
     def test_trough_refusal_is_not_a_nonexistence_claim(self, tmp_path, capsys, z, half_period):
         # waves with Tmin < 2L <= T1 exist on both branches of T_+, the falling-branch one

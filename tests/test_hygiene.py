@@ -26,7 +26,11 @@ less than its round trip to a worker, so a pool comes back only with a
 benchmark workload that shows it winning.  ``delta_op.py`` has no
 ``while`` loop: every defect-mode root has a bracket known in closed form.
 The numerical core (``elliptic``, ``rootfind``, ``delta_op``, ``wave``)
-has no ``try`` statement: no exception steers a computation there.
+has no ``try`` statement: no exception steers a computation there.  No
+package module calls a function or class of the package at import time
+(module body, class bodies, decorators and defaults; the ``__main__``
+guard is exempt), so importing the package does no numerics and set-up
+time stays the imports' alone.
 """
 
 import ast
@@ -473,6 +477,87 @@ def test_try_detector():
         "try_ = 'try:'  # try:\n"
     )
     assert try_statements(source) == ["line 1", "line 6"]
+
+
+def package_definitions(sources: list[str]) -> set[str]:
+    """The name of every function and class the given modules define at their top level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for source in sources for node in ast.parse(source).body if isinstance(node, kinds)}
+
+
+def _runs_at_import(nodes: list[ast.stmt]):
+    """The expressions of a body that run when it is executed: a function contributes its
+    decorators and defaults, a class its bases, decorators and body, and an
+    ``if __name__ == "__main__":`` guard nothing."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from node.decorator_list
+            yield from node.args.defaults
+            yield from (d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            yield from node.decorator_list
+            yield from node.bases
+            yield from node.keywords
+            yield from _runs_at_import(node.body)
+        elif not (isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "__name__ == '__main__'", "'__main__' == __name__")):
+            yield node
+
+
+def import_time_calls(source: str, defined: set[str], modules: set[str]) -> list[str]:
+    """Every call, run at import, of a name in ``defined``, bare or read from one of ``modules``."""
+    found = []
+    for top in _runs_at_import(ast.parse(source).body):
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+                name = func.attr
+            else:
+                continue
+            if name in defined:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_no_numerics_at_import():
+    # importing a module runs no function of the package, so set-up time is imports alone
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    defined, modules = package_definitions(sources), {p.stem for p in MODULES}
+    assert {name: import_time_calls(source, defined, modules)
+            for name, source in zip((p.name for p in MODULES), sources)} == {p.name: [] for p in MODULES}
+
+
+def test_import_time_call_detector():
+    source = (
+        "import math\n"
+        "from . import wave\n"
+        "TABLE = build(3)\n"                       # flagged: a package function at import
+        "ROOT = math.sqrt(2.0)\n"                  # spared: not the package's
+        "CELL = wave.solve(1.0)\n"                 # flagged: read from a package module
+        "other = [].index(0)\n"                    # spared: an attribute of no package module
+        "def f(x=build(1)):\n"                     # flagged: a default runs at import
+        "    return build(x)\n"                    # spared: runs when f is called
+        "class C:\n"
+        "    size = wave.solve(2.0)\n"             # flagged: a class body runs at import
+        "    def g(self):\n"
+        "        return build(2)\n"                # spared
+        "@register(build(4))\n"                    # flagged twice: the decorator and its argument
+        "def h():\n"
+        "    pass\n"
+        "if __name__ == '__main__':\n"
+        "    build(5)\n"                           # spared: the __main__ guard
+        "if DEBUG:\n"
+        "    build(6)\n"                           # flagged: any other module-level branch
+    )
+    defined = package_definitions(["def build(n): pass\ndef solve(w): pass\ndef register(f): pass\n"])
+    assert defined == {"build", "solve", "register"}
+    assert import_time_calls(source, defined, {"wave"}) == [
+        "line 3: build", "line 5: solve", "line 7: build", "line 10: solve",
+        "line 13: register", "line 13: build", "line 19: build"]
 
 
 BENCHMARK_READERS = ("workloads.py", "test_perfbench.py")

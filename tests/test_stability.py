@@ -363,6 +363,17 @@ class TestClosedFormSlope:
             assert events.count("newton") == 1
             assert events[events.index("newton"):].count("orbit") == 1
 
+    def test_norm_terms_formed_once_at_the_root(self, monkeypatch):
+        # norm_squared and _norm_slope's tangent read one _e_terms of the root orbit: 2 of the
+        # incomplete_D calls a classify made at (20, -1, 1) and (20, 1, 0.5) went
+        seen = []
+        incomplete_d = elliptic.incomplete_D
+        monkeypatch.setattr(elliptic, "incomplete_D", lambda *a: seen.append(a) or incomplete_d(*a))
+        for point in BRANCH_POINTS:
+            seen.clear()
+            rep = classify(WaveParams(*point))
+            assert seen.count((1.0, 0.0, rep.orbit.kp)) == 1  # D(k) at the root
+
     def test_report_carries_the_solve(self):
         rep = classify(WaveParams(20.0, -1.0, 1.0))
         orbit = wave.solve_eta2(rep.params)

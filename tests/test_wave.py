@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlsdelta import elliptic, evolve, stability, wave
-from nlsdelta.errors import AdmissibilityError, NumericsError
+from nlsdelta.errors import AdmissibilityError, NlsDeltaError, NumericsError
 from nlsdelta.linops import Which, assemble
 from nlsdelta.rootfind import bisect
 from nlsdelta.wave import WaveParams, build_profile
@@ -167,10 +167,18 @@ class TestThresholdIsThePeriodAtTheta:
             assert gaps[0] > gaps[1] > gaps[2] > 0.0
             assert gaps[2] < 1e-5 * t0
 
-    def test_subnormal_defect_is_a_typed_failure(self):
-        # r/|Z| overflows the gap upper at theta, which would put psi at pi/2 and T0 at 0
-        with pytest.raises(NumericsError, match="overflowed"):
-            wave.period_threshold(28.0, 1.6e-319)
+    @pytest.mark.parametrize("omega, z", [
+        (omega, sign * abs_z)
+        for omega, abs_z in [(20.0, 2.2250738585072014e-308), (20.0, 1e-310), (28.0, 1.6e-319),
+                             (20.0, 1e-320), (20.0, 5e-324), (1e4, 1e-307)]
+        for sign in (1.0, -1.0)
+    ])
+    def test_subnormal_defect_against_mpmath(self, omega, z):
+        # r/|Z| overflows the gap upper at theta (g = s = 0): the psi pair is formed without it
+        # (a refusal, "phi(0) gaps overflowed", would leave these cells without T0 or T1)
+        assert wave._orbit(wave.theta_admissible(omega, z), omega, z, 0.0).upper == math.inf
+        assert wave.period_threshold(omega, z) == pytest.approx(_threshold_oracle(omega, z),
+                                                                rel=1e-13)
 
     def test_slope_at_theta_is_a_typed_failure(self):
         # dT/deta2 is infinite at theta, but in u = log(g/eta2^2) every term of the tangent
@@ -372,6 +380,25 @@ class TestSmallDefect:
         period = wave.period_minus if z > 0.0 else wave.period_plus
         assert abs(period(p.eta2, 20.0, z) - 2.0 * params.halfperiod) <= wave.PERIOD_RESIDUAL_TOL
 
+    @pytest.mark.parametrize("abs_z", [2.2250738585072014e-308, 1e-310, 1e-320])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_profile_builds_at_subnormal_z(self, abs_z, sign):
+        # the threshold's upper overflows here; the wave is the Z = 0 one to the last bit
+        L = 0.5 if sign > 0.0 else 1.0  # the trough solve needs 2L > T1 ~ 1.49
+        rep = stability.classify(WaveParams(20.0, sign * abs_z, L))
+        assert rep.orbit.eta2 == wave.solve_eta2(WaveParams(20.0, 0.0, L)).eta2
+        assert rep.orbit.eta2 == (4.035814507343986 if sign > 0.0 else 0.2905727717993868)
+        assert 0.0 < rep.orbit.a < 1e-300 and rep.orbit.upper < math.inf
+        assert rep.verdict.value == ("stable" if sign > 0.0 else "unstable+stable_even_subspace")
+        assert rep.orbit.phi == rep.orbit.eta1  # eta1^2 - Phi^2 = Z^2 upper underflows
+
+    @pytest.mark.parametrize("z, L", [(5e-324, 0.5), (-5e-324, 1.0)])
+    def test_least_subnormal_z_is_a_typed_failure(self, z, L):
+        # psi ~ 1.8e-324 rounds to 0, so a = 0 and the record cannot tell Phi < eta1
+        assert wave.period_threshold(20.0, z) == pytest.approx(_threshold_oracle(20.0, z), rel=1e-13)
+        with pytest.raises(NumericsError, match="defect value"):
+            build_profile(WaveParams(20.0, z, L))
+
     def test_one_admissibility_check_per_period_evaluation(self, monkeypatch):
         calls = []
         check = wave._check_eta2
@@ -528,17 +555,45 @@ class TestLazySamples:
         )
         params = WaveParams(20.0, 1.0, 0.5)
         stability.classify(params)
-        assert sizes == [1]  # phi(0) alone: the counts and the slope are read from the orbit
-        sizes.clear()
+        assert sizes == []  # phi(0), the counts and the slope are read from the orbit
         stability.slope(params)
-        assert max(sizes) == 1  # phi(0) alone, for the defect-value check
-        sizes.clear()
+        assert sizes == []  # each stencil build checks phi(0) on its orbit record
         evolve.run_experiment(params, "even:1e-3", T=1e-3, dt=1e-3, n=256)
         assert max(sizes) <= 256
         p = build_profile(params)
         assert "samples" not in vars(p) and "x" not in vars(p)
         assert p.samples.shape == p.x.shape == (4097,)
         assert "samples" in vars(p)
+
+    @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
+    def test_a_build_sums_no_theta_series(self, monkeypatch, z, L):
+        def refuse(*args):
+            raise AssertionError("jacobi_sn_cn_dn called")
+
+        monkeypatch.setattr(elliptic, "jacobi_sn_cn_dn", refuse)
+        params = WaveParams(20.0, z, L)
+        p = build_profile(params)
+        stability.classify(params)
+        stability.slope(params)
+        with pytest.raises(AssertionError, match="jacobi_sn_cn_dn"):
+            p.phi0
+
+    @given(omega=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+           abs_z=st.just(0.0) | st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e),
+           negative=st.booleans(), L=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e))
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_phi0_matches_the_record(self, omega, abs_z, negative, L):
+        # build_profile checks Phi = orbit.phi, not the theta series at x = 0; wherever it
+        # builds, the sampled phi(0) lies in [eta2, eta1] and next to Phi.  Measured worst:
+        # 24 ulp over 23176 built cells of this domain (two draws of 40000) and 43 ulp over
+        # 2269 of a wider one (|Z|/(2 sqrt omega) down to 1e-6, L sqrt(omega) up to 3e4)
+        try:
+            p = build_profile(WaveParams(omega, -abs_z if negative else abs_z, L))
+        except NlsDeltaError:
+            return
+        o = p.orbit
+        assert o.eta2 <= p.phi0 <= o.eta1
+        assert abs(p.phi0 - o.phi) <= 64 * math.ulp(o.phi)
 
     @pytest.mark.parametrize("z, L", [(1.0, 0.5), (-1.0, 1.0), (0.0, 1.0)])
     def test_one_half_grid_evaluation_serves_every_grid_read(self, monkeypatch, z, L):
